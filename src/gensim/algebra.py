@@ -310,7 +310,7 @@ def render_algebra(algebra: Algebra) -> str:
     const_syms = algebra.signature.constant_symbols
     if not const_syms:
         out.append("constants none")
-    elif set(const_syms) == set(algebra.carrier):
+    elif const_syms == algebra.carrier:
         out.append("constants all")
     else:
         out.append("constants " + " ".join(const_syms))

@@ -37,9 +37,18 @@ from .terms import render_term
 from .verdict import LINEAR_FRAGMENT
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise AlgebraError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def _load_algebra(path: str) -> Algebra:
-    with open(path, encoding="utf-8") as handle:
-        return parse_algebra(handle.read())
+    return parse_algebra(_read_text(path))
 
 
 def _load_pair(args):
@@ -53,9 +62,7 @@ def _config(args) -> QueryConfig:
     return QueryConfig(
         fragment=args.fragment,
         max_vars=args.max_vars,
-        max_depth=args.max_depth,
         cap=args.cap,
-        seed=args.seed,
     )
 
 
@@ -173,8 +180,7 @@ def cmd_morphism(args) -> int:
     for path in args.algebras:
         algebra = _load_algebra(path)
         algebras[algebra.name] = algebra
-    with open(args.map, encoding="utf-8") as handle:
-        emap = parse_map(handle.read(), algebras)
+    emap = parse_map(_read_text(args.map), algebras)
     config = _config(args)
     if args.verify == "hom":
         ok = is_homomorphism(emap)
@@ -213,8 +219,7 @@ def cmd_morphism(args) -> int:
     if not args.map2:
         print("error: --verify sit requires --map2", file=sys.stderr)
         return 2
-    with open(args.map2, encoding="utf-8") as handle:
-        gmap = parse_map(handle.read(), algebras)
+    gmap = parse_map(_read_text(args.map2), algebras)
     report = check_second_isomorphism(emap, gmap, config)
     _emit(
         args,
@@ -298,10 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="term fragment / engine selection (default: auto)",
     )
     common.add_argument("--max-vars", type=int, default=2, help="K for the general engine")
-    common.add_argument("--max-depth", type=int, default=4, help="oracle depth bound")
     common.add_argument("--cap", type=int, default=200_000, help="saturation size cap")
     common.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    common.add_argument("--seed", type=int, default=0, help="seed recorded in reports")
 
     sub = parser.add_subparsers(dest="command", required=True)
 

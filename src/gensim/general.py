@@ -13,42 +13,23 @@ oracle before it is relied on.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraError, AlgebraPair
+from .closure import Profile, SaturationCapError, least_witness_closure  # noqa: F401 (re-export)
 from .terms import (
     Term,
     App,
     Const,
     Var,
-    canonicalize,
     enumerate_terms,
     is_generalization,
     range_of_term,
-    term_variables,
     witness_key,
     GENERAL,
 )
 from .verdict import EXACT, exact_for_vars
-
-
-class SaturationCapError(AlgebraError):
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(
-            f"profile saturation exceeded the cap of {cap} profiles; "
-            "raise the cap or lower K"
-        )
-
-
-@dataclass(frozen=True)
-class FunctionProfile:
-    var_count: int
-    left: tuple[int, ...]  # value index per assignment id over A^K
-    right: tuple[int, ...]
-    witness: Term
 
 
 def exactness_label(pair: AlgebraPair, k: int) -> str:
@@ -57,16 +38,21 @@ def exactness_label(pair: AlgebraPair, k: int) -> str:
     return exact_for_vars(k)
 
 
-def _op_index_table(algebra: Algebra, sym: str, arity: int) -> dict[tuple[int, ...], int]:
+def _function_lift(algebra: Algebra, sym: str):
+    """Lift ``sym`` pointwise over value-index tuples."""
     index = {e: i for i, e in enumerate(algebra.carrier)}
-    return {
+    table = {
         tuple(index[x] for x in tup): index[out]
         for tup, out in algebra.tables[sym].items()
     }
+    return lambda functions: tuple(table[args] for args in zip(*functions))
 
 
-def saturate_profiles(pair: AlgebraPair, k: int, cap: int = 200_000) -> list[FunctionProfile]:
+def saturate_profiles(pair: AlgebraPair, k: int, cap: int = 200_000) -> list[Profile]:
     """Least closed set of K-variable function pairs, minimal witnesses.
+
+    Each side of a profile holds one value index per assignment over A^K
+    (left) or B^K (right).
 
     The theoretical profile space is doubly exponential, so feasibility is
     enforced as a runtime cap on the number of accepted profiles rather
@@ -76,85 +62,21 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = 200_000) -> list[Fun
         raise AlgebraError("K must be >= 1")
     left_alg, right_alg = pair.left, pair.right
     sig = left_alg.signature
-    nl, nr = len(left_alg.carrier), len(right_alg.carrier)
-    left_assignments = list(product(range(nl), repeat=k))
-    right_assignments = list(product(range(nr), repeat=k))
+    left_assignments = list(product(range(len(left_alg.carrier)), repeat=k))
+    right_assignments = list(product(range(len(right_alg.carrier)), repeat=k))
 
-    op_left = {sym: _op_index_table(left_alg, sym, ar) for sym, ar in sig.operations}
-    op_right = {sym: _op_index_table(right_alg, sym, ar) for sym, ar in sig.operations}
-
-    heap: list = []
-    counter = 0
-    best_pushed: dict[tuple, tuple] = {}
-
-    def push(term: Term, left: tuple[int, ...], right: tuple[int, ...]):
-        nonlocal counter
-        key = (left, right)
-        wkey = witness_key(term, sig)
-        known = best_pushed.get(key)
-        if known is not None and known <= wkey:
-            return
-        best_pushed[key] = wkey
-        heapq.heappush(heap, (wkey, counter, term, left, right))
-        counter += 1
-
-    for i in range(k):
-        push(
-            Var(i + 1),
-            tuple(a[i] for a in left_assignments),
-            tuple(a[i] for a in right_assignments),
-        )
+    # zip(*assignments) lists the K projections.
+    projections = zip(zip(*left_assignments), zip(*right_assignments))
+    seeds = [(left, right, Var(i + 1)) for i, (left, right) in enumerate(projections)]
     for c in sig.constant_symbols:
         li = left_alg.index(c)
         ri = right_alg.index(c)
-        push(Const(c), (li,) * len(left_assignments), (ri,) * len(right_assignments))
-
-    accepted: dict[tuple[tuple[int, ...], tuple[int, ...]], FunctionProfile] = {}
-    order: list[FunctionProfile] = []
-    while heap:
-        _, _, term, left, right = heapq.heappop(heap)
-        key = (left, right)
-        if key in accepted:
-            continue
-        profile = FunctionProfile(len(term_variables(term)), left, right, term)
-        accepted[key] = profile
-        order.append(profile)
-        if len(order) > cap:
-            raise SaturationCapError(cap)
-        for sym, arity in sig.operations:
-            tl, tr = op_left[sym], op_right[sym]
-            for combo in product(order, repeat=arity):
-                if profile not in combo:
-                    continue
-                new_left = tuple(
-                    tl[tuple(p.left[i] for p in combo)]
-                    for i in range(len(left_assignments))
-                )
-                new_right = tuple(
-                    tr[tuple(p.right[i] for p in combo)]
-                    for i in range(len(right_assignments))
-                )
-                if (new_left, new_right) in accepted:
-                    continue
-                push(App(sym, tuple(p.witness for p in combo)), new_left, new_right)
-    return order
-
-
-def general_gen_subset(
-    profiles: list[FunctionProfile],
-    pair: AlgebraPair,
-    a: str,
-    b: str,
-    b_prime: str,
-) -> tuple[bool, Term | None]:
-    """Decide Gen(a,b) subset-of Gen(a,b') on the saturated fragment."""
-    ai = pair.left.index(a)
-    bi = pair.right.index(b)
-    bpi = pair.right.index(b_prime)
-    for p in profiles:
-        if ai in p.left and bi in p.right and bpi not in p.right:
-            return False, canonicalize(p.witness)
-    return True, None
+        seeds.append(((li,) * len(left_assignments), (ri,) * len(right_assignments), Const(c)))
+    rules = [
+        (arity, _function_lift(left_alg, sym), _function_lift(right_alg, sym), partial(App, sym))
+        for sym, arity in sig.operations
+    ]
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)
 
 
 def brute_force_gen(

@@ -10,17 +10,15 @@ linear, so this engine is exact for the full term language there.
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
 from itertools import product
 
 from .algebra import Algebra, AlgebraPair
+from .closure import Profile, least_witness_closure
 from .terms import (
     App,
     Const,
     Term,
     Var,
-    canonicalize,
     render_term,
     shift_variables,
     term_variables,
@@ -28,20 +26,12 @@ from .terms import (
 )
 
 
-@dataclass(frozen=True)
-class LinearProfile:
-    left: frozenset[str]
-    right: frozenset[str]
-    witness: Term
-
-
 class ProfileFamily:
     """The closed family of reachable range pairs for one algebra pair."""
 
-    def __init__(self, pair: AlgebraPair, profiles: list[LinearProfile]):
+    def __init__(self, pair: AlgebraPair, profiles: list[Profile]):
         self.pair = pair
-        self.profiles = profiles  # sorted by witness order
-        self._by_key = {(p.left, p.right): p for p in profiles}
+        self.profiles = profiles  # range pairs, sorted by witness order
 
     def __len__(self) -> int:
         return len(self.profiles)
@@ -57,14 +47,26 @@ def lifted_range(term: Term, algebra: Algebra) -> frozenset[str]:
     if isinstance(term, Const):
         algebra.require_element(term.name)
         return frozenset({term.name})
-    arg_sets = [lifted_range(a, algebra) for a in term.args]
-    return frozenset(
-        algebra.apply(term.op, combo) for combo in product(*arg_sets)
-    )
+    return _range_lift(algebra, term.op)([lifted_range(a, algebra) for a in term.args])
 
 
-def _lift(algebra: Algebra, sym: str, sets: tuple[frozenset[str], ...]) -> frozenset[str]:
-    return frozenset(algebra.apply(sym, combo) for combo in product(*sets))
+def _range_lift(algebra: Algebra, sym: str):
+    table = algebra.tables[sym]
+    return lambda sets: frozenset(table[combo] for combo in product(*sets))
+
+
+def _linear_app(sym: str):
+    def build(witnesses):
+        # Each witness is canonical and linear, so shifting them onto
+        # disjoint variables, left to right, keeps the result canonical.
+        args = []
+        offset = 0
+        for witness in witnesses:
+            args.append(shift_variables(witness, offset))
+            offset += len(term_variables(witness))
+        return App(sym, tuple(args))
+
+    return build
 
 
 def reachable_profiles(pair: AlgebraPair) -> ProfileFamily:
@@ -74,51 +76,15 @@ def reachable_profiles(pair: AlgebraPair) -> ProfileFamily:
     so the first witness reaching a range pair is kept.  Terminates because
     profiles live in 2^A x 2^B.
     """
-    left_alg, right_alg = pair.left, pair.right
-    sig = left_alg.signature
-
-    counter = 0
-    heap: list = []
-
-    def push(witness: Term, left: frozenset[str], right: frozenset[str]):
-        nonlocal counter
-        heapq.heappush(heap, (witness_key(witness, sig), counter, witness, left, right))
-        counter += 1
-
-    push(Var(1), frozenset(left_alg.carrier), frozenset(right_alg.carrier))
-    for c in sig.constant_symbols:
-        push(Const(c), frozenset({c}), frozenset({c}))
-
-    accepted: dict[tuple[frozenset[str], frozenset[str]], LinearProfile] = {}
-    order: list[LinearProfile] = []
-
-    def combine(sym: str, arity: int, parts: tuple[LinearProfile, ...]):
-        left = _lift(left_alg, sym, tuple(p.left for p in parts))
-        right = _lift(right_alg, sym, tuple(p.right for p in parts))
-        offset = 0
-        args = []
-        for p in parts:
-            args.append(shift_variables(p.witness, offset))
-            offset += len(term_variables(p.witness))
-        witness = canonicalize(App(sym, tuple(args)))
-        push(witness, left, right)
-
-    while heap:
-        _, _, witness, left, right = heapq.heappop(heap)
-        key = (left, right)
-        if key in accepted:
-            continue
-        profile = LinearProfile(left, right, witness)
-        accepted[key] = profile
-        order.append(profile)
-        existing = list(order)
-        for sym, arity in sig.operations:
-            for combo in product(existing, repeat=arity):
-                if profile not in combo:
-                    continue
-                combine(sym, arity, combo)
-
-    return ProfileFamily(pair, order)
+    sig = pair.left.signature
+    seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
+    seeds += [(frozenset({c}), frozenset({c}), Const(c)) for c in sig.constant_symbols]
+    rules = [
+        (arity, _range_lift(pair.left, sym), _range_lift(pair.right, sym), _linear_app(sym))
+        for sym, arity in sig.operations
+    ]
+    items = least_witness_closure(seeds, rules, lambda t: witness_key(t, sig))
+    return ProfileFamily(pair, items)
 
 
 def linear_gen_member(family: ProfileFamily, a: str, b: str) -> bool:
@@ -126,23 +92,6 @@ def linear_gen_member(family: ProfileFamily, a: str, b: str) -> bool:
     family.pair.left.require_element(a)
     family.pair.right.require_element(b)
     return any(a in p.left and b in p.right for p in family)
-
-
-def linear_gen_subset(
-    family: ProfileFamily, a: str, b: str, b_prime: str
-) -> tuple[bool, Term | None]:
-    """Decide Gen^lin(a,b) subset-of Gen^lin(a,b').
-
-    Returns (True, None) or (False, t) with t a minimal linear term in
-    Gen(a,b) but not in Gen(a,b').
-    """
-    family.pair.left.require_element(a)
-    family.pair.right.require_element(b)
-    family.pair.right.require_element(b_prime)
-    for p in family:
-        if a in p.left and b in p.right and b_prime not in p.right:
-            return False, p.witness
-    return True, None
 
 
 def dump_profiles(family: ProfileFamily) -> str:

@@ -14,11 +14,12 @@ linear engine's profile pairs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
-from .algebra import Algebra, AlgebraPair
+from .algebra import Algebra, AlgebraPair, self_pair
+from .closure import Profile, first_separator, least_witness_closure
 from .terms import App, Const, Term, Var, render_term, witness_key
 from .verdict import (
     Certificate,
@@ -34,165 +35,62 @@ class UnaryPolynomial:
     witness: Term
 
 
-@dataclass(frozen=True)
-class PairedPolynomial:
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    witness: Term
+def paired_ground_values(pair: AlgebraPair) -> list[Profile]:
+    """Simultaneously realizable ground values over the pair, each with a
+    minimal ground witness."""
+    sig = pair.left.signature
+    seeds = [(c, c, Const(c)) for c in sig.constant_symbols]
+    left, right = pair.left.tables, pair.right.tables
+    rules = [
+        (arity, left[sym].__getitem__, right[sym].__getitem__, partial(App, sym))
+        for sym, arity in sig.operations
+    ]
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig))
 
 
 def ground_value_terms(algebra: Algebra) -> list[tuple[str, Term]]:
     """Values of ground terms over the distinguished constants, each with a
     minimal ground witness; this is the subalgebra the constants generate."""
-    sig = algebra.signature
-    heap: list = []
-    counter = 0
-
-    def push(term: Term, value: str):
-        nonlocal counter
-        heapq.heappush(heap, (witness_key(term, sig), counter, term, value))
-        counter += 1
-
-    for c in sig.constant_symbols:
-        push(Const(c), c)
-
-    accepted: dict[str, Term] = {}
-    order: list[tuple[str, Term]] = []
-    while heap:
-        _, _, term, value = heapq.heappop(heap)
-        if value in accepted:
-            continue
-        accepted[value] = term
-        order.append((value, term))
-        for sym, arity in sig.operations:
-            for combo in product(order, repeat=arity):
-                if not any(v == value for v, _ in combo):
-                    continue
-                args = tuple(t for _, t in combo)
-                out = algebra.apply(sym, tuple(v for v, _ in combo))
-                push(App(sym, args), out)
-    return order
+    return [(value, term) for value, _, term in paired_ground_values(self_pair(algebra))]
 
 
-def paired_ground_values(pair: AlgebraPair) -> list[tuple[str, str, Term]]:
-    """Simultaneously realizable ground values over the pair."""
+def _plug_lift(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...]):
+    """Plug a table into ``sym`` at ``position``, fillers elsewhere."""
+    table = algebra.tables[sym]
+    before, after = fillers[:position], fillers[position:]
+    return lambda tables: tuple(table[before + (x,) + after] for x in tables[0])
+
+
+def _plug_app(sym: str, position: int, filler_terms: tuple[Term, ...]):
+    before, after = filler_terms[:position], filler_terms[position:]
+    return lambda witnesses: App(sym, before + witnesses + after)
+
+
+def paired_clone(pair: AlgebraPair) -> list[Profile]:
+    """Pairs of unary tables realizable by one shared monolinear term.
+
+    Each table pair is lifted alone, over every choice of ground fillers
+    for the other argument positions."""
     sig = pair.left.signature
-    heap: list = []
-    counter = 0
-
-    def push(term: Term, lv: str, rv: str):
-        nonlocal counter
-        heapq.heappush(heap, (witness_key(term, sig), counter, term, lv, rv))
-        counter += 1
-
-    for c in sig.constant_symbols:
-        push(Const(c), c, c)
-
-    accepted: dict[tuple[str, str], Term] = {}
-    order: list[tuple[str, str, Term]] = []
-    while heap:
-        _, _, term, lv, rv = heapq.heappop(heap)
-        if (lv, rv) in accepted:
-            continue
-        accepted[(lv, rv)] = term
-        order.append((lv, rv, term))
-        for sym, arity in sig.operations:
-            for combo in product(order, repeat=arity):
-                if not any(l == lv and r == rv and t == term for l, r, t in combo):
-                    continue
-                args = tuple(t for _, _, t in combo)
-                out_l = pair.left.apply(sym, tuple(l for l, _, _ in combo))
-                out_r = pair.right.apply(sym, tuple(r for _, r, _ in combo))
-                push(App(sym, args), out_l, out_r)
-    return order
+    grounds = paired_ground_values(pair)
+    rules = []
+    for sym, arity in sig.operations:
+        for fillers in product(grounds, repeat=arity - 1):
+            lefts, rights, terms = zip(*fillers) if fillers else ((), (), ())
+            for position in range(arity):
+                rules.append((
+                    1,
+                    _plug_lift(pair.left, sym, position, lefts),
+                    _plug_lift(pair.right, sym, position, rights),
+                    _plug_app(sym, position, terms),
+                ))
+    seeds = [(pair.left.carrier, pair.right.carrier, Var(1))]
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig))
 
 
 def polynomial_clone(algebra: Algebra) -> list[UnaryPolynomial]:
     """All unary functions induced by monolinear terms, minimal witnesses."""
-    sig = algebra.signature
-    carrier = algebra.carrier
-    grounds = ground_value_terms(algebra)
-
-    heap: list = []
-    counter = 0
-
-    def push(term: Term, table: tuple[str, ...]):
-        nonlocal counter
-        heapq.heappush(heap, (witness_key(term, sig), counter, term, table))
-        counter += 1
-
-    push(Var(1), carrier)
-
-    accepted: dict[tuple[str, ...], UnaryPolynomial] = {}
-    order: list[UnaryPolynomial] = []
-    while heap:
-        _, _, term, table = heapq.heappop(heap)
-        if table in accepted:
-            continue
-        poly = UnaryPolynomial(table, term)
-        accepted[table] = poly
-        order.append(poly)
-        for sym, arity in sig.operations:
-            for position in range(arity):
-                filler_slots = arity - 1
-                for fillers in product(grounds, repeat=filler_slots):
-                    args: list[Term] = []
-                    fill_iter = iter(fillers)
-                    new_table = []
-                    filler_values = [v for v, _ in fillers]
-                    for x in table:
-                        row = filler_values[:position] + [x] + filler_values[position:]
-                        new_table.append(algebra.apply(sym, tuple(row)))
-                    for i in range(arity):
-                        if i == position:
-                            args.append(term)
-                        else:
-                            args.append(next(fill_iter)[1])
-                    push(App(sym, tuple(args)), tuple(new_table))
-    return order
-
-
-def paired_clone(pair: AlgebraPair) -> list[PairedPolynomial]:
-    """Pairs of unary tables realizable by one shared monolinear term."""
-    sig = pair.left.signature
-    grounds = paired_ground_values(pair)
-
-    heap: list = []
-    counter = 0
-
-    def push(term: Term, left: tuple[str, ...], right: tuple[str, ...]):
-        nonlocal counter
-        heapq.heappush(heap, (witness_key(term, sig), counter, term, left, right))
-        counter += 1
-
-    push(Var(1), pair.left.carrier, pair.right.carrier)
-
-    accepted: dict[tuple[tuple[str, ...], tuple[str, ...]], PairedPolynomial] = {}
-    order: list[PairedPolynomial] = []
-    while heap:
-        _, _, term, left, right = heapq.heappop(heap)
-        if (left, right) in accepted:
-            continue
-        poly = PairedPolynomial(left, right, term)
-        accepted[(left, right)] = poly
-        order.append(poly)
-        for sym, arity in sig.operations:
-            for position in range(arity):
-                for fillers in product(grounds, repeat=arity - 1):
-                    lv = [f[0] for f in fillers]
-                    rv = [f[1] for f in fillers]
-                    new_left = tuple(
-                        pair.left.apply(sym, tuple(lv[:position] + [x] + lv[position:]))
-                        for x in left
-                    )
-                    new_right = tuple(
-                        pair.right.apply(sym, tuple(rv[:position] + [x] + rv[position:]))
-                        for x in right
-                    )
-                    args = [f[2] for f in fillers]
-                    args.insert(position, term)
-                    push(App(sym, tuple(args)), new_left, new_right)
-    return order
+    return [UnaryPolynomial(p.left, p.witness) for p in paired_clone(self_pair(algebra))]
 
 
 def m_gen_signature(algebra: Algebra, a: str, clone=None) -> list[UnaryPolynomial]:
@@ -204,21 +102,8 @@ def m_gen_signature(algebra: Algebra, a: str, clone=None) -> list[UnaryPolynomia
     return [p for p in clone if a in p.table]
 
 
-def m_subset(
-    clone_pairs: list[PairedPolynomial], pair: AlgebraPair, a: str, b: str, b_prime: str
-) -> tuple[bool, Term | None]:
-    """Decide m-Gen(a,b) subset-of m-Gen(a,b') over the paired clone."""
-    pair.left.require_element(a)
-    pair.right.require_element(b)
-    pair.right.require_element(b_prime)
-    for p in clone_pairs:
-        if a in p.left and b in p.right and b_prime not in p.right:
-            return False, p.witness
-    return True, None
-
-
 def m_decide_leq(
-    pair: AlgebraPair, a: str, b: str, clone_pairs: list[PairedPolynomial] | None = None
+    pair: AlgebraPair, a: str, b: str, clone_pairs: list[Profile] | None = None
 ) -> Verdict:
     """Maximality of the shared monolinear generalizations of (a, b).
 
@@ -234,11 +119,10 @@ def m_decide_leq(
     for b_prime in pair.right.carrier:
         if b_prime == b or (a_in_right and b_prime == a):
             continue
-        forward, _ = m_subset(clone_pairs, pair, a, b, b_prime)
-        if not forward:
+        if first_separator(clone_pairs, a, b, b_prime) is not None:
             continue
-        backward, evidence = m_subset(clone_pairs, pair, a, b_prime, b)
-        if not backward:
+        evidence = first_separator(clone_pairs, a, b_prime, b)
+        if evidence is not None:
             return Verdict(
                 False,
                 Certificate(DOMINATING_ELEMENT, element=b_prime, term=evidence),

@@ -14,10 +14,11 @@ from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, self_pair, validate_pair
 from . import automata
-from .general import exactness_label, saturate_profiles, general_gen_subset
-from .linear import ProfileFamily, linear_gen_subset, reachable_profiles
-from .monolinear import PairedPolynomial, m_subset, paired_clone
-from .terms import Term, render_term, term_size, witness_key
+from .closure import first_separator
+from .general import exactness_label, saturate_profiles
+from .linear import reachable_profiles
+from .monolinear import paired_clone
+from .terms import Term, canonicalize, render_term, term_size, witness_key
 from .verdict import (
     Certificate,
     DOMINATING_ELEMENT,
@@ -35,41 +36,49 @@ FRAGMENT_CHOICES = ("auto", "unary", "linear", "monolinear", "general")
 class QueryConfig:
     fragment: str = "auto"
     max_vars: int = 2  # K for the general engine
-    max_depth: int = 4
     cap: int = 200_000
-    seed: int = 0
 
     def __post_init__(self):
         if self.fragment not in FRAGMENT_CHOICES:
             raise AlgebraError(f"unknown fragment {self.fragment!r}")
-        if self.max_vars < 1 or self.max_depth < 0 or self.cap < 1:
+        if self.max_vars < 1 or self.cap < 1:
             raise AlgebraError("bounds must be positive")
 
 
 class Engine:
-    """Subset-query adapter over one pair; built once, queried many times."""
+    """Subset-query adapter over one pair; built once, queried many times.
 
-    label: str
+    An engine holds its pair's semantic term classes as (left range, right
+    range, witness) in witness order; ``subset`` scans them for the first
+    class that separates b from b'.
+    """
+
+    def __init__(self, pair: AlgebraPair, label: str, classes, evidence=None):
+        self.pair = pair
+        self.label = label
+        self._classes = classes
+        # Rows the subset scan returns its evidence from: the classes,
+        # unless the engine certifies with another spelling of each witness.
+        self._evidence = classes if evidence is None else evidence
 
     def subset(self, a: str, b: str, b_prime: str) -> tuple[bool, Term | None]:
-        raise NotImplementedError
+        """Decide Gen(a,b) subset-of Gen(a,b'); on failure, return a
+        minimal term in Gen(a,b) but not in Gen(a,b')."""
+        self.pair.left.require_element(a)
+        self.pair.right.require_element(b)
+        self.pair.right.require_element(b_prime)
+        witness = first_separator(self._evidence, a, b, b_prime)
+        return witness is None, witness
 
     def classes(self) -> list[tuple[frozenset[str], frozenset[str], Term]]:
         """Semantic term classes as (left range, right range, witness)."""
-        raise NotImplementedError
+        return list(self._classes)
 
 
 class LinearEngine(Engine):
     def __init__(self, pair: AlgebraPair):
-        self.pair = pair
-        self.family = reachable_profiles(pair)
-        self.label = EXACT if pair.left.signature.is_unary() else LINEAR_FRAGMENT
-
-    def subset(self, a, b, b_prime):
-        return linear_gen_subset(self.family, a, b, b_prime)
-
-    def classes(self):
-        return [(p.left, p.right, p.witness) for p in self.family]
+        label = EXACT if pair.left.signature.is_unary() else LINEAR_FRAGMENT
+        super().__init__(pair, label, reachable_profiles(pair).profiles)
 
 
 class UnaryEngine(Engine):
@@ -116,40 +125,27 @@ class UnaryEngine(Engine):
 
 class MonolinearEngine(Engine):
     def __init__(self, pair: AlgebraPair):
-        self.pair = pair
-        self.clone_pairs: list[PairedPolynomial] = paired_clone(pair)
-        self.label = MONOLINEAR_FRAGMENT
-
-    def subset(self, a, b, b_prime):
-        return m_subset(self.clone_pairs, self.pair, a, b, b_prime)
-
-    def classes(self):
-        return [
-            (frozenset(p.left), frozenset(p.right), p.witness)
-            for p in self.clone_pairs
+        classes = [
+            (frozenset(p.left), frozenset(p.right), p.witness) for p in paired_clone(pair)
         ]
+        super().__init__(pair, MONOLINEAR_FRAGMENT, classes)
 
 
 class GeneralEngine(Engine):
     def __init__(self, pair: AlgebraPair, k: int, cap: int):
-        self.pair = pair
-        self.profiles = saturate_profiles(pair, k, cap=cap)
-        self.label = exactness_label(pair, k)
-        self._left_names = pair.left.carrier
-        self._right_names = pair.right.carrier
-
-    def subset(self, a, b, b_prime):
-        return general_gen_subset(self.profiles, self.pair, a, b, b_prime)
-
-    def classes(self):
-        return [
+        left_names, right_names = pair.left.carrier, pair.right.carrier
+        classes = [
             (
-                frozenset(self._left_names[i] for i in set(p.left)),
-                frozenset(self._right_names[i] for i in set(p.right)),
+                frozenset(left_names[i] for i in set(p.left)),
+                frozenset(right_names[i] for i in set(p.right)),
                 p.witness,
             )
-            for p in self.profiles
+            for p in saturate_profiles(pair, k, cap=cap)
         ]
+        # Witnesses share the variables z1..zK; evidence is renumbered by
+        # first occurrence, classes keep the raw spelling.
+        evidence = [(left, right, canonicalize(w)) for left, right, w in classes]
+        super().__init__(pair, exactness_label(pair, k), classes, evidence)
 
 
 def build_engine(pair: AlgebraPair, config: QueryConfig | None = None) -> Engine:

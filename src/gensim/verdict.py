@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from .terms import Term, render_term
 
 # Certificate kinds
-SEPARATING_TERM = "separating-term"
 DOMINATING_ELEMENT = "dominating-element"
 MISSING_PARTNER = "missing-partner"
 FAILING_ELEMENT = "failing-element"
@@ -25,10 +24,6 @@ MONOLINEAR_FRAGMENT = "monolinear-fragment"
 
 def exact_for_vars(k: int) -> str:
     return f"exact-for-{k}-vars"
-
-
-def oracle_bounded(depth: int) -> str:
-    return f"oracle-bounded(depth={depth})"
 
 
 @dataclass(frozen=True)

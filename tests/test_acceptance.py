@@ -18,13 +18,9 @@ from gensim.corpus import (
     powerset_algebra,
     truncated_multiplication_algebra,
 )
-from gensim.general import (
-    SaturationCapError,
-    general_gen_subset,
-    saturate_profiles,
-)
-from gensim.linear import lifted_range, linear_gen_subset, reachable_profiles
-from gensim.monolinear import m_decide_leq, m_subset, paired_clone
+from gensim.general import SaturationCapError
+from gensim.linear import lifted_range
+from gensim.monolinear import m_decide_leq, paired_clone
 from gensim.morphism import (
     check_g_functor,
     check_second_isomorphism,
@@ -34,6 +30,8 @@ from gensim.morphism import (
     verify_isomorphism_lemma,
 )
 from gensim.similarity import (
+    GeneralEngine,
+    LinearEngine,
     QueryConfig,
     check_transitive,
     decide_leq,
@@ -251,7 +249,7 @@ def test_criterion_10_cross_engine_coherence():
         rng = random.Random(seed)
         algebra = _random_algebra_mixed(rng)
         pair = self_pair(algebra)
-        family = reachable_profiles(pair)
+        linear = LinearEngine(pair)
         key = algebra.signature.operations
         if key not in enum_cache:
             enum_cache[key] = enumerate_terms(
@@ -273,7 +271,7 @@ def test_criterion_10_cross_engine_coherence():
                         i for i, r in enumerate(ranges) if a in r and b_prime in r
                     }
                     brute = gen_ab <= gen_abp
-                    engine, witness = linear_gen_subset(family, a, b, b_prime)
+                    engine, witness = linear.subset(a, b, b_prime)
                     if engine != brute:
                         ok = False
                     if not engine:
@@ -398,7 +396,7 @@ def test_criterion_11_variable_collapse_bound():
         right = _random_two_element(table_b, "B")
         pair = AlgebraPair(left, right)
         try:
-            profiles = saturate_profiles(pair, 4, cap=20_000)
+            general = GeneralEngine(pair, 4, 20_000)
         except SaturationCapError:
             continue
         if sig_terms is None:
@@ -416,9 +414,7 @@ def test_criterion_11_variable_collapse_bound():
                         and b_prime not in ranges_b[i]
                         for i in range(len(sig_terms))
                     )
-                    engine, witness = general_gen_subset(
-                        profiles, pair, a, b, b_prime
-                    )
+                    engine, witness = general.subset(a, b, b_prime)
                     if engine != brute:
                         ok = False
                     if not engine:

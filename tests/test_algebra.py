@@ -20,6 +20,12 @@ def two_chain(name="A"):
 
 def test_parse_render_round_trip(chain5):
     assert parse_algebra(render_algebra(chain5)) == chain5
+    # every element is a constant, declared out of carrier order
+    reordered = parse_algebra(
+        "algebra A\nelements p q\nconstants q p\nop f/1\n  p -> q\n  q -> p\nend\n"
+    )
+    assert reordered.signature.constant_symbols == ("q", "p")
+    assert parse_algebra(render_algebra(reordered)) == reordered
 
 
 def test_fixture_contents(chain5):

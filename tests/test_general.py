@@ -6,9 +6,9 @@ from gensim.general import (
     brute_force_gen,
     brute_force_subset,
     exactness_label,
-    general_gen_subset,
     saturate_profiles,
 )
+from gensim.similarity import GeneralEngine
 from gensim.terms import parse_term, range_of_term, render_term, term_variables
 
 
@@ -53,13 +53,13 @@ def test_profile_tables_match_oracle():
 def test_general_subset_vs_brute_force():
     algebra = two_elem("0111")  # boolean or
     pair = self_pair(algebra)
-    profiles = saturate_profiles(pair, 4)
+    general = GeneralEngine(pair, 4, 200_000)
     for a in algebra.carrier:
         for b in algebra.carrier:
             for b_prime in algebra.carrier:
                 if b_prime == b:
                     continue
-                engine, witness = general_gen_subset(profiles, pair, a, b, b_prime)
+                engine, witness = general.subset(a, b, b_prime)
                 oracle, _ = brute_force_subset(
                     pair, a, b, b_prime, max_depth=3, max_vars=4, max_size=9
                 )

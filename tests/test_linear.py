@@ -5,9 +5,9 @@ from gensim.linear import (
     dump_profiles,
     lifted_range,
     linear_gen_member,
-    linear_gen_subset,
     reachable_profiles,
 )
+from gensim.similarity import LinearEngine
 from gensim.terms import enumerate_terms, parse_term, range_of_term, render_term
 
 
@@ -54,9 +54,10 @@ def test_lifted_range_overapproximates_nonlinear():
 def test_gen_member_and_subset(chain4_pair):
     family = reachable_profiles(chain4_pair)
     assert linear_gen_member(family, "1", "0")
-    holds, witness = linear_gen_subset(family, "1", "1", "0")
+    engine = LinearEngine(chain4_pair)
+    holds, witness = engine.subset("1", "1", "0")
     assert holds and witness is None
-    holds, witness = linear_gen_subset(family, "1", "0", "1")
+    holds, witness = engine.subset("1", "0", "1")
     assert not holds
     assert render_term(witness) == "f(z1)"
 

@@ -6,11 +6,11 @@ from gensim.monolinear import (
     ground_value_terms,
     m_decide_leq,
     m_gen_signature,
-    m_subset,
     paired_clone,
     paired_ground_values,
     polynomial_clone,
 )
+from gensim.similarity import MonolinearEngine
 from gensim.terms import parse_term, range_of_term, render_term
 
 
@@ -90,13 +90,14 @@ def test_paired_clone_matches_componentwise_on_self_pair(powerset3):
 def test_m_subset_and_decide(powerset3):
     pair = self_pair(powerset3)
     clone_pairs = paired_clone(pair)
+    engine = MonolinearEngine(pair)
     # the constraint from a = 1 dominates: both shared sets are {X u C : C <= 1}
-    holds, _ = m_subset(clone_pairs, pair, "1", "1", "12")
+    holds, _ = engine.subset("1", "1", "12")
     assert holds
-    holds, _ = m_subset(clone_pairs, pair, "1", "12", "1")
+    holds, _ = engine.subset("1", "12", "1")
     assert holds
     # from a = 12 the sets differ: u(2, z1) reaches 12 but never 1
-    holds, witness = m_subset(clone_pairs, pair, "12", "12", "1")
+    holds, witness = engine.subset("12", "12", "1")
     assert not holds
     assert render_term(witness) == "u(2, z1)"
     verdict = m_decide_leq(pair, "1", "12", clone_pairs)

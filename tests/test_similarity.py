@@ -27,6 +27,16 @@ def test_query_config_validation():
         QueryConfig(max_vars=0)
 
 
+@pytest.mark.parametrize("fragment", ["auto", "unary", "linear", "monolinear", "general"])
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_subset_rejects_unknown_element(chain5_pair, fragment, slot):
+    engine = build_engine(chain5_pair, QueryConfig(fragment=fragment))
+    names = ["b", "c", "d"]
+    names[slot] = "nosuch"
+    with pytest.raises(AlgebraError, match="nosuch"):
+        engine.subset(*names)
+
+
 def test_build_engine_auto(chain5_pair, powerset3):
     assert isinstance(build_engine(chain5_pair), UnaryEngine)
     assert isinstance(build_engine(self_pair(powerset3)), LinearEngine)
