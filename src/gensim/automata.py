@@ -13,9 +13,11 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable
 
-from .algebra import Algebra, AlgebraError
+from .algebra import Algebra, AlgebraError, AlgebraPair
+from .closure import Profile, least_witness_closure
 from .terms import App, Const, Term, Var
 
 
@@ -161,6 +163,35 @@ def gen_language(algebra: Algebra, a: str) -> GenDfa:
     return dfa_minimize(dfa)
 
 
+def word_profiles(pair: AlgebraPair) -> list[Profile]:
+    """The distinct pairs (image_A(w), image_B(w)) of the words w over a
+    unary pair, each with its least word as witness.
+
+    Words are ordered by length, then by operation indices in application
+    order: the order in which ``dfa_subset`` searches, so the first profile
+    with a in its left image, b but not b' in its right one carries the
+    word ``dfa_subset`` returns for Gen(a,b) against Gen(a,b').  Ground
+    terms are not words and are not included.
+    """
+    alphabet = _require_unary(pair.left)
+    rank = {sym: i for i, sym in enumerate(alphabet)}
+
+    def key(term: Term):
+        word = term_to_word(term)
+        return len(word), [rank[sym] for sym in word]
+
+    def image(algebra: Algebra, sym: str):
+        table = algebra.tables[sym]
+        return lambda sets: frozenset(table[(x,)] for x in sets[0])
+
+    seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
+    rules = [
+        (1, image(pair.left, sym), image(pair.right, sym), partial(App, sym))
+        for sym in alphabet
+    ]
+    return least_witness_closure(seeds, rules, key)
+
+
 def _reachable(dfa: GenDfa) -> list[int]:
     seen = [False] * dfa.n_states
     seen[dfa.start] = True
@@ -186,55 +217,58 @@ def dfa_minimize(dfa: GenDfa) -> GenDfa:
     ]
     finals = {remap[s] for s in dfa.finals if s in remap}
 
-    # Hopcroft partition refinement
-    partition: list[set[int]] = []
-    f = set(finals)
-    nf = set(range(n)) - f
-    for block in (f, nf):
-        if block:
-            partition.append(block)
-    work = [b.copy() for b in partition]
-    preimage: list[list[set[int]]] = [
-        [set() for _ in range(n)] for _ in dfa.alphabet
-    ]
-    for s in range(n):
-        for c in range(len(dfa.alphabet)):
-            preimage[c][delta[s][c]].add(s)
-    while work:
-        splitter = work.pop()
-        for c in range(len(dfa.alphabet)):
-            x = set()
-            for t in splitter:
-                x |= preimage[c][t]
-            new_partition = []
-            for block in partition:
-                inter = block & x
-                diff = block - x
-                if inter and diff:
-                    new_partition.extend((inter, diff))
-                    if block in work:
-                        work.remove(block)
-                        work.extend((inter, diff))
-                    else:
-                        work.append(inter if len(inter) <= len(diff) else diff)
-                else:
-                    new_partition.append(block)
-            partition = new_partition
-
-    block_of = {}
+    # Hopcroft partition refinement over block ids; a split keeps the old
+    # id for the part inside the splitter's preimage.
+    partition = [block for block in (finals, set(range(n)) - finals) if block]
+    block_of = [0] * n
     for i, block in enumerate(partition):
         for s in block:
             block_of[s] = i
-    # canonical numbering: BFS from the start block in alphabet order
+    work = list(range(len(partition)))
+    in_work = set(work)
+    preimage: list[list[list[int]]] = [[[] for _ in range(n)] for _ in dfa.alphabet]
+    for s in range(n):
+        for c in range(len(dfa.alphabet)):
+            preimage[c][delta[s][c]].append(s)
+    while work:
+        i = work.pop()
+        in_work.discard(i)
+        splitter = partition[i]
+        for c in range(len(dfa.alphabet)):
+            touched: dict[int, set[int]] = {}
+            for t in splitter:
+                for s in preimage[c][t]:
+                    touched.setdefault(block_of[s], set()).add(s)
+            for j, inter in touched.items():
+                block = partition[j]
+                if len(inter) == len(block):
+                    continue
+                diff = block - inter
+                partition[j] = inter
+                k = len(partition)
+                partition.append(diff)
+                for s in diff:
+                    block_of[s] = k
+                if j in in_work:
+                    added = k
+                else:
+                    added = j if len(inter) <= len(diff) else k
+                work.append(added)
+                in_work.add(added)
+
+    # canonical numbering: BFS from the start block in alphabet order, each
+    # block read through its least state
+    rep = [n] * len(partition)
+    for s in range(n - 1, -1, -1):
+        rep[block_of[s]] = s
     start_block = block_of[0]
     number = {start_block: 0}
     order = [start_block]
     queue = deque([start_block])
     while queue:
         b = queue.popleft()
-        rep = min(s for s in range(n) if block_of[s] == b)
         for c in range(len(dfa.alphabet)):
-            nb = block_of[delta[rep][c]]
+            nb = block_of[delta[rep[b]][c]]
             if nb not in number:
                 number[nb] = len(order)
                 order.append(nb)
@@ -243,9 +277,8 @@ def dfa_minimize(dfa: GenDfa) -> GenDfa:
     new_delta = []
     new_finals = set()
     for b in order:
-        rep = min(s for s in range(n) if block_of[s] == b)
-        new_delta.append(tuple(number[block_of[delta[rep][c]]] for c in range(len(dfa.alphabet))))
-        if rep in finals:
+        new_delta.append(tuple(number[block_of[delta[rep[b]][c]]] for c in range(len(dfa.alphabet))))
+        if rep[b] in finals:
             new_finals.add(number[b])
     return GenDfa(
         alphabet=dfa.alphabet,

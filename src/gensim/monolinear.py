@@ -19,7 +19,7 @@ from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraPair, self_pair
-from .closure import Profile, first_separator, least_witness_closure
+from .closure import Profile, RowIndex, least_witness_closure
 from .terms import App, Const, Term, Var, render_term, witness_key
 from .verdict import (
     Certificate,
@@ -66,11 +66,12 @@ def _plug_app(sym: str, position: int, filler_terms: tuple[Term, ...]):
     return lambda witnesses: App(sym, before + witnesses + after)
 
 
-def paired_clone(pair: AlgebraPair) -> list[Profile]:
+def paired_clone(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
     """Pairs of unary tables realizable by one shared monolinear term.
 
     Each table pair is lifted alone, over every choice of ground fillers
-    for the other argument positions."""
+    for the other argument positions.  Raises ``SaturationCapError`` when
+    more than ``cap`` table pairs are accepted."""
     sig = pair.left.signature
     grounds = paired_ground_values(pair)
     rules = []
@@ -85,7 +86,7 @@ def paired_clone(pair: AlgebraPair) -> list[Profile]:
                     _plug_app(sym, position, terms),
                 ))
     seeds = [(pair.left.carrier, pair.right.carrier, Var(1))]
-    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig))
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)
 
 
 def polynomial_clone(algebra: Algebra) -> list[UnaryPolynomial]:
@@ -115,20 +116,15 @@ def m_decide_leq(
     pair.right.require_element(b)
     if clone_pairs is None:
         clone_pairs = paired_clone(pair)
-    a_in_right = a in pair.right.carrier
-    for b_prime in pair.right.carrier:
-        if b_prime == b or (a_in_right and b_prime == a):
-            continue
-        if first_separator(clone_pairs, a, b, b_prime) is not None:
-            continue
-        evidence = first_separator(clone_pairs, a, b_prime, b)
-        if evidence is not None:
-            return Verdict(
-                False,
-                Certificate(DOMINATING_ELEMENT, element=b_prime, term=evidence),
-                MONOLINEAR_FRAGMENT,
-            )
-    return Verdict(True, None, MONOLINEAR_FRAGMENT)
+    found = RowIndex(clone_pairs, pair.right.carrier).dominator(a, b)
+    if found is None:
+        return Verdict(True, None, MONOLINEAR_FRAGMENT)
+    b_prime, evidence = found
+    return Verdict(
+        False,
+        Certificate(DOMINATING_ELEMENT, element=b_prime, term=evidence),
+        MONOLINEAR_FRAGMENT,
+    )
 
 
 def dump_clone(clone: list[UnaryPolynomial], algebra: Algebra) -> str:

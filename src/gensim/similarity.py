@@ -14,11 +14,11 @@ from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, self_pair, validate_pair
 from . import automata
-from .closure import first_separator
+from .closure import RowIndex
 from .general import exactness_label, saturate_profiles
 from .linear import reachable_profiles
 from .monolinear import paired_clone
-from .terms import Term, canonicalize, render_term, term_size, witness_key
+from .terms import Const, Term, canonicalize, render_term, term_size, witness_key
 from .verdict import (
     Certificate,
     DOMINATING_ELEMENT,
@@ -49,17 +49,17 @@ class Engine:
     """Subset-query adapter over one pair; built once, queried many times.
 
     An engine holds its pair's semantic term classes as (left range, right
-    range, witness) in witness order; ``subset`` scans them for the first
-    class that separates b from b'.
+    range, witness) in witness order, and answers subset and maximality
+    queries from a bitmask index over them.
     """
 
     def __init__(self, pair: AlgebraPair, label: str, classes, evidence=None):
         self.pair = pair
         self.label = label
         self._classes = classes
-        # Rows the subset scan returns its evidence from: the classes,
-        # unless the engine certifies with another spelling of each witness.
-        self._evidence = classes if evidence is None else evidence
+        # Rows the index returns its evidence from: the classes, unless the
+        # engine certifies with another spelling of each witness.
+        self._index = RowIndex(classes if evidence is None else evidence, pair.right.carrier)
 
     def subset(self, a: str, b: str, b_prime: str) -> tuple[bool, Term | None]:
         """Decide Gen(a,b) subset-of Gen(a,b'); on failure, return a
@@ -67,8 +67,14 @@ class Engine:
         self.pair.left.require_element(a)
         self.pair.right.require_element(b)
         self.pair.right.require_element(b_prime)
-        witness = first_separator(self._evidence, a, b, b_prime)
+        witness = self._index.separator(a, b, b_prime)
         return witness is None, witness
+
+    def dominator(self, a: str, b: str) -> tuple[str, Term] | None:
+        """The first admissible competitor b' whose Gen(a,b') strictly
+        contains Gen(a,b), with a minimal term of the difference; None when
+        a <~ b.  The caller checks the names."""
+        return self._index.dominator(a, b)
 
     def classes(self) -> list[tuple[frozenset[str], frozenset[str], Term]]:
         """Semantic term classes as (left range, right range, witness)."""
@@ -82,38 +88,26 @@ class LinearEngine(Engine):
 
 
 class UnaryEngine(Engine):
-    """Automata-backed engine; exact for unary signatures."""
+    """Word-profile engine; exact for unary signatures.
+
+    Its rows are the word profiles, in the order in which
+    ``automata.dfa_subset`` searches the generalization languages, and then
+    one row per constant symbol ``c`` (the ground term ``c`` generalizes
+    ``c`` alone), in name order, because ``dfa_subset`` looks at ground
+    terms last.
+    """
 
     def __init__(self, pair: AlgebraPair):
         if not pair.left.signature.is_unary():
             raise automata.NonUnaryError(
                 "the unary engine requires an all-unary signature"
             )
-        self.pair = pair
-        self.label = EXACT
-        self._left_lang = {
-            e: automata.gen_language(pair.left, e) for e in pair.left.carrier
-        }
-        self._right_lang = {
-            e: automata.gen_language(pair.right, e) for e in pair.right.carrier
-        }
-        self._shared: dict[tuple[str, str], automata.GenDfa] = {}
-
-    def _shared_language(self, a: str, b: str) -> automata.GenDfa:
-        key = (a, b)
-        if key not in self._shared:
-            self._shared[key] = automata.dfa_intersect(
-                self._left_lang[a], self._right_lang[b]
-            )
-        return self._shared[key]
-
-    def subset(self, a, b, b_prime):
-        self.pair.left.require_element(a)
-        self.pair.right.require_element(b)
-        self.pair.right.require_element(b_prime)
-        return automata.dfa_subset(
-            self._shared_language(a, b), self._shared_language(a, b_prime)
-        )
+        rows = automata.word_profiles(pair)
+        rows += [
+            (frozenset({c}), frozenset({c}), Const(c))
+            for c in sorted(pair.left.signature.constant_symbols)
+        ]
+        super().__init__(pair, EXACT, rows)
 
     def classes(self):
         # Range-based class search is delegated to the linear engine, which
@@ -124,9 +118,10 @@ class UnaryEngine(Engine):
 
 
 class MonolinearEngine(Engine):
-    def __init__(self, pair: AlgebraPair):
+    def __init__(self, pair: AlgebraPair, cap: int | None = None):
         classes = [
-            (frozenset(p.left), frozenset(p.right), p.witness) for p in paired_clone(pair)
+            (frozenset(p.left), frozenset(p.right), p.witness)
+            for p in paired_clone(pair, cap=cap)
         ]
         super().__init__(pair, MONOLINEAR_FRAGMENT, classes)
 
@@ -158,7 +153,7 @@ def build_engine(pair: AlgebraPair, config: QueryConfig | None = None) -> Engine
     if fragment == "linear":
         return LinearEngine(pair)
     if fragment == "monolinear":
-        return MonolinearEngine(pair)
+        return MonolinearEngine(pair, config.cap)
     return GeneralEngine(pair, config.max_vars, config.cap)
 
 
@@ -186,18 +181,15 @@ def decide_leq(
     engine = engine or build_engine(pair, config)
     pair.left.require_element(a)
     pair.right.require_element(b)
-    for b_prime in _admissible_competitors(pair, a, b):
-        forward, _ = engine.subset(a, b, b_prime)
-        if not forward:
-            continue
-        backward, evidence = engine.subset(a, b_prime, b)
-        if not backward:
-            return Verdict(
-                False,
-                Certificate(DOMINATING_ELEMENT, element=b_prime, term=evidence),
-                engine.label,
-            )
-    return Verdict(True, None, engine.label)
+    found = engine.dominator(a, b)
+    if found is None:
+        return Verdict(True, None, engine.label)
+    b_prime, evidence = found
+    return Verdict(
+        False,
+        Certificate(DOMINATING_ELEMENT, element=b_prime, term=evidence),
+        engine.label,
+    )
 
 
 def decide_approx(

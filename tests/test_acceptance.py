@@ -241,6 +241,27 @@ def _random_algebra_mixed(rng):
     )
 
 
+def _dfa_leq_verdicts(pair):
+    """a <~ b for every (a, b), by inclusion of the automata for the
+    shared generalization languages."""
+    left = {e: automata.gen_language(pair.left, e) for e in pair.left.carrier}
+    right = {e: automata.gen_language(pair.right, e) for e in pair.right.carrier}
+    shared = {
+        (a, b): automata.dfa_intersect(left[a], right[b])
+        for a in pair.left.carrier
+        for b in pair.right.carrier
+    }
+    verdicts = {}
+    for a, b in shared:
+        verdicts[(a, b)] = not any(
+            automata.dfa_subset(shared[(a, b)], shared[(a, b_prime)])[0]
+            and not automata.dfa_subset(shared[(a, b_prime)], shared[(a, b)])[0]
+            for b_prime in pair.right.carrier
+            if b_prime != b and not (b_prime == a and a in pair.right.carrier)
+        )
+    return verdicts
+
+
 def test_criterion_10_cross_engine_coherence():
     # part 1: linear engine vs brute force on 200 seeded random algebras
     enum_cache = {}
@@ -279,7 +300,7 @@ def test_criterion_10_cross_engine_coherence():
                         if not (a in rng_w and b in rng_w and b_prime not in rng_w):
                             ok = False
 
-    # part 2: all engines agree on the unary fixtures
+    # part 2: all engines, and DFA inclusion, agree on the unary fixtures
     unary_fixtures = [
         "chain5.alg", "chain4_a.alg", "chain4_b.alg", "nat_sink7.alg",
         "triple_a.alg", "triple_b.alg", "triple_c.alg", "triple_d.alg",
@@ -298,8 +319,9 @@ def test_criterion_10_cross_engine_coherence():
                 for a in algebra.carrier
                 for b in algebra.carrier
             }
+        verdicts["dfa"] = _dfa_leq_verdicts(pair)
         if not (
-            verdicts["unary"] == verdicts["linear"]
+            verdicts["dfa"] == verdicts["unary"] == verdicts["linear"]
             == verdicts["monolinear"] == verdicts["general"]
         ):
             ok = False

@@ -79,6 +79,25 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "error:" in err and "UTF-8" in err
 
 
+def test_monolinear_cap_exits_2(capsys, tmp_path):
+    import random
+
+    from gensim.algebra import render_algebra
+    from gensim.morphism import random_monounary_algebra
+
+    paths = []
+    for seed in (2, 102):
+        path = tmp_path / f"r{seed}.alg"
+        path.write_text(render_algebra(random_monounary_algebra(random.Random(seed), 6, 2)))
+        paths.append(str(path))
+    code, _, err = run(
+        capsys, "check", "--left", paths[0], "--right", paths[1], "--a", "e0", "--b", "e0",
+        "--fragment", "monolinear", "--cap", "100",
+    )
+    assert code == 2
+    assert "error:" in err and "cap of 100" in err
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(
         capsys, "check", "--left", "/nonexistent.alg", "--a", "x", "--b", "x"

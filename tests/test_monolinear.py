@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from gensim.algebra import make_algebra, self_pair, validate_pair
+from gensim.closure import SaturationCapError
 from gensim.monolinear import (
     dump_clone,
     ground_value_terms,
@@ -10,7 +13,8 @@ from gensim.monolinear import (
     paired_ground_values,
     polynomial_clone,
 )
-from gensim.similarity import MonolinearEngine
+from gensim.morphism import random_monounary_algebra
+from gensim.similarity import MonolinearEngine, QueryConfig, build_engine
 from gensim.terms import parse_term, range_of_term, render_term
 
 
@@ -126,3 +130,15 @@ def test_paired_ground_values_track_both_sides(triple_b, triple_c):
     # no constants: no ground values at all
     pair = validate_pair(triple_b, triple_c)
     assert paired_ground_values(pair) == []
+
+
+def test_paired_clone_respects_cap():
+    # this cross pair has 19,143 table pairs
+    pair = validate_pair(
+        random_monounary_algebra(random.Random(2), 6, 2),
+        random_monounary_algebra(random.Random(102), 6, 2),
+    )
+    with pytest.raises(SaturationCapError):
+        paired_clone(pair, cap=100)
+    with pytest.raises(SaturationCapError):
+        build_engine(pair, QueryConfig(fragment="monolinear", cap=100))
