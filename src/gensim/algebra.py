@@ -86,9 +86,11 @@ class Algebra:
     def __post_init__(self):
         if not self.carrier:
             raise AlgebraError(f"algebra {self.name!r} has an empty carrier")
-        if len(set(self.carrier)) != len(self.carrier):
+        # Element name -> position in the carrier, for name checks and ids.
+        elements = {e: i for i, e in enumerate(self.carrier)}
+        if len(elements) != len(self.carrier):
             raise AlgebraError(f"algebra {self.name!r} has duplicate elements")
-        elements = set(self.carrier)
+        object.__setattr__(self, "_ids", elements)
         for sym, arity in self.signature.operations:
             table = self.tables.get(sym)
             if table is None:
@@ -127,12 +129,12 @@ class Algebra:
 
     def index(self, element: str) -> int:
         try:
-            return self.carrier.index(element)
-        except ValueError:
+            return self._ids[element]
+        except KeyError:
             raise AlgebraError(f"element {element!r} not in carrier of {self.name!r}") from None
 
     def require_element(self, element: str) -> str:
-        if element not in self.carrier:
+        if element not in self._ids:
             raise AlgebraError(f"element {element!r} not in carrier of {self.name!r}")
         return element
 

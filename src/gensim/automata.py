@@ -13,11 +13,9 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 from typing import Iterable
 
-from .algebra import Algebra, AlgebraError, AlgebraPair
-from .closure import Profile, least_witness_closure
+from .algebra import Algebra, AlgebraError
 from .terms import App, Const, Term, Var
 
 
@@ -100,26 +98,6 @@ def term_to_word(term: Term) -> list[str]:
     return list(reversed(word))
 
 
-def build_path_automaton(algebra: Algebra, from_elem: str, to_elem: str) -> GenDfa:
-    """The algebra's transition graph with the given start and final element."""
-    alphabet = _require_unary(algebra)
-    algebra.require_element(from_elem)
-    algebra.require_element(to_elem)
-    index = {e: i for i, e in enumerate(algebra.carrier)}
-    delta = tuple(
-        tuple(index[algebra.apply(sym, (e,))] for sym in alphabet)
-        for e in algebra.carrier
-    )
-    return GenDfa(
-        alphabet=alphabet,
-        n_states=len(algebra.carrier),
-        start=index[from_elem],
-        finals=frozenset({index[to_elem]}),
-        delta=delta,
-        names=algebra.carrier,
-    )
-
-
 def gen_language(algebra: Algebra, a: str) -> GenDfa:
     """Minimal DFA for the generalization language of ``a``.
 
@@ -161,35 +139,6 @@ def gen_language(algebra: Algebra, a: str) -> GenDfa:
         ground_terms=ground,
     )
     return dfa_minimize(dfa)
-
-
-def word_profiles(pair: AlgebraPair) -> list[Profile]:
-    """The distinct pairs (image_A(w), image_B(w)) of the words w over a
-    unary pair, each with its least word as witness.
-
-    Words are ordered by length, then by operation indices in application
-    order: the order in which ``dfa_subset`` searches, so the first profile
-    with a in its left image, b but not b' in its right one carries the
-    word ``dfa_subset`` returns for Gen(a,b) against Gen(a,b').  Ground
-    terms are not words and are not included.
-    """
-    alphabet = _require_unary(pair.left)
-    rank = {sym: i for i, sym in enumerate(alphabet)}
-
-    def key(term: Term):
-        word = term_to_word(term)
-        return len(word), [rank[sym] for sym in word]
-
-    def image(algebra: Algebra, sym: str):
-        table = algebra.tables[sym]
-        return lambda sets: frozenset(table[(x,)] for x in sets[0])
-
-    seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
-    rules = [
-        (1, image(pair.left, sym), image(pair.right, sym), partial(App, sym))
-        for sym in alphabet
-    ]
-    return least_witness_closure(seeds, rules, key)
 
 
 def _reachable(dfa: GenDfa) -> list[int]:

@@ -40,9 +40,9 @@ def exactness_label(pair: AlgebraPair, k: int) -> str:
 
 def _function_lift(algebra: Algebra, sym: str):
     """Lift ``sym`` pointwise over value-index tuples."""
-    index = {e: i for i, e in enumerate(algebra.carrier)}
+    index = algebra.index
     table = {
-        tuple(index[x] for x in tup): index[out]
+        tuple(index(x) for x in tup): index(out)
         for tup, out in algebra.tables[sym].items()
     }
     return lambda functions: tuple(table[args] for args in zip(*functions))

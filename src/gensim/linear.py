@@ -19,25 +19,10 @@ from .terms import (
     Const,
     Term,
     Var,
-    render_term,
     shift_variables,
     term_variables,
     witness_key,
 )
-
-
-class ProfileFamily:
-    """The closed family of reachable range pairs for one algebra pair."""
-
-    def __init__(self, pair: AlgebraPair, profiles: list[Profile]):
-        self.pair = pair
-        self.profiles = profiles  # range pairs, sorted by witness order
-
-    def __len__(self) -> int:
-        return len(self.profiles)
-
-    def __iter__(self):
-        return iter(self.profiles)
 
 
 def lifted_range(term: Term, algebra: Algebra) -> frozenset[str]:
@@ -52,24 +37,25 @@ def lifted_range(term: Term, algebra: Algebra) -> frozenset[str]:
 
 def _range_lift(algebra: Algebra, sym: str):
     table = algebra.tables[sym]
-    return lambda sets: frozenset(table[combo] for combo in product(*sets))
+    return lambda sets: frozenset(map(table.__getitem__, product(*sets)))
 
 
 def _linear_app(sym: str):
     def build(witnesses):
         # Each witness is canonical and linear, so shifting them onto
         # disjoint variables, left to right, keeps the result canonical.
-        args = []
+        # An argument is shifted by the variable count of those before it.
+        args = [witnesses[0]]
         offset = 0
-        for witness in witnesses:
-            args.append(shift_variables(witness, offset))
-            offset += len(term_variables(witness))
+        for before, witness in zip(witnesses, witnesses[1:]):
+            offset += len(term_variables(before))
+            args.append(shift_variables(witness, offset) if offset else witness)
         return App(sym, tuple(args))
 
     return build
 
 
-def reachable_profiles(pair: AlgebraPair) -> ProfileFamily:
+def reachable_profiles(pair: AlgebraPair) -> list[Profile]:
     """Least closed family of range pairs, minimal witness per pair.
 
     Explored in witness order (depth, size, spelling with variables last),
@@ -83,24 +69,4 @@ def reachable_profiles(pair: AlgebraPair) -> ProfileFamily:
         (arity, _range_lift(pair.left, sym), _range_lift(pair.right, sym), _linear_app(sym))
         for sym, arity in sig.operations
     ]
-    items = least_witness_closure(seeds, rules, lambda t: witness_key(t, sig))
-    return ProfileFamily(pair, items)
-
-
-def linear_gen_member(family: ProfileFamily, a: str, b: str) -> bool:
-    """True iff some linear term generalizes a on the left and b on the right."""
-    family.pair.left.require_element(a)
-    family.pair.right.require_element(b)
-    return any(a in p.left and b in p.right for p in family)
-
-
-def dump_profiles(family: ProfileFamily) -> str:
-    """Debug dump, one line per profile in witness order."""
-    left_order = {e: i for i, e in enumerate(family.pair.left.carrier)}
-    right_order = {e: i for i, e in enumerate(family.pair.right.carrier)}
-    lines = []
-    for p in family:
-        ls = ",".join(sorted(p.left, key=left_order.get))
-        rs = ",".join(sorted(p.right, key=right_order.get))
-        lines.append(f"{{{ls}}} | {{{rs}}} | witness: {render_term(p.witness)}")
-    return "\n".join(lines) + "\n"
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig))

@@ -94,15 +94,6 @@ def polynomial_clone(algebra: Algebra) -> list[UnaryPolynomial]:
     return [UnaryPolynomial(p.left, p.witness) for p in paired_clone(self_pair(algebra))]
 
 
-def m_gen_signature(algebra: Algebra, a: str, clone=None) -> list[UnaryPolynomial]:
-    """The polynomials whose range contains ``a``: the semantic quotient of
-    the monolinear generalizations of ``a``."""
-    algebra.require_element(a)
-    if clone is None:
-        clone = polynomial_clone(algebra)
-    return [p for p in clone if a in p.table]
-
-
 def m_decide_leq(
     pair: AlgebraPair, a: str, b: str, clone_pairs: list[Profile] | None = None
 ) -> Verdict:

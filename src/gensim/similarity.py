@@ -9,16 +9,16 @@ applies to b itself.  ``a ~~ b`` is the conjunction of both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
-from .algebra import Algebra, AlgebraError, AlgebraPair, self_pair, validate_pair
+from .algebra import Algebra, AlgebraError, AlgebraPair, validate_pair
 from . import automata
 from .closure import RowIndex
 from .general import exactness_label, saturate_profiles
 from .linear import reachable_profiles
 from .monolinear import paired_clone
-from .terms import Const, Term, canonicalize, render_term, term_size, witness_key
+from .terms import Term, canonicalize, render_term, term_size, witness_key
 from .verdict import (
     Certificate,
     DOMINATING_ELEMENT,
@@ -84,17 +84,14 @@ class Engine:
 class LinearEngine(Engine):
     def __init__(self, pair: AlgebraPair):
         label = EXACT if pair.left.signature.is_unary() else LINEAR_FRAGMENT
-        super().__init__(pair, label, reachable_profiles(pair).profiles)
+        super().__init__(pair, label, reachable_profiles(pair))
 
 
 class UnaryEngine(Engine):
-    """Word-profile engine; exact for unary signatures.
+    """The linear engine, limited to unary signatures.
 
-    Its rows are the word profiles, in the order in which
-    ``automata.dfa_subset`` searches the generalization languages, and then
-    one row per constant symbol ``c`` (the ground term ``c`` generalizes
-    ``c`` alone), in name order, because ``dfa_subset`` looks at ground
-    terms last.
+    Every unary term is linear, so the range pairs of all terms, ground
+    terms such as ``f(c)`` included, are the linear rows: exact.
     """
 
     def __init__(self, pair: AlgebraPair):
@@ -102,19 +99,7 @@ class UnaryEngine(Engine):
             raise automata.NonUnaryError(
                 "the unary engine requires an all-unary signature"
             )
-        rows = automata.word_profiles(pair)
-        rows += [
-            (frozenset({c}), frozenset({c}), Const(c))
-            for c in sorted(pair.left.signature.constant_symbols)
-        ]
-        super().__init__(pair, EXACT, rows)
-
-    def classes(self):
-        # Range-based class search is delegated to the linear engine, which
-        # is equally exact on unary signatures.
-        if not hasattr(self, "_linear"):
-            self._linear = LinearEngine(self.pair)
-        return self._linear.classes()
+        super().__init__(pair, EXACT, reachable_profiles(pair))
 
 
 class MonolinearEngine(Engine):
@@ -203,24 +188,19 @@ def decide_approx(
     """g-similarity: both directed maximality checks."""
     forward = decide_leq(pair, a, b, config, engine)
     if not forward.holds:
-        cert = Certificate(
-            DOMINATING_ELEMENT,
-            element=forward.certificate.element,
-            term=forward.certificate.term,
-            direction=(pair.left.name, pair.right.name),
-        )
-        return Verdict(False, cert, forward.fragment_label)
+        return _with_direction(forward, pair)
     swapped = pair.swapped()
     backward = decide_leq(swapped, b, a, config, reverse_engine)
     if not backward.holds:
-        cert = Certificate(
-            DOMINATING_ELEMENT,
-            element=backward.certificate.element,
-            term=backward.certificate.term,
-            direction=(pair.right.name, pair.left.name),
-        )
-        return Verdict(False, cert, backward.fragment_label)
+        return _with_direction(backward, swapped)
     return Verdict(True, None, forward.fragment_label)
+
+
+def _with_direction(failing: Verdict, pair: AlgebraPair) -> Verdict:
+    """A failing ``<~`` verdict on ``pair``, restated as a failing ``~~``
+    verdict whose certificate names that direction."""
+    cert = replace(failing.certificate, direction=(pair.left.name, pair.right.name))
+    return Verdict(False, cert, failing.fragment_label)
 
 
 def decide_algebra_leq(pair: AlgebraPair, config: QueryConfig | None = None) -> Verdict:
@@ -312,22 +292,12 @@ def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> S
         for b in pair.right.carrier:
             v_leq = decide_leq(pair, a, b, config, engine)
             v_geq = decide_leq(pair.swapped(), b, a, config, reverse)
-            if v_leq.holds and v_geq.holds:
-                v_approx = Verdict(True, None, v_leq.fragment_label)
+            if not v_leq.holds:
+                v_approx = _with_direction(v_leq, pair)
+            elif not v_geq.holds:
+                v_approx = _with_direction(v_geq, pair.swapped())
             else:
-                failing = v_leq if not v_leq.holds else v_geq
-                names = (
-                    (pair.left.name, pair.right.name)
-                    if not v_leq.holds
-                    else (pair.right.name, pair.left.name)
-                )
-                cert = Certificate(
-                    DOMINATING_ELEMENT,
-                    element=failing.certificate.element,
-                    term=failing.certificate.term,
-                    direction=names,
-                )
-                v_approx = Verdict(False, cert, failing.fragment_label)
+                v_approx = Verdict(True, None, v_leq.fragment_label)
             leq[(a, b)] = v_leq
             geq[(a, b)] = v_geq
             approx[(a, b)] = v_approx
@@ -457,44 +427,28 @@ def check_transitive(
     if relation not in ("leq", "approx"):
         raise AlgebraError(f"unknown relation {relation!r}")
     if isinstance(algebra_or_triple, Algebra):
-        algebra = algebra_or_triple
-        pair = self_pair(algebra)
-        matrix = similarity_matrix(pair, config)
-        rel = matrix.approx if relation == "approx" else matrix.leq
-        violations = []
-        count = 0
-        for x in algebra.carrier:
-            for y in algebra.carrier:
-                if not rel[(x, y)].holds:
-                    continue
-                for z in algebra.carrier:
-                    count += 1
-                    if rel[(y, z)].holds and not rel[(x, z)].holds:
-                        violations.append((x, y, z))
-        return TransitivityReport(
-            relation, count, violations, {"algebra": algebra.name}
-        )
-    a_alg, b_alg, c_alg = algebra_or_triple
-    pair_ab = validate_pair(a_alg, b_alg)
-    pair_bc = validate_pair(b_alg, c_alg)
-    pair_ac = validate_pair(a_alg, c_alg)
-    m_ab = similarity_matrix(pair_ab, config)
-    m_bc = similarity_matrix(pair_bc, config)
-    m_ac = similarity_matrix(pair_ac, config)
-    pick = (lambda m: m.approx) if relation == "approx" else (lambda m: m.leq)
+        algebras = (algebra_or_triple,) * 3
+        details = {"algebra": algebra_or_triple.name}
+    else:
+        algebras = tuple(algebra_or_triple)
+        details = {"algebras": [alg.name for alg in algebras]}
+    a_alg, b_alg, c_alg = algebras
+    pairs = [validate_pair(a_alg, b_alg), validate_pair(b_alg, c_alg), validate_pair(a_alg, c_alg)]
+    # One matrix per distinct pair of algebras, so a single algebra needs one.
+    matrices: dict = {}
+    for p in pairs:
+        key = (id(p.left), id(p.right))
+        if key not in matrices:
+            matrices[key] = getattr(similarity_matrix(p, config), relation)
+    rel_ab, rel_bc, rel_ac = (matrices[(id(p.left), id(p.right))] for p in pairs)
     violations = []
     count = 0
     for x in a_alg.carrier:
         for y in b_alg.carrier:
-            if not pick(m_ab)[(x, y)].holds:
+            if not rel_ab[(x, y)].holds:
                 continue
             for z in c_alg.carrier:
                 count += 1
-                if pick(m_bc)[(y, z)].holds and not pick(m_ac)[(x, z)].holds:
+                if rel_bc[(y, z)].holds and not rel_ac[(x, z)].holds:
                     violations.append((x, y, z))
-    return TransitivityReport(
-        relation,
-        count,
-        violations,
-        {"algebras": [a_alg.name, b_alg.name, c_alg.name]},
-    )
+    return TransitivityReport(relation, count, violations, details)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 from .algebra import Algebra, AlgebraError, Signature, VARIABLE_RE
 
@@ -52,11 +53,28 @@ class TermError(AlgebraError):
 
 
 def render_term(term: Term) -> str:
-    if isinstance(term, Var):
-        return f"z{term.index}"
-    if isinstance(term, Const):
-        return term.name
-    return f"{term.op}({', '.join(render_term(a) for a in term.args)})"
+    """Surface spelling such as ``f(g(z1), c)``.
+
+    Iterative, so that witnesses thousands of levels deep render too.  The
+    stack holds terms still to render and the literal text between them.
+    """
+    out: list[str] = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, str):
+            out.append(t)
+        elif isinstance(t, Var):
+            out.append(f"z{t.index}")
+        elif isinstance(t, Const):
+            out.append(t.name)
+        else:
+            out.append(f"{t.op}(")
+            stack.append(")")
+            for a in reversed(t.args[1:]):
+                stack += (a, ", ")
+            stack.append(t.args[0])
+    return "".join(out)
 
 
 _TOKEN_RE = re.compile(r"\s*([(),]|[^\s(),]+)")
@@ -206,17 +224,6 @@ def range_of_term(term: Term, algebra: Algebra) -> frozenset[str]:
     return frozenset(values)
 
 
-def range_of_set(terms: Iterable[Term], algebra: Algebra) -> frozenset[str]:
-    """Intersection of per-term ranges; empty families are rejected."""
-    terms = list(terms)
-    if not terms:
-        raise TermError("range of an empty term set is undefined")
-    result = range_of_term(terms[0], algebra)
-    for t in terms[1:]:
-        result &= range_of_term(t, algebra)
-    return result
-
-
 def is_generalization(term: Term, algebra: Algebra, a: str) -> bool:
     algebra.require_element(a)
     return a in range_of_term(term, algebra)
@@ -250,7 +257,10 @@ def render_g_formula(term: Term) -> str:
     return "exists " + " ".join(f"z{i}" for i in variables) + " . " + body
 
 
+@lru_cache(maxsize=64)
 def _symbol_ranks(signature: Signature) -> tuple[dict[str, int], dict[str, int]]:
+    """Declaration-order ranks of the operation and constant symbols,
+    cached per signature (one lookup per key); callers only read them."""
     op_rank = {sym: i for i, (sym, _) in enumerate(signature.operations)}
     const_rank = {c: i for i, c in enumerate(signature.constant_symbols)}
     return op_rank, const_rank
@@ -278,22 +288,32 @@ def enumeration_key(term: Term, signature: Signature):
 
 def witness_key(term: Term, signature: Signature):
     """Witness tie-break order: depth, size, then spelling with variables
-    ordered last.  Used to pick minimal certificate terms."""
+    ordered last.  Used to pick minimal certificate terms.
+
+    One iterative preorder walk: the depth is the deepest leaf's level and
+    the size is the length of the spelling.
+    """
     op_rank, const_rank = _symbol_ranks(signature)
     spelling: list[tuple[int, int]] = []
-
-    def walk(t: Term):
+    depth = 0
+    stack = [(term, 0)]
+    while stack:
+        t, level = stack.pop()
+        # Descend along first arguments; later siblings wait on the stack.
+        while isinstance(t, App):
+            spelling.append((0, op_rank.get(t.op, len(op_rank))))
+            level += 1
+            args = t.args
+            if len(args) > 1:
+                stack += [(a, level) for a in args[:0:-1]]
+            t = args[0]
+        if level > depth:
+            depth = level
         if isinstance(t, Var):
             spelling.append((2, t.index))
-        elif isinstance(t, Const):
-            spelling.append((1, const_rank.get(t.name, len(const_rank))))
         else:
-            spelling.append((0, op_rank.get(t.op, len(op_rank))))
-            for a in t.args:
-                walk(a)
-
-    walk(term)
-    return (term_depth(term), term_size(term), tuple(spelling))
+            spelling.append((1, const_rank.get(t.name, len(const_rank))))
+    return (depth, len(spelling), tuple(spelling))
 
 
 def _shapes(

@@ -145,3 +145,6 @@ def test_index_and_require_element(chain5):
     assert chain5.index("c") == 2
     with pytest.raises(AlgebraError, match="not in carrier"):
         chain5.require_element("zz")
+    with pytest.raises(AlgebraError, match="element 'zz' not in carrier of 'Chain5'"):
+        chain5.index("zz")
+    assert [chain5.index(e) for e in chain5.carrier] == list(range(len(chain5.carrier)))

@@ -15,6 +15,24 @@ def words_up_to(alphabet, n):
     return out
 
 
+def build_path_automaton(algebra, from_elem, to_elem):
+    """The algebra's transition graph with the given start and final element."""
+    alphabet = algebra.signature.op_symbols
+    index = {e: i for i, e in enumerate(algebra.carrier)}
+    delta = tuple(
+        tuple(index[algebra.apply(sym, (e,))] for sym in alphabet)
+        for e in algebra.carrier
+    )
+    return automata.GenDfa(
+        alphabet=alphabet,
+        n_states=len(algebra.carrier),
+        start=index[from_elem],
+        finals=frozenset({index[to_elem]}),
+        delta=delta,
+        names=algebra.carrier,
+    )
+
+
 def language_by_oracle(algebra, element, max_len=6):
     """Reference semantics: a word is accepted iff its image contains element."""
     accepted = set()
@@ -71,7 +89,7 @@ def test_ground_terms_attached():
 
 
 def test_minimize_preserves_language(chain5):
-    dfa = automata.build_path_automaton(chain5, "a", "c")
+    dfa = build_path_automaton(chain5, "a", "c")
     minimal = automata.dfa_minimize(dfa)
     assert minimal.n_states <= dfa.n_states
     for word in words_up_to(("f",), 8):
@@ -126,7 +144,7 @@ def test_alphabet_mismatch(chain5, unary_fg):
 
 
 def test_export_dot(chain5):
-    dfa = automata.build_path_automaton(chain5, "a", "c")
+    dfa = build_path_automaton(chain5, "a", "c")
     dot = automata.export_dot(dfa)
     assert dot.startswith("digraph")
     assert "__start -> a;" in dot

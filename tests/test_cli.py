@@ -98,6 +98,35 @@ def test_monolinear_cap_exits_2(capsys, tmp_path):
     assert "error:" in err and "cap of 100" in err
 
 
+def test_unary_ground_term_dominates(capsys, tmp_path):
+    # the ground term f(a) has range {b} in Swap and {a} in Fix, so it is in
+    # Gen(b, a) but not in Gen(b, b)
+    swap = tmp_path / "swap.alg"
+    swap.write_text("algebra Swap\nelements a b\nconstants a\nop f/1\n  a -> b\n  b -> a\nend\n")
+    fix = tmp_path / "fix.alg"
+    fix.write_text("algebra Fix\nelements a b\nconstants a\nop f/1\n  a -> a\n  b -> b\nend\n")
+    code, out, _ = run(capsys, "check", "--left", str(swap), "--right", str(fix), "--a", "b", "--b", "b")
+    assert code == 1
+    assert "b <~ b: fails [exact]" in out
+    assert "element=a term=f(a)" in out
+
+
+def test_deep_chain_check(capsys, tmp_path):
+    # successor chain e0 -> ... -> e1499, last element fixed: the evidence
+    # term f^1301(z1) is 1,301 applications deep
+    n = 1500
+    rows = "".join(f"  e{i} -> e{min(i + 1, n - 1)}\n" for i in range(n))
+    chain = tmp_path / "chain.alg"
+    chain.write_text(
+        "algebra Chain\nelements " + " ".join(f"e{i}" for i in range(n))
+        + "\nconstants none\nop f/1\n" + rows + "end\n"
+    )
+    code, out, _ = run(capsys, "check", "--left", str(chain), "--a", "e1400", "--b", "e1300")
+    assert code == 1
+    assert "e1400 <~ e1300: fails [exact]" in out
+    assert "element=e1301 term=" + "f(" * 1301 + "z1" + ")" * 1301 in out
+
+
 def test_missing_file_exits_2(capsys):
     code, _, err = run(
         capsys, "check", "--left", "/nonexistent.alg", "--a", "x", "--b", "x"

