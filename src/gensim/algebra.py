@@ -15,6 +15,10 @@ from typing import Iterable, Mapping
 
 VARIABLE_RE = re.compile(r"^z[0-9]+$")
 
+# Words of the ``constants`` line; an element of either name would be
+# ambiguous there (``constants none`` over ``elements none b``).
+CONSTANTS_KEYWORDS = ("none", "all")
+
 
 class AlgebraError(Exception):
     """Base class for algebra construction and validation failures."""
@@ -90,6 +94,12 @@ class Algebra:
         elements = {e: i for i, e in enumerate(self.carrier)}
         if len(elements) != len(self.carrier):
             raise AlgebraError(f"algebra {self.name!r} has duplicate elements")
+        for keyword in CONSTANTS_KEYWORDS:
+            if keyword in elements:
+                raise AlgebraError(
+                    f"algebra {self.name!r}: element name {keyword!r} is reserved "
+                    "(a 'constants' keyword)"
+                )
         object.__setattr__(self, "_ids", elements)
         for sym, arity in self.signature.operations:
             table = self.tables.get(sym)
@@ -253,6 +263,12 @@ def parse_algebra(text: str) -> Algebra:
                 raise AlgebraParseError("'elements' needs at least one name", lineno)
             if len(set(parts[1:])) != len(parts[1:]):
                 raise AlgebraParseError("duplicate element name", lineno)
+            for keyword in CONSTANTS_KEYWORDS:
+                if keyword in parts[1:]:
+                    raise AlgebraParseError(
+                        f"element name {keyword!r} is reserved (a 'constants' keyword)",
+                        lineno,
+                    )
             carrier = tuple(parts[1:])
         elif head == "constants":
             seen_constants = True
@@ -343,7 +359,9 @@ def validate_pair(left: Algebra, right: Algebra) -> AlgebraPair:
                     f"operation {sym!r} has arity {left_ops[sym]} vs {right_ops[sym]}"
                 )
         raise SignatureMismatchError("operation declaration order differs")
-    if left.signature.constant_symbols != right.signature.constant_symbols:
+    # Declaration order may differ: each direction ranks the constants in
+    # the order of its own left algebra.
+    if set(left.signature.constant_symbols) != set(right.signature.constant_symbols):
         raise SignatureMismatchError(
             f"constant symbols differ: {left.signature.constant_symbols} "
             f"vs {right.signature.constant_symbols}"

@@ -75,9 +75,91 @@ def _engine_notice(pair, config: QueryConfig):
         )
 
 
+# The C string escaper that json.dumps uses, bound at import: the writer
+# reaches nothing through the module attribute ``json`` at call time.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def render_json(payload) -> str:
+    """The JSON text of ``payload`` with two-space indentation: byte for
+    byte what ``json.dumps`` writes with ``indent=2``.
+
+    Values are dicts with str keys, lists, tuples, str, int, bool and None;
+    any other type raises TypeError.  Within one call each container's text
+    is memoized by ``(id(obj), depth)``, so a dict that a report shares
+    between many places (one per distinct verdict of a matrix) is encoded
+    once per depth.
+
+    The text is written as one list of pieces, joined once at the end as
+    json.dumps does: a container first records where its pieces lie, and
+    is joined into one string only when it is met again.  Texts of the
+    whole report or of one long list are never built twice over, so the
+    peak memory stays near that of ``json.dumps``.
+    """
+    out: list[str] = []
+    write = out.append
+    # (id, depth) -> (start, end) of the first encoding's pieces, or its text.
+    memo: dict[tuple[int, int], tuple[int, int] | str] = {}
+
+    def encode(obj, depth: int) -> None:
+        if isinstance(obj, str):
+            write(_quote(obj))
+        elif obj is None:
+            write("null")
+        elif obj is True:
+            write("true")
+        elif obj is False:
+            write("false")
+        elif isinstance(obj, int):
+            write(int.__repr__(obj))
+        else:
+            key = (id(obj), depth)
+            seen = memo.get(key)
+            if seen is None:
+                start = len(out)
+                encode_container(obj, depth)
+                memo[key] = (start, len(out))
+            else:
+                if not isinstance(seen, str):
+                    seen = memo[key] = "".join(out[seen[0]:seen[1]])
+                write(seen)
+
+    def encode_container(obj, depth: int) -> None:
+        inner = "\n" + "  " * (depth + 1)
+        if isinstance(obj, dict):
+            if not obj:
+                write("{}")
+                return
+            sep = "{" + inner
+            for k, v in obj.items():
+                if not isinstance(k, str):
+                    raise TypeError(f"keys must be str, not {type(k).__name__}")
+                write(sep)
+                write(_quote(k))
+                write(": ")
+                encode(v, depth + 1)
+                sep = "," + inner
+            write("\n" + "  " * depth + "}")
+        elif isinstance(obj, (list, tuple)):
+            if not obj:
+                write("[]")
+                return
+            sep = "[" + inner
+            for v in obj:
+                write(sep)
+                encode(v, depth + 1)
+                sep = "," + inner
+            write("\n" + "  " * depth + "]")
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    encode(payload, 0)
+    return "".join(out)
+
+
 def _emit(args, payload: dict, text: str) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2))
+        print(render_json(payload))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
@@ -286,7 +368,7 @@ def cmd_examples(args) -> int:
         if args.format != "json":
             print(f"{'PASS' if ok else 'FAIL'}  {check.name}: {check.description}")
     if args.format == "json":
-        print(json.dumps({"checks": results, "failures": failures}, indent=2))
+        print(render_json({"checks": results, "failures": failures}))
     return 0 if failures == 0 else 1
 
 

@@ -9,7 +9,7 @@ applies to b itself.  ``a ~~ b`` is the conjunction of both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, validate_pair
@@ -188,28 +188,33 @@ def decide_approx(
     """g-similarity: both directed maximality checks."""
     forward = decide_leq(pair, a, b, config, engine)
     if not forward.holds:
-        return _with_direction(forward, pair)
-    swapped = pair.swapped()
-    backward = decide_leq(swapped, b, a, config, reverse_engine)
+        return _with_direction(forward, (pair.left.name, pair.right.name))
+    backward = decide_leq(pair.swapped(), b, a, config, reverse_engine)
     if not backward.holds:
-        return _with_direction(backward, swapped)
+        return _with_direction(backward, (pair.right.name, pair.left.name))
     return Verdict(True, None, forward.fragment_label)
 
 
-def _with_direction(failing: Verdict, pair: AlgebraPair) -> Verdict:
-    """A failing ``<~`` verdict on ``pair``, restated as a failing ``~~``
-    verdict whose certificate names that direction."""
-    cert = replace(failing.certificate, direction=(pair.left.name, pair.right.name))
-    return Verdict(False, cert, failing.fragment_label)
+def _with_direction(failing: Verdict, direction: tuple[str, str]) -> Verdict:
+    """A failing ``<~`` verdict, restated as a failing ``~~`` verdict whose
+    certificate names its direction (left name, right name)."""
+    cert = failing.certificate
+    return Verdict(
+        False,
+        Certificate(cert.kind, cert.term, cert.element, direction),
+        failing.fragment_label,
+    )
 
 
 def decide_algebra_leq(pair: AlgebraPair, config: QueryConfig | None = None) -> Verdict:
     """Every left element must have a g-similar partner on the right."""
+    swapped = pair.swapped()
     engine = build_engine(pair, config)
-    reverse = build_engine(pair.swapped(), config)
+    reverse = build_engine(swapped, config)
     for a in pair.left.carrier:
         if not any(
-            decide_approx(pair, a, b, config, engine, reverse).holds
+            decide_leq(pair, a, b, config, engine).holds
+            and decide_leq(swapped, b, a, config, reverse).holds
             for b in pair.right.carrier
         ):
             return Verdict(
@@ -243,18 +248,39 @@ class SimilarityMatrix:
     approx: dict  # (a, b) -> Verdict
 
     def to_dict(self) -> dict:
-        cells = []
-        for a in self.rows:
-            for b in self.cols:
-                cells.append(
-                    {
-                        "a": a,
-                        "b": b,
-                        "leq": self.leq[(a, b)].to_dict(),
-                        "geq": self.geq[(a, b)].to_dict(),
-                        "approx": self.approx[(a, b)].to_dict(),
-                    }
-                )
+        """The report; every cell that repeats a verdict holds the same
+        dict, so the JSON writer encodes each distinct verdict once."""
+        shared: dict = {}
+        # Evidence spelling per term object (the verdicts keep each alive):
+        # one engine row's term is one object, rendered once.
+        spelled: dict[int, str] = {}
+
+        def verdict_dict(verdict: Verdict) -> dict:
+            cert = verdict.certificate
+            if cert is None:
+                key = (verdict.holds, verdict.fragment_label)
+            else:
+                term = spelled.get(id(cert.term))
+                if term is None:
+                    term = spelled[id(cert.term)] = render_term(cert.term)
+                key = (verdict.holds, verdict.fragment_label,
+                       cert.kind, cert.element, term, cert.direction)
+            out = shared.get(key)
+            if out is None:
+                out = shared[key] = verdict.to_dict()
+            return out
+
+        cells = [
+            {
+                "a": a,
+                "b": b,
+                "leq": verdict_dict(self.leq[(a, b)]),
+                "geq": verdict_dict(self.geq[(a, b)]),
+                "approx": verdict_dict(self.approx[(a, b)]),
+            }
+            for a in self.rows
+            for b in self.cols
+        ]
         return {
             "left": self.pair.left.name,
             "right": self.pair.right.name,
@@ -285,17 +311,20 @@ class SimilarityMatrix:
 
 def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> SimilarityMatrix:
     """All pairwise directed and symmetric verdicts, declaration order."""
+    swapped = pair.swapped()
     engine = build_engine(pair, config)
-    reverse = build_engine(pair.swapped(), config)
+    reverse = build_engine(swapped, config)
+    forward_dir = (pair.left.name, pair.right.name)
+    backward_dir = (pair.right.name, pair.left.name)
     leq, geq, approx = {}, {}, {}
     for a in pair.left.carrier:
         for b in pair.right.carrier:
             v_leq = decide_leq(pair, a, b, config, engine)
-            v_geq = decide_leq(pair.swapped(), b, a, config, reverse)
+            v_geq = decide_leq(swapped, b, a, config, reverse)
             if not v_leq.holds:
-                v_approx = _with_direction(v_leq, pair)
+                v_approx = _with_direction(v_leq, forward_dir)
             elif not v_geq.holds:
-                v_approx = _with_direction(v_geq, pair.swapped())
+                v_approx = _with_direction(v_geq, backward_dir)
             else:
                 v_approx = Verdict(True, None, v_leq.fragment_label)
             leq[(a, b)] = v_leq
@@ -379,14 +408,15 @@ class ReflexivityReport:
 
 def check_reflexive(pair: AlgebraPair, config: QueryConfig | None = None) -> ReflexivityReport:
     """Test a <~ a in both directions over the shared-name overlap."""
+    swapped = pair.swapped()
     engine = build_engine(pair, config)
-    reverse = build_engine(pair.swapped(), config)
+    reverse = build_engine(swapped, config)
     violations = []
     for a in pair.overlap:
         forward = decide_leq(pair, a, a, config, engine)
         if not forward.holds:
             violations.append((a, (pair.left.name, pair.right.name), forward))
-        backward = decide_leq(pair.swapped(), a, a, config, reverse)
+        backward = decide_leq(swapped, a, a, config, reverse)
         if not backward.holds:
             violations.append((a, (pair.right.name, pair.left.name), backward))
     return ReflexivityReport(pair, pair.overlap, violations)

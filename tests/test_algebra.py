@@ -122,6 +122,11 @@ def test_validate_pair_constant_symbols_must_agree():
     b = make_algebra("B", ["x", "y"], {"f": {"x": "y", "y": "y"}}, constants=["y"])
     with pytest.raises(SignatureMismatchError, match="constant symbols differ"):
         validate_pair(a, b)
+    # the same symbols declared in another order make a valid pair
+    a = make_algebra("A", ["x", "y"], {"f": {"x": "y", "y": "y"}}, constants=["x", "y"])
+    b = make_algebra("B", ["x", "y"], {"f": {"x": "x", "y": "x"}}, constants=["y", "x"])
+    pair = validate_pair(a, b)
+    assert pair.right.signature.constant_symbols == ("y", "x")
 
 
 def test_constant_symbol_must_name_a_carrier_element():
@@ -148,3 +153,14 @@ def test_index_and_require_element(chain5):
     with pytest.raises(AlgebraError, match="element 'zz' not in carrier of 'Chain5'"):
         chain5.index("zz")
     assert [chain5.index(e) for e in chain5.carrier] == list(range(len(chain5.carrier)))
+
+
+@pytest.mark.parametrize("keyword", ["none", "all"])
+def test_constants_keywords_are_not_element_names(keyword):
+    # "constants none" over "elements none b" used to parse as no constants
+    text = f"algebra A\nelements {keyword} b\nconstants {keyword}\n"
+    with pytest.raises(AlgebraParseError, match="reserved") as exc:
+        parse_algebra(text)
+    assert exc.value.line == 2
+    with pytest.raises(AlgebraError, match="reserved"):
+        make_algebra("A", [keyword, "b"], {"f": {keyword: "b", "b": "b"}})

@@ -72,6 +72,11 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--left", str(bad), "--a", "x", "--b", "x")
     assert code == 2
     assert "error:" in err
+    # an element named after a 'constants' keyword is rejected with its line
+    bad.write_text("algebra A\nelements none b\nconstants none\n")
+    code, _, err = run(capsys, "check", "--left", str(bad), "--a", "b", "--b", "b")
+    assert code == 2
+    assert "line 2" in err and "reserved" in err
     # a file that is not UTF-8 is an input error, not a failed property
     bad.write_bytes(b"\xff")
     code, _, err = run(capsys, "check", "--left", str(bad), "--a", "x", "--b", "x")

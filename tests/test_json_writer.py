@@ -1,0 +1,188 @@
+"""The CLI's JSON writer against ``json.dumps(payload, indent=2)``.
+
+Every JSON report of the CLI goes through ``cli.render_json``.  The
+reference is ``json.dumps(payload, indent=2)``, the encoder the reports
+were written with before; the writer must give the same bytes on every
+payload, shared dicts included.
+"""
+
+import json
+import random
+from importlib import resources
+
+import pytest
+
+from gensim import cli
+from gensim.algebra import Algebra, Signature, render_algebra, self_pair, validate_pair
+from gensim.morphism import random_monounary_algebra, relabeled_copy, render_map
+from gensim.similarity import QueryConfig, similarity_matrix
+
+FIXTURES = [
+    "chain5.alg", "chain4_a.alg", "chain4_b.alg", "nat_sink7.alg",
+    "triple_a.alg", "triple_b.alg", "triple_c.alg", "triple_d.alg",
+    "merge_src.alg", "merge_tgt.alg", "unary_fg.alg",
+]
+
+
+def fixture_path(name: str) -> str:
+    return str(resources.files("gensim") / "fixtures" / name)
+
+
+def assert_matches_dumps(payload):
+    assert cli.render_json(payload) == json.dumps(payload, indent=2)
+
+
+def matrix_payload(matrix):
+    """``matrix.to_dict()``, checked cell by cell against each verdict's
+    own ``to_dict``: sharing dicts must not merge two distinct verdicts."""
+    payload = matrix.to_dict()
+    expected = [
+        {
+            "a": a,
+            "b": b,
+            "leq": matrix.leq[(a, b)].to_dict(),
+            "geq": matrix.geq[(a, b)].to_dict(),
+            "approx": matrix.approx[(a, b)].to_dict(),
+        }
+        for a in matrix.rows
+        for b in matrix.cols
+    ]
+    assert payload["cells"] == expected
+    return payload
+
+
+@pytest.fixture
+def recorded(monkeypatch, capsys):
+    """Run the CLI, check each payload it wrote against json.dumps and
+    the printed text against what the writer returned."""
+    calls = []
+    writer = cli.render_json
+
+    def recording(payload):
+        text = writer(payload)
+        calls.append((payload, text))
+        return text
+
+    monkeypatch.setattr(cli, "render_json", recording)
+
+    def run(*argv):
+        calls.clear()
+        code = cli.main([*argv, "--format", "json"])
+        out = capsys.readouterr().out
+        assert code in (0, 1), argv
+        assert len(calls) == 1, argv
+        payload, text = calls[0]
+        assert text == json.dumps(payload, indent=2), argv
+        assert out == text + "\n", argv
+        return payload
+
+    return run
+
+
+def test_every_subcommand_on_fixtures(recorded):
+    for name in FIXTURES:
+        path = fixture_path(name)
+        carrier = cli._load_algebra(path).carrier
+        first, last = carrier[0], carrier[-1]
+        for relation in ("leq", "approx"):
+            recorded("check", "--left", path, "--a", first, "--b", last, "--relation", relation)
+            recorded("transitivity", "--left", path, "--relation", relation)
+        recorded("matrix", "--left", path)
+        recorded("genlang", "--algebra", path, "--element", first)
+        recorded("charset", "--left", path, "--a", first, "--b", first)
+        recorded("charset", "--left", path, "--a", first, "--b", last, "--max-size", "1")
+        recorded("clone", "--algebra", path)
+        recorded("reflexivity", "--left", path)
+    pairs = [("chain4_a.alg", "chain4_b.alg"), ("triple_b.alg", "triple_c.alg")]
+    for left, right in pairs:
+        both = ("--left", fixture_path(left), "--right", fixture_path(right))
+        recorded("matrix", *both)
+        recorded("reflexivity", *both)
+    recorded(
+        "transitivity", "--left", fixture_path("triple_a.alg"),
+        "--mid", fixture_path("triple_b.alg"), "--right", fixture_path("triple_c.alg"),
+    )
+    merge = ("--map", fixture_path("merge.map"),
+             "--algebras", fixture_path("merge_src.alg"), fixture_path("merge_tgt.alg"))
+    for verify in ("hom", "iso", "g-functor"):
+        recorded("morphism", *merge, "--verify", verify)
+    recorded("examples")
+
+
+def test_isomorphism_reports(recorded, tmp_path):
+    """iso-lemma and sit need isomorphisms: a renamed copy of chain5."""
+    source = fixture_path("chain5.alg")
+    emap = relabeled_copy(random.Random(0), cli._load_algebra(source))
+    copy = tmp_path / "copy.alg"
+    copy.write_text(render_algebra(emap.target))
+    iso = tmp_path / "iso.map"
+    iso.write_text(render_map(emap))
+    maps = ("--map", str(iso), "--algebras", source, str(copy))
+    assert recorded("morphism", *maps, "--verify", "iso")["isomorphism"] is True
+    recorded("morphism", *maps, "--verify", "iso-lemma")
+    recorded("morphism", *maps, "--map2", str(iso), "--verify", "sit")
+
+
+def test_escaped_element_names(recorded, tmp_path):
+    """Quotes, backslashes and non-ASCII names, as the .alg grammar admits."""
+    alg = tmp_path / "names.alg"
+    alg.write_text(
+        'algebra Names\nelements a"b c\\d é\nconstants none\nop f/1\n'
+        '  a"b -> c\\d\n  c\\d -> é\n  é -> é\nend\n',
+        encoding="utf-8",
+    )
+    payload = recorded("matrix", "--left", str(alg))
+    assert payload["rows"] == ['a"b', "c\\d", "é"]
+    recorded("check", "--left", str(alg), "--a", 'a"b', "--b", "é")
+    recorded("clone", "--algebra", str(alg))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_one_op_matrices(seed):
+    left = random_monounary_algebra(random.Random(seed), 40, 1)
+    right = random_monounary_algebra(random.Random(seed + 100), 40, 1)
+    for pair in (self_pair(left), validate_pair(left, right)):
+        payload = matrix_payload(similarity_matrix(pair))
+        assert_matches_dumps(payload)
+        # one dict per distinct verdict, shared by the cells that repeat it
+        verdicts = [cell[k] for cell in payload["cells"] for k in ("leq", "geq", "approx")]
+        assert len({id(v) for v in verdicts}) == len({json.dumps(v) for v in verdicts})
+
+
+def with_constants(algebra, constants):
+    signature = Signature(algebra.signature.operations, tuple(constants))
+    return Algebra(algebra.name, algebra.carrier, signature, algebra.tables, frozenset(constants))
+
+
+@pytest.mark.parametrize("fragment", ["unary", "linear"])
+def test_two_op_cross_pairs_with_constants(fragment):
+    for seed in range(5):
+        left = with_constants(random_monounary_algebra(random.Random(seed), 8, 2), ("e0", "e3"))
+        right = with_constants(
+            random_monounary_algebra(random.Random(seed + 100), 8, 2, name="S"), ("e0", "e3")
+        )
+        matrix = similarity_matrix(validate_pair(left, right), QueryConfig(fragment=fragment))
+        assert_matches_dumps(matrix_payload(matrix))
+
+
+def test_shared_dict_at_two_depths():
+    shared = {"holds": False, "certificate": {"kind": "k", "direction": ["A", "B"]}}
+    payload = {
+        "x": shared,
+        "y": [shared, {"z": shared}, (1, -2, True, None)],
+        "same": [shared, shared],
+        "empty": [{}, [], ()],
+        "n": 10**20,
+    }
+    assert_matches_dumps(payload)
+    for scalar in ("s", 0, True, None, [], {}):
+        assert_matches_dumps(scalar)
+
+
+def test_unsupported_values_raise():
+    with pytest.raises(TypeError):
+        cli.render_json({"s": {1, 2}})
+    with pytest.raises(TypeError):
+        cli.render_json([{"ok": [set()]}])
+    with pytest.raises(TypeError):
+        cli.render_json({("a", "b"): 1})

@@ -1,6 +1,16 @@
+import random
+
 import pytest
 
-from gensim.algebra import AlgebraError, make_algebra, self_pair, validate_pair
+from gensim.algebra import (
+    Algebra,
+    AlgebraError,
+    Signature,
+    make_algebra,
+    self_pair,
+    validate_pair,
+)
+from gensim.morphism import random_monounary_algebra
 from gensim.similarity import (
     GeneralEngine,
     LinearEngine,
@@ -17,7 +27,7 @@ from gensim.similarity import (
     find_characteristic_set,
     similarity_matrix,
 )
-from gensim.terms import render_term
+from gensim.terms import range_of_term, render_term
 
 
 def test_query_config_validation():
@@ -175,3 +185,45 @@ def test_verdict_to_dict(chain4_pair):
     assert payload["holds"] is False
     assert payload["fragment"] == "exact"
     assert payload["certificate"]["term"] == "f(z1)"
+
+
+def with_constants(algebra, constants):
+    signature = Signature(algebra.signature.operations, tuple(constants))
+    return Algebra(algebra.name, algebra.carrier, signature, algebra.tables, frozenset(constants))
+
+
+def assert_evidence(verdict, a, b, left, right):
+    """A failing a <~ b: the evidence generalizes a and the dominating
+    element, and not b (checked by the range oracle)."""
+    term, b_prime = verdict.certificate.term, verdict.certificate.element
+    assert a in range_of_term(term, left)
+    assert b_prime in range_of_term(term, right)
+    assert b not in range_of_term(term, right)
+
+
+@pytest.mark.parametrize("fragment", ["auto", "linear", "monolinear", "general"])
+def test_constants_declared_in_another_order(fragment):
+    """Each direction ranks the constants in its left algebra's order, so
+    only the backward evidence may be spelled differently."""
+    config = QueryConfig(fragment=fragment, max_vars=1)
+    seeds = range(1, 4) if fragment in ("monolinear", "general") else range(8)
+    for seed in seeds:
+        left = with_constants(random_monounary_algebra(random.Random(seed), 8, 2), ("e3", "e0"))
+        right = random_monounary_algebra(random.Random(seed + 100), 8, 2, name="S")
+        expected = similarity_matrix(
+            validate_pair(left, with_constants(right, ("e3", "e0"))), config
+        )
+        pair = validate_pair(left, with_constants(right, ("e0", "e3")))
+        got = similarity_matrix(pair, config)
+        for a, b in expected.leq:
+            assert got.leq[(a, b)] == expected.leq[(a, b)]
+            for relation in ("geq", "approx"):
+                want, have = getattr(expected, relation)[(a, b)], getattr(got, relation)[(a, b)]
+                assert have.holds == want.holds
+                if not want.holds:
+                    assert have.certificate.element == want.certificate.element
+                    assert have.certificate.direction == want.certificate.direction
+            if not got.leq[(a, b)].holds:
+                assert_evidence(got.leq[(a, b)], a, b, pair.left, pair.right)
+            if not got.geq[(a, b)].holds:
+                assert_evidence(got.geq[(a, b)], b, a, pair.right, pair.left)
