@@ -14,7 +14,7 @@ import sys
 from . import automata
 from .algebra import Algebra, AlgebraError, parse_algebra, self_pair, validate_pair
 from .corpus import example_checks
-from .monolinear import dump_clone, polynomial_clone
+from .monolinear import dump_clone, ground_value_terms, polynomial_clone
 from .morphism import (
     check_g_functor,
     check_second_isomorphism,
@@ -209,7 +209,11 @@ def cmd_genlang(args) -> int:
         "element": args.element,
         "states": dfa.n_states,
         "regex": automata.dfa_to_regex(dfa),
-        "ground_terms": sorted(dfa.ground_terms),
+        "ground_terms": [
+            render_term(term)
+            for value, term in ground_value_terms(algebra)
+            if value == args.element
+        ],
     }
     text = (
         f"language of {args.element} in {algebra.name}: "

@@ -1,15 +1,17 @@
-"""Monolinear fragment: the clone of unary polynomial functions.
+"""Monolinear fragment: terms with one variable occurrence.
 
 A monolinear term has exactly one occurrence of a single variable; its
 other argument positions are filled with ground terms over the
-distinguished constants.  Each such term induces a unary function on the
-carrier, and the set of those functions is the least set containing the
-identity and closed under plugging into any operation position with
-ground-denotable values in the remaining positions.
+distinguished constants.  The range of ``op(g1, ..., s(z), ..., gk)`` is
+``{op(g1, ..., x, ..., gk) : x in range(s)}``: it depends only on the range
+of ``s`` and on the ground values.  So the shared ranges over an algebra
+pair are the least family of range pairs that contains the carriers and is
+closed under plugging into any operation position with paired ground
+values elsewhere; like the linear family it lives in 2^A x 2^B.
 
-Sharing across an algebra pair is term-level, not table-level, so the pair
-engine saturates pairs of simultaneously realizable tables, mirroring the
-linear engine's profile pairs.
+The unary functions the terms induce (the polynomial clone) come from the
+same rules lifted over tables instead of ranges; ``gensim clone`` reports
+them.
 """
 
 from __future__ import annotations
@@ -19,14 +21,9 @@ from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraPair, self_pair
-from .closure import Profile, RowIndex, least_witness_closure
+from .closure import Profile, least_witness_closure
+from .linear import _range_lift
 from .terms import App, Const, Term, Var, render_term, witness_key
-from .verdict import (
-    Certificate,
-    DOMINATING_ELEMENT,
-    MONOLINEAR_FRAGMENT,
-    Verdict,
-)
 
 
 @dataclass(frozen=True)
@@ -54,11 +51,19 @@ def ground_value_terms(algebra: Algebra) -> list[tuple[str, Term]]:
     return [(value, term) for value, _, term in paired_ground_values(self_pair(algebra))]
 
 
-def _plug_lift(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...]):
+def _plug_table(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...]):
     """Plug a table into ``sym`` at ``position``, fillers elsewhere."""
     table = algebra.tables[sym]
     before, after = fillers[:position], fillers[position:]
     return lambda tables: tuple(table[before + (x,) + after] for x in tables[0])
+
+
+def _plug_range(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...]):
+    """Plug a range into ``sym`` at ``position``, fillers elsewhere."""
+    lift = _range_lift(algebra, sym)
+    sets = [frozenset({value}) for value in fillers]
+    before, after = sets[:position], sets[position:]
+    return lambda ranges: lift(before + [ranges[0]] + after)
 
 
 def _plug_app(sym: str, position: int, filler_terms: tuple[Term, ...]):
@@ -66,56 +71,43 @@ def _plug_app(sym: str, position: int, filler_terms: tuple[Term, ...]):
     return lambda witnesses: App(sym, before + witnesses + after)
 
 
-def paired_clone(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
-    """Pairs of unary tables realizable by one shared monolinear term.
-
-    Each table pair is lifted alone, over every choice of ground fillers
-    for the other argument positions.  Raises ``SaturationCapError`` when
-    more than ``cap`` table pairs are accepted."""
-    sig = pair.left.signature
+def _plug_rules(pair: AlgebraPair, plug) -> list:
+    """One unary rule per (operation, position, tuple of paired ground
+    fillers for the other positions); ``plug`` lifts one side."""
     grounds = paired_ground_values(pair)
     rules = []
-    for sym, arity in sig.operations:
+    for sym, arity in pair.left.signature.operations:
         for fillers in product(grounds, repeat=arity - 1):
             lefts, rights, terms = zip(*fillers) if fillers else ((), (), ())
             for position in range(arity):
                 rules.append((
                     1,
-                    _plug_lift(pair.left, sym, position, lefts),
-                    _plug_lift(pair.right, sym, position, rights),
+                    plug(pair.left, sym, position, lefts),
+                    plug(pair.right, sym, position, rights),
                     _plug_app(sym, position, terms),
                 ))
-    seeds = [(pair.left.carrier, pair.right.carrier, Var(1))]
-    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)
+    return rules
+
+
+def paired_clone(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
+    """Pairs of ranges realizable by one shared monolinear term, each with
+    a minimal witness.  Raises ``SaturationCapError`` when more than
+    ``cap`` range pairs are accepted."""
+    sig = pair.left.signature
+    seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
+    return least_witness_closure(
+        seeds, _plug_rules(pair, _plug_range), lambda t: witness_key(t, sig), cap
+    )
 
 
 def polynomial_clone(algebra: Algebra) -> list[UnaryPolynomial]:
     """All unary functions induced by monolinear terms, minimal witnesses."""
-    return [UnaryPolynomial(p.left, p.witness) for p in paired_clone(self_pair(algebra))]
-
-
-def m_decide_leq(
-    pair: AlgebraPair, a: str, b: str, clone_pairs: list[Profile] | None = None
-) -> Verdict:
-    """Maximality of the shared monolinear generalizations of (a, b).
-
-    Fails iff some admissible competitor b' realizes a strict superset; the
-    competitor b' = a is excluded when a names an element of the right
-    carrier.
-    """
-    pair.left.require_element(a)
-    pair.right.require_element(b)
-    if clone_pairs is None:
-        clone_pairs = paired_clone(pair)
-    found = RowIndex(clone_pairs, pair.right.carrier).dominator(a, b)
-    if found is None:
-        return Verdict(True, None, MONOLINEAR_FRAGMENT)
-    b_prime, evidence = found
-    return Verdict(
-        False,
-        Certificate(DOMINATING_ELEMENT, element=b_prime, term=evidence),
-        MONOLINEAR_FRAGMENT,
+    sig = algebra.signature
+    seeds = [(algebra.carrier, algebra.carrier, Var(1))]
+    tables = least_witness_closure(
+        seeds, _plug_rules(self_pair(algebra), _plug_table), lambda t: witness_key(t, sig)
     )
+    return [UnaryPolynomial(p.left, p.witness) for p in tables]
 
 
 def dump_clone(clone: list[UnaryPolynomial], algebra: Algebra) -> str:

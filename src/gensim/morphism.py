@@ -24,7 +24,7 @@ from .algebra import (
 )
 from . import automata
 from .linear import reachable_profiles
-from .similarity import QueryConfig, decide_approx, similarity_matrix
+from .similarity import QueryConfig, build_engine, decide_approx, similarity_matrix
 from .verdict import Certificate, FAILING_ELEMENT, Verdict
 
 
@@ -222,9 +222,11 @@ def verify_isomorphism_lemma(emap: ElementMap, config: QueryConfig | None = None
 def check_g_functor(emap: ElementMap, config: QueryConfig | None = None) -> Verdict:
     """Must every a be g-similar to its image?  Certificate names a failing a."""
     pair = validate_pair(emap.source, emap.target)
+    engine = build_engine(pair, config)
+    reverse = build_engine(pair.swapped(), config)
     label = None
     for a in emap.source.carrier:
-        verdict = decide_approx(pair, a, emap(a), config)
+        verdict = decide_approx(pair, a, emap(a), config, engine, reverse)
         label = verdict.fragment_label
         if not verdict.holds:
             return Verdict(

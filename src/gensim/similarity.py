@@ -18,7 +18,7 @@ from .closure import RowIndex
 from .general import exactness_label, saturate_profiles
 from .linear import reachable_profiles
 from .monolinear import paired_clone
-from .terms import Term, canonicalize, render_term, term_size, witness_key
+from .terms import Term, canonicalize, render_term, term_size
 from .verdict import (
     Certificate,
     DOMINATING_ELEMENT,
@@ -104,11 +104,7 @@ class UnaryEngine(Engine):
 
 class MonolinearEngine(Engine):
     def __init__(self, pair: AlgebraPair, cap: int | None = None):
-        classes = [
-            (frozenset(p.left), frozenset(p.right), p.witness)
-            for p in paired_clone(pair, cap=cap)
-        ]
-        super().__init__(pair, MONOLINEAR_FRAGMENT, classes)
+        super().__init__(pair, MONOLINEAR_FRAGMENT, paired_clone(pair, cap=cap))
 
 
 class GeneralEngine(Engine):
@@ -354,13 +350,12 @@ def find_characteristic_set(
     engine = engine or build_engine(pair, config)
     pair.left.require_element(a)
     pair.right.require_element(b)
-    sig = pair.left.signature
+    # Classes come in witness order, so the candidates do too.
     candidates = [
         (left, right, witness)
         for left, right, witness in engine.classes()
         if a in left and b in right
     ]
-    candidates.sort(key=lambda c: witness_key(c[2], sig))
     bad = set(_admissible_competitors(pair, a, b))
     for size in range(1, max_size + 1):
         best: list[Term] | None = None

@@ -20,7 +20,6 @@ from gensim.corpus import (
 )
 from gensim.general import SaturationCapError
 from gensim.linear import lifted_range
-from gensim.monolinear import m_decide_leq, paired_clone
 from gensim.morphism import (
     check_g_functor,
     check_second_isomorphism,
@@ -32,6 +31,7 @@ from gensim.morphism import (
 from gensim.similarity import (
     GeneralEngine,
     LinearEngine,
+    MonolinearEngine,
     QueryConfig,
     check_transitive,
     decide_leq,
@@ -186,17 +186,17 @@ def test_criterion_07_isomorphism_properties():
 def test_criterion_08_powerset_inclusion_law():
     algebra = powerset_algebra(("1", "2", "3"))
     pair = self_pair(algebra)
-    clone_pairs = paired_clone(pair)
+    engine = MonolinearEngine(pair)
     subsets = {e: set(e.replace("0", "")) for e in algebra.carrier}
     full = "123"
     ok = True
     for x in algebra.carrier:
         for y in algebra.carrier:
-            verdict = m_decide_leq(pair, x, y, clone_pairs)
+            verdict = decide_leq(pair, x, y, engine=engine)
             if x != full and verdict.holds != (subsets[x] <= subsets[y]):
                 ok = False
             if x != full and y != full:
-                approx = verdict.holds and m_decide_leq(pair, y, x, clone_pairs).holds
+                approx = verdict.holds and decide_leq(pair, y, x, engine=engine).holds
                 if approx != (x == y):
                     ok = False
             if x == full and len(subsets[y]) == 2 and not verdict.holds:

@@ -179,6 +179,25 @@ def test_genlang_json(capsys, schema):
     assert payload["regex"] == "f*"
 
 
+def test_genlang_lists_ground_terms(capsys, tmp_path, schema):
+    # f(a) denotes b in Swap, so b's least ground witness is f(a)
+    swap = tmp_path / "swap.alg"
+    swap.write_text("algebra Swap\nelements a b\nconstants a\nop f/1\n  a -> b\n  b -> a\nend\n")
+    expected = {"a": ["a"], "b": ["f(a)"]}
+    for element, ground_terms in expected.items():
+        code, out, _ = run(
+            capsys, "genlang", "--algebra", str(swap), "--element", element, "--format", "json"
+        )
+        assert code == 0
+        validate(schema, out)
+        assert json.loads(out)["ground_terms"] == ground_terms
+    code, out, _ = run(
+        capsys, "genlang", "--algebra", fixture_path("chain5.alg"), "--element", "c",
+        "--format", "json",
+    )
+    assert json.loads(out)["ground_terms"] == []
+
+
 def test_charset(capsys, schema):
     code, out, _ = run(
         capsys,

@@ -2,7 +2,9 @@
 
 The reference re-enumerates every combination of accepted items after each
 acceptance and keeps those that use the new item.  Both must accept the
-same profiles, with the same witnesses, in the same order.
+same profiles, with the same witnesses, in the same order.  The table rows
+of the naive monolinear closure are also the oracle for the monolinear
+engine's dominators.
 """
 
 import heapq
@@ -12,12 +14,13 @@ from itertools import product
 import pytest
 
 from gensim.algebra import AlgebraPair, make_algebra, self_pair, validate_pair
-from gensim.closure import least_witness_closure
+from gensim.closure import RowIndex, least_witness_closure
 from gensim.corpus import load_fixture, powerset_algebra, truncated_multiplication_algebra
 from gensim.general import saturate_profiles
 from gensim.linear import reachable_profiles
-from gensim.monolinear import paired_clone, paired_ground_values
+from gensim.monolinear import paired_clone, paired_ground_values, polynomial_clone
 from gensim.morphism import random_monounary_algebra
+from gensim.similarity import GeneralEngine, LinearEngine, MonolinearEngine, UnaryEngine
 from gensim.terms import (
     App,
     Const,
@@ -107,8 +110,11 @@ def naive_general(pair, k):
     return naive_closure(seeds, [(ar, op(sym)) for sym, ar in sig.operations], sig)
 
 
-def naive_paired_clone(pair):
+def naive_paired_clone(pair, ranges=False):
+    """The ground values and the monolinear family: table pairs, or range
+    pairs when ``ranges`` is set."""
     sig = pair.left.signature
+    image = frozenset if ranges else tuple
 
     def ground_op(sym):
         def combine(items):
@@ -132,8 +138,8 @@ def naive_paired_clone(pair):
             args = [w for _, w in fillers]
             args.insert(position, term)
             return (
-                tuple(pair.left.apply(sym, lv[:position] + [x] + lv[position:]) for x in left),
-                tuple(pair.right.apply(sym, rv[:position] + [x] + rv[position:]) for x in right),
+                image(pair.left.apply(sym, lv[:position] + [x] + lv[position:]) for x in left),
+                image(pair.right.apply(sym, rv[:position] + [x] + rv[position:]) for x in right),
             ), App(sym, tuple(args))
 
         return combine
@@ -144,8 +150,8 @@ def naive_paired_clone(pair):
         for position in range(ar)
         for fillers in product(grounds, repeat=ar - 1)
     ]
-    clone = naive_closure([((pair.left.carrier, pair.right.carrier), Var(1))], ops, sig)
-    return grounds, clone
+    seed = ((image(pair.left.carrier), image(pair.right.carrier)), Var(1))
+    return grounds, naive_closure([seed], ops, sig)
 
 
 def meet_algebra(universe):
@@ -172,7 +178,7 @@ def _fixture_pairs():
 
 P3, M3 = powerset_algebra(tuple("123")), meet_algebra(tuple("123"))
 T3 = truncated_multiplication_algebra(3)
-# Paired clones of random cross pairs grow fast with the carrier (over
+# Table clones of random cross pairs grow fast with the carrier (over
 # 10,000 table pairs at n = 8), so the cross pair is smaller.
 PAIRS = _fixture_pairs() + [
     ("P3", self_pair(P3)),
@@ -203,11 +209,66 @@ def test_general_k2_matches_naive(label, pair):
     assert profiles == naive_general(pair, 2)
 
 
-@pytest.mark.parametrize("label,pair", PAIRS, ids=[label for label, _ in PAIRS])
+def random_binary(seed, name):
+    """A binary and a unary operation on four elements, constant e0: the
+    fillers of a non-commutative operation must keep their positions."""
+    rng = random.Random(seed)
+    carrier = [f"e{i}" for i in range(4)]
+    tables = {
+        "m": {(x, y): rng.choice(carrier) for x in carrier for y in carrier},
+        "f": {x: rng.choice(carrier) for x in carrier},
+    }
+    return make_algebra(name, carrier, tables, constants=["e0"])
+
+
+MONOLINEAR_PAIRS = PAIRS + [
+    ("bin4", self_pair(random_binary(0, "A"))),
+    ("bin4 A/B", validate_pair(random_binary(2, "A"), random_binary(102, "B"))),
+]
+
+
+@pytest.mark.parametrize("label,pair", MONOLINEAR_PAIRS, ids=[label for label, _ in MONOLINEAR_PAIRS])
 def test_paired_monolinear_matches_naive(label, pair):
-    grounds, clone = naive_paired_clone(pair)
+    grounds, clone = naive_paired_clone(pair, ranges=True)
     assert [((l, r), w) for l, r, w in paired_ground_values(pair)] == grounds
     assert [((p.left, p.right), p.witness) for p in paired_clone(pair)] == clone
+    if pair.left is pair.right:
+        _, tables = naive_paired_clone(pair)
+        assert [(p.table, p.witness) for p in polynomial_clone(pair.left)] == [
+            (left, w) for (left, _), w in tables
+        ]
+
+
+@pytest.mark.parametrize("label,pair", MONOLINEAR_PAIRS, ids=[label for label, _ in MONOLINEAR_PAIRS])
+def test_monolinear_dominators_match_table_rows(label, pair):
+    # The table rows are the oracle: a term's membership in Gen(a, b)
+    # depends only on its ranges, so the range rows decide alike.
+    _, tables = naive_paired_clone(pair)
+    oracle = RowIndex(
+        [(frozenset(left), frozenset(right), w) for (left, right), w in tables],
+        pair.right.carrier,
+    )
+    engine = MonolinearEngine(pair)
+    for a in pair.left.carrier:
+        for b in pair.right.carrier:
+            assert engine.dominator(a, b) == oracle.dominator(a, b), (a, b)
+
+
+def _engines(pair):
+    yield LinearEngine(pair)
+    yield MonolinearEngine(pair)
+    yield GeneralEngine(pair, 2, 200_000)
+    if pair.left.signature.is_unary():
+        yield UnaryEngine(pair)
+
+
+@pytest.mark.parametrize("label,pair", PAIRS, ids=[label for label, _ in PAIRS])
+def test_classes_come_in_witness_order(label, pair):
+    # find_characteristic_set relies on this order for its tie-break.
+    sig = pair.left.signature
+    for engine in _engines(pair):
+        keys = [witness_key(w, sig) for _, _, w in engine.classes()]
+        assert keys == sorted(keys), type(engine).__name__
 
 
 def test_semi_naive_lifts_each_combination_once():

@@ -12,7 +12,6 @@ import pytest
 
 from gensim.algebra import make_algebra, self_pair, validate_pair
 from gensim.corpus import load_fixture, powerset_algebra, truncated_multiplication_algebra
-from gensim.monolinear import m_decide_leq, paired_clone
 from gensim.morphism import random_monounary_algebra
 from gensim.similarity import MonolinearEngine, QueryConfig, build_engine, decide_leq
 
@@ -102,13 +101,13 @@ def test_random_unary_match_scan(fragment, cross):
     config = QueryConfig(fragment=fragment, max_vars=1)
     for seed in range(2):
         assert_same_as_scan(random_pair(1, 40, seed, cross), config)
-    # The monolinear and general families of a random 2-op algebra are
-    # transformation semigroups: tens of thousands of tables for some seeds
-    # (self pair, seed 6: 74 s), so those fragments take the small ones.
-    if fragment in ("monolinear", "general"):
+    # The general family of a random 2-op algebra is a transformation
+    # semigroup: tens of thousands of functions for some seeds, so that
+    # fragment takes the small ones.
+    if fragment == "general":
         seeds = range(1, 5) if cross else range(5)
     else:
-        seeds = range(8)
+        seeds = range(10)
     for seed in seeds:
         assert_same_as_scan(random_pair(2, 8, seed, cross), config)
 
@@ -142,11 +141,11 @@ def test_shared_mask_and_exclusion(fragment):
 
 
 def test_m_decide_leq_matches_scan():
+    # The monolinear decision goes through decide_leq like every engine.
     p3 = powerset_algebra(("1", "2", "3"))
     for pair in (self_pair(p3), validate_pair(p3, meet3())):
-        clone_pairs = paired_clone(pair)
         engine = MonolinearEngine(pair)
         for a in pair.left.carrier:
             for b in pair.right.carrier:
-                verdict = m_decide_leq(pair, a, b, clone_pairs)
+                verdict = decide_leq(pair, a, b, engine=engine)
                 assert outcome(verdict) == scan_decide_leq(engine, a, b), (a, b)

@@ -7,13 +7,12 @@ from gensim.closure import SaturationCapError
 from gensim.monolinear import (
     dump_clone,
     ground_value_terms,
-    m_decide_leq,
     paired_clone,
     paired_ground_values,
     polynomial_clone,
 )
 from gensim.morphism import random_monounary_algebra
-from gensim.similarity import MonolinearEngine, QueryConfig, build_engine
+from gensim.similarity import MonolinearEngine, QueryConfig, build_engine, decide_leq
 from gensim.terms import parse_term, range_of_term, render_term
 
 
@@ -90,16 +89,16 @@ def test_m_gen_signature(powerset3):
 
 
 def test_paired_clone_matches_componentwise_on_self_pair(powerset3):
+    # the range pairs of a self pair are the ranges of the clone's tables
     pair = self_pair(powerset3)
     paired = paired_clone(pair)
-    single = {p.table for p in polynomial_clone(powerset3)}
-    assert {p.left for p in paired} == single
+    ranges = {frozenset(p.table) for p in polynomial_clone(powerset3)}
+    assert {p.left for p in paired} == ranges
     assert all(p.left == p.right for p in paired)
 
 
 def test_m_subset_and_decide(powerset3):
     pair = self_pair(powerset3)
-    clone_pairs = paired_clone(pair)
     engine = MonolinearEngine(pair)
     # the constraint from a = 1 dominates: both shared sets are {X u C : C <= 1}
     holds, _ = engine.subset("1", "1", "12")
@@ -110,9 +109,9 @@ def test_m_subset_and_decide(powerset3):
     holds, witness = engine.subset("12", "12", "1")
     assert not holds
     assert render_term(witness) == "u(2, z1)"
-    verdict = m_decide_leq(pair, "1", "12", clone_pairs)
+    verdict = decide_leq(pair, "1", "12", engine=engine)
     assert verdict.holds
-    verdict = m_decide_leq(pair, "12", "1", clone_pairs)
+    verdict = decide_leq(pair, "12", "1", engine=engine)
     assert not verdict.holds
     assert verdict.fragment_label == "monolinear-fragment"
     assert verdict.certificate.kind == "dominating-element"
@@ -122,8 +121,9 @@ def test_m_decide_competitor_exclusion():
     # a = b' exclusion: on a single algebra, a <= a never loses to itself
     algebra = bool_or()
     pair = self_pair(algebra)
-    assert m_decide_leq(pair, "0", "0").holds
-    assert m_decide_leq(pair, "1", "1").holds
+    config = QueryConfig(fragment="monolinear")
+    assert decide_leq(pair, "0", "0", config).holds
+    assert decide_leq(pair, "1", "1", config).holds
 
 
 def test_dump_clone_format(chain5):
@@ -139,7 +139,7 @@ def test_paired_ground_values_track_both_sides(triple_b, triple_c):
 
 
 def test_paired_clone_respects_cap():
-    # this cross pair has 19,143 table pairs
+    # this cross pair has 232 range pairs (and 19,143 table pairs)
     pair = validate_pair(
         random_monounary_algebra(random.Random(2), 6, 2),
         random_monounary_algebra(random.Random(102), 6, 2),

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from gensim.algebra import make_algebra
+from gensim import morphism, similarity
+from gensim.algebra import make_algebra, validate_pair
 from gensim.corpus import load_fixture
 from gensim.morphism import (
     ConstantPreservationError,
@@ -18,6 +19,7 @@ from gensim.morphism import (
     render_map,
     verify_isomorphism_lemma,
 )
+from gensim.similarity import QueryConfig, decide_approx
 from gensim.terms import render_term
 
 
@@ -114,6 +116,50 @@ def test_merge_map_is_not_g_functor(merge_map):
     # the failure is in the reverse direction: c is dominated by b
     assert verdict.certificate.direction == ("MergeTgt", "MergeSrc")
     assert render_term(verdict.certificate.term) == "f(z1)"
+
+
+def g_functor_by_element(emap, config):
+    """(failing element, verdict) from one ``decide_approx`` per element,
+    each building its own engines."""
+    pair = validate_pair(emap.source, emap.target)
+    for a in emap.source.carrier:
+        verdict = decide_approx(pair, a, emap(a), config)
+        if not verdict.holds:
+            return a, verdict
+    return None, verdict
+
+
+@pytest.mark.parametrize("fragment", ["auto", "monolinear"])
+def test_g_functor_builds_two_engines(monkeypatch, merge_map, fragment):
+    config = QueryConfig(fragment=fragment)
+    algebra = random_monounary_algebra(random.Random(0), 40, 1)
+    maps = [merge_map, relabeled_copy(random.Random(1), algebra)]
+    for seed in range(3):
+        rng = random.Random(seed)
+        table = {e: rng.choice(algebra.carrier) for e in algebra.carrier}
+        maps.append(ElementMap(f"m{seed}", algebra, algebra, table))
+    builds = []
+    build_engine = similarity.build_engine
+
+    def counted(pair, config=None):
+        builds.append(pair)
+        return build_engine(pair, config)
+
+    for emap in maps:
+        failing, expected = g_functor_by_element(emap, config)
+        builds.clear()
+        for module in (morphism, similarity):
+            monkeypatch.setattr(module, "build_engine", counted)
+        verdict = check_g_functor(emap, config)
+        monkeypatch.undo()
+        assert len(builds) == 2
+        assert verdict.holds == expected.holds
+        assert verdict.fragment_label == expected.fragment_label
+        if failing is not None:
+            cert, want = verdict.certificate, expected.certificate
+            assert (cert.element, cert.term, cert.direction) == (
+                failing, want.term, want.direction
+            )
 
 
 def test_second_isomorphism_on_renamings(chain5):
