@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .algebra import Algebra, AlgebraError
-from .terms import App, Const, Term, Var
+from .terms import App, Term, Var
 
 
 class NonUnaryError(AlgebraError):
@@ -29,12 +29,9 @@ class AlphabetMismatchError(AlgebraError):
 
 @dataclass(frozen=True)
 class GenDfa:
-    """A complete DFA over the unary-operation alphabet.
-
-    ``ground_terms`` carries the bare constant symbols whose ground terms
-    belong to the represented generalization language; they live outside
-    the word language proper.
-    """
+    """A complete DFA over the unary-operation alphabet: a word language.
+    Ground terms are not words; ``monolinear.ground_value_terms`` lists
+    them."""
 
     alphabet: tuple[str, ...]
     n_states: int
@@ -42,7 +39,6 @@ class GenDfa:
     finals: frozenset[int]
     delta: tuple[tuple[int, ...], ...]  # delta[state][symbol_index]
     names: tuple[str, ...] | None = None
-    ground_terms: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if not self.finals <= set(range(self.n_states)):
@@ -103,8 +99,7 @@ def gen_language(algebra: Algebra, a: str) -> GenDfa:
 
     The union over all start elements is determinized by tracking the image
     set of the word function, seeded with the full carrier; a word is
-    accepted iff ``a`` lies in the image.  Constant symbols naming ``a``
-    are attached as ground terms.
+    accepted iff ``a`` lies in the image.
     """
     alphabet = _require_unary(algebra)
     algebra.require_element(a)
@@ -129,14 +124,12 @@ def gen_language(algebra: Algebra, a: str) -> GenDfa:
             )
         )
     finals = frozenset(i for i, s in enumerate(order) if a in s)
-    ground = frozenset(c for c in algebra.signature.constant_symbols if c == a)
     dfa = GenDfa(
         alphabet=alphabet,
         n_states=len(order),
         start=0,
         finals=finals,
         delta=tuple(delta),
-        ground_terms=ground,
     )
     return dfa_minimize(dfa)
 
@@ -235,7 +228,6 @@ def dfa_minimize(dfa: GenDfa) -> GenDfa:
         start=0,
         finals=frozenset(new_finals),
         delta=tuple(new_delta),
-        ground_terms=dfa.ground_terms,
     )
 
 
@@ -266,7 +258,6 @@ def dfa_intersect(x: GenDfa, y: GenDfa) -> GenDfa:
         start=0,
         finals=finals,
         delta=tuple(tuple(r) for r in rows),
-        ground_terms=x.ground_terms & y.ground_terms,
     )
     return dfa_minimize(product)
 
@@ -275,7 +266,7 @@ def dfa_subset(x: GenDfa, y: GenDfa) -> tuple[bool, Term | None]:
     """Language inclusion with a shortest separating term on failure.
 
     BFS over the product finds the shortest word accepted by x but not by
-    y; ground terms are compared as sets.
+    y.
     """
     alphabet = _require_same_alphabet(x, y)
     start = (x.start, y.start)
@@ -290,15 +281,7 @@ def dfa_subset(x: GenDfa, y: GenDfa) -> tuple[bool, Term | None]:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, word + (sym,)))
-    extra_ground = x.ground_terms - y.ground_terms
-    if extra_ground:
-        witness = sorted(extra_ground)[0]
-        return False, Const(witness)
     return True, None
-
-
-def dfa_equivalent(x: GenDfa, y: GenDfa) -> bool:
-    return dfa_subset(x, y)[0] and dfa_subset(y, x)[0]
 
 
 _DOT_ID_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|[0-9]+)$")

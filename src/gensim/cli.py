@@ -24,6 +24,7 @@ from .morphism import (
     verify_isomorphism_lemma,
 )
 from .similarity import (
+    FRAGMENT_CHOICES,
     QueryConfig,
     build_engine,
     check_reflexive,
@@ -246,7 +247,7 @@ def cmd_charset(args) -> int:
 
 def cmd_clone(args) -> int:
     algebra = _load_algebra(args.algebra)
-    clone = polynomial_clone(algebra)
+    clone = polynomial_clone(algebra, args.cap)
     payload = {
         "algebra": algebra.name,
         "polynomials": [
@@ -285,7 +286,7 @@ def cmd_morphism(args) -> int:
         )
         return 0 if ok else 1
     if args.verify == "iso-lemma":
-        report = verify_isomorphism_lemma(emap, config)
+        report = verify_isomorphism_lemma(emap)
         _emit(
             args,
             report.to_dict(),
@@ -381,20 +382,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gensim",
         description="Decide generalization-based similarity on finite algebras.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    # Each subcommand takes only the options it reads: the output format,
+    # the saturation cap of its closures, and the engine selection.
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("text", "json"), default="text")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--cap", type=int, default=200_000, help="saturation size cap")
+    engine = argparse.ArgumentParser(add_help=False, parents=[cap])
+    engine.add_argument(
         "--fragment",
-        choices=("auto", "unary", "linear", "monolinear", "general"),
+        choices=FRAGMENT_CHOICES,
         default="auto",
         help="term fragment / engine selection (default: auto)",
     )
-    common.add_argument("--max-vars", type=int, default=2, help="K for the general engine")
-    common.add_argument("--cap", type=int, default=200_000, help="saturation size cap")
-    common.add_argument("--format", choices=("text", "json", "dot"), default="text")
+    engine.add_argument("--max-vars", type=int, default=2, help="K for the general engine")
+    common = [engine, fmt]
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=[common], help="decide a <~ b or a ~~ b")
+    p = sub.add_parser("check", parents=common, help="decide a <~ b or a ~~ b")
     p.add_argument("--left", required=True, help="left .alg file")
     p.add_argument("--right", help="right .alg file (default: left)")
     p.add_argument("--a", required=True, help="left element")
@@ -402,20 +408,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relation", choices=("leq", "approx"), default="leq")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("matrix", parents=[common], help="all pairwise verdicts")
+    p = sub.add_parser("matrix", parents=common, help="all pairwise verdicts")
     p.add_argument("--left", required=True)
     p.add_argument("--right")
     p.set_defaults(func=cmd_matrix)
 
-    p = sub.add_parser(
-        "genlang", parents=[common], help="generalization language of an element"
-    )
+    p = sub.add_parser("genlang", help="generalization language of an element")
     p.add_argument("--algebra", required=True)
     p.add_argument("--element", required=True)
+    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
     p.set_defaults(func=cmd_genlang)
 
     p = sub.add_parser(
-        "charset", parents=[common], help="minimum characteristic generalization set"
+        "charset", parents=common, help="minimum characteristic generalization set"
     )
     p.add_argument("--left", required=True)
     p.add_argument("--right")
@@ -425,12 +430,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_charset)
 
     p = sub.add_parser(
-        "clone", parents=[common], help="unary polynomial clone report"
+        "clone", parents=[cap, fmt], help="unary polynomial clone report"
     )
     p.add_argument("--algebra", required=True)
     p.set_defaults(func=cmd_clone)
 
-    p = sub.add_parser("morphism", parents=[common], help="verify an element map")
+    p = sub.add_parser("morphism", parents=common, help="verify an element map")
     p.add_argument("--map", required=True, help=".map file")
     p.add_argument("--map2", help="second .map file for --verify sit")
     p.add_argument(
@@ -444,14 +449,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_morphism)
 
     p = sub.add_parser(
-        "reflexivity", parents=[common], help="self-similarity over shared names"
+        "reflexivity", parents=common, help="self-similarity over shared names"
     )
     p.add_argument("--left", required=True)
     p.add_argument("--right")
     p.set_defaults(func=cmd_reflexivity)
 
     p = sub.add_parser(
-        "transitivity", parents=[common], help="exhaustive transitivity check"
+        "transitivity", parents=common, help="exhaustive transitivity check"
     )
     p.add_argument("--left", required=True, help="single algebra, or first of three")
     p.add_argument("--mid", help="middle algebra of a triple")
@@ -460,7 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_transitivity)
 
     p = sub.add_parser(
-        "examples", parents=[common], help="run the bundled example corpus"
+        "examples", parents=[fmt], help="run the bundled example corpus"
     )
     p.set_defaults(func=cmd_examples)
 

@@ -28,36 +28,12 @@ from .similarity import (
 from .terms import App, Const, Var, range_of_term, render_term
 
 
-FIXTURE_NAMES = (
-    "chain5.alg",
-    "chain4_a.alg",
-    "chain4_b.alg",
-    "nat_sink7.alg",
-    "triple_a.alg",
-    "triple_b.alg",
-    "triple_c.alg",
-    "triple_d.alg",
-    "merge_src.alg",
-    "merge_tgt.alg",
-    "unary_fg.alg",
-)
-
-
 def fixture_text(filename: str) -> str:
     return (resources.files("gensim") / "fixtures" / filename).read_text()
 
 
 def load_fixture(filename: str) -> Algebra:
     return parse_algebra(fixture_text(filename))
-
-
-def load_all_fixtures() -> dict[str, Algebra]:
-    """All bundled algebras, keyed by their declared names."""
-    out: dict[str, Algebra] = {}
-    for filename in FIXTURE_NAMES:
-        algebra = load_fixture(filename)
-        out[algebra.name] = algebra
-    return out
 
 
 def load_merge_map():

@@ -55,12 +55,13 @@ def _linear_app(sym: str):
     return build
 
 
-def reachable_profiles(pair: AlgebraPair) -> list[Profile]:
+def reachable_profiles(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
     """Least closed family of range pairs, minimal witness per pair.
 
     Explored in witness order (depth, size, spelling with variables last),
     so the first witness reaching a range pair is kept.  Terminates because
-    profiles live in 2^A x 2^B.
+    profiles live in 2^A x 2^B; raises ``SaturationCapError`` when more than
+    ``cap`` range pairs are accepted.
     """
     sig = pair.left.signature
     seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
@@ -69,4 +70,4 @@ def reachable_profiles(pair: AlgebraPair) -> list[Profile]:
         (arity, _range_lift(pair.left, sym), _range_lift(pair.right, sym), _linear_app(sym))
         for sym, arity in sig.operations
     ]
-    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig))
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)

@@ -100,12 +100,14 @@ def paired_clone(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
     )
 
 
-def polynomial_clone(algebra: Algebra) -> list[UnaryPolynomial]:
-    """All unary functions induced by monolinear terms, minimal witnesses."""
+def polynomial_clone(algebra: Algebra, cap: int | None = None) -> list[UnaryPolynomial]:
+    """All unary functions induced by monolinear terms, minimal witnesses.
+    Raises ``SaturationCapError`` when more than ``cap`` functions are
+    accepted."""
     sig = algebra.signature
     seeds = [(algebra.carrier, algebra.carrier, Var(1))]
     tables = least_witness_closure(
-        seeds, _plug_rules(self_pair(algebra), _plug_table), lambda t: witness_key(t, sig)
+        seeds, _plug_rules(self_pair(algebra), _plug_table), lambda t: witness_key(t, sig), cap
     )
     return [UnaryPolynomial(p.left, p.witness) for p in tables]
 

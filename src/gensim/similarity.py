@@ -82,9 +82,9 @@ class Engine:
 
 
 class LinearEngine(Engine):
-    def __init__(self, pair: AlgebraPair):
+    def __init__(self, pair: AlgebraPair, cap: int | None = None):
         label = EXACT if pair.left.signature.is_unary() else LINEAR_FRAGMENT
-        super().__init__(pair, label, reachable_profiles(pair))
+        super().__init__(pair, label, reachable_profiles(pair, cap))
 
 
 class UnaryEngine(Engine):
@@ -94,12 +94,12 @@ class UnaryEngine(Engine):
     terms such as ``f(c)`` included, are the linear rows: exact.
     """
 
-    def __init__(self, pair: AlgebraPair):
+    def __init__(self, pair: AlgebraPair, cap: int | None = None):
         if not pair.left.signature.is_unary():
             raise automata.NonUnaryError(
                 "the unary engine requires an all-unary signature"
             )
-        super().__init__(pair, EXACT, reachable_profiles(pair))
+        super().__init__(pair, EXACT, reachable_profiles(pair, cap))
 
 
 class MonolinearEngine(Engine):
@@ -130,12 +130,21 @@ def build_engine(pair: AlgebraPair, config: QueryConfig | None = None) -> Engine
     if fragment == "auto":
         fragment = "unary" if pair.left.signature.is_unary() else "linear"
     if fragment == "unary":
-        return UnaryEngine(pair)
+        return UnaryEngine(pair, config.cap)
     if fragment == "linear":
-        return LinearEngine(pair)
+        return LinearEngine(pair, config.cap)
     if fragment == "monolinear":
         return MonolinearEngine(pair, config.cap)
     return GeneralEngine(pair, config.max_vars, config.cap)
+
+
+def build_engines(pair: AlgebraPair, config: QueryConfig | None = None) -> tuple[Engine, Engine]:
+    """The engines of the pair and of its swap; a self pair's engine is its
+    own reverse, so it is built once."""
+    engine = build_engine(pair, config)
+    if pair.left is pair.right:
+        return engine, engine
+    return engine, build_engine(pair.swapped(), config)
 
 
 def _admissible_competitors(pair: AlgebraPair, a: str, b: str) -> list[str]:
@@ -182,9 +191,12 @@ def decide_approx(
     reverse_engine: Engine | None = None,
 ) -> Verdict:
     """g-similarity: both directed maximality checks."""
+    engine = engine or build_engine(pair, config)
     forward = decide_leq(pair, a, b, config, engine)
     if not forward.holds:
         return _with_direction(forward, (pair.left.name, pair.right.name))
+    if reverse_engine is None and pair.left is pair.right:
+        reverse_engine = engine
     backward = decide_leq(pair.swapped(), b, a, config, reverse_engine)
     if not backward.holds:
         return _with_direction(backward, (pair.right.name, pair.left.name))
@@ -204,13 +216,16 @@ def _with_direction(failing: Verdict, direction: tuple[str, str]) -> Verdict:
 
 def decide_algebra_leq(pair: AlgebraPair, config: QueryConfig | None = None) -> Verdict:
     """Every left element must have a g-similar partner on the right."""
+    return _partners(pair, *build_engines(pair, config))
+
+
+def _partners(pair: AlgebraPair, engine: Engine, reverse: Engine) -> Verdict:
+    """decide_algebra_leq over the engines of the pair and of its swap."""
     swapped = pair.swapped()
-    engine = build_engine(pair, config)
-    reverse = build_engine(swapped, config)
     for a in pair.left.carrier:
         if not any(
-            decide_leq(pair, a, b, config, engine).holds
-            and decide_leq(swapped, b, a, config, reverse).holds
+            decide_leq(pair, a, b, engine=engine).holds
+            and decide_leq(swapped, b, a, engine=reverse).holds
             for b in pair.right.carrier
         ):
             return Verdict(
@@ -220,10 +235,11 @@ def decide_algebra_leq(pair: AlgebraPair, config: QueryConfig | None = None) -> 
 
 
 def decide_algebra_approx(pair: AlgebraPair, config: QueryConfig | None = None) -> Verdict:
-    forward = decide_algebra_leq(pair, config)
+    engine, reverse = build_engines(pair, config)
+    forward = _partners(pair, engine, reverse)
     if not forward.holds:
         return forward
-    backward = decide_algebra_leq(pair.swapped(), config)
+    backward = _partners(pair.swapped(), reverse, engine)
     if not backward.holds:
         cert = Certificate(
             MISSING_PARTNER,
@@ -308,8 +324,7 @@ class SimilarityMatrix:
 def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> SimilarityMatrix:
     """All pairwise directed and symmetric verdicts, declaration order."""
     swapped = pair.swapped()
-    engine = build_engine(pair, config)
-    reverse = build_engine(swapped, config)
+    engine, reverse = build_engines(pair, config)
     forward_dir = (pair.left.name, pair.right.name)
     backward_dir = (pair.right.name, pair.left.name)
     leq, geq, approx = {}, {}, {}
@@ -404,8 +419,7 @@ class ReflexivityReport:
 def check_reflexive(pair: AlgebraPair, config: QueryConfig | None = None) -> ReflexivityReport:
     """Test a <~ a in both directions over the shared-name overlap."""
     swapped = pair.swapped()
-    engine = build_engine(pair, config)
-    reverse = build_engine(swapped, config)
+    engine, reverse = build_engines(pair, config)
     violations = []
     for a in pair.overlap:
         forward = decide_leq(pair, a, a, config, engine)

@@ -266,26 +266,6 @@ def _symbol_ranks(signature: Signature) -> tuple[dict[str, int], dict[str, int]]
     return op_rank, const_rank
 
 
-def enumeration_key(term: Term, signature: Signature):
-    """Deterministic enumeration order: depth, size, then spelling with
-    variables ordered before constants."""
-    op_rank, const_rank = _symbol_ranks(signature)
-    spelling: list[tuple[int, int]] = []
-
-    def walk(t: Term):
-        if isinstance(t, Var):
-            spelling.append((0, t.index))
-        elif isinstance(t, Const):
-            spelling.append((2, const_rank.get(t.name, len(const_rank))))
-        else:
-            spelling.append((1, op_rank.get(t.op, len(op_rank))))
-            for a in t.args:
-                walk(a)
-
-    walk(term)
-    return (term_depth(term), term_size(term), tuple(spelling))
-
-
 def witness_key(term: Term, signature: Signature):
     """Witness tie-break order: depth, size, then spelling with variables
     ordered last.  Used to pick minimal certificate terms.
@@ -314,6 +294,18 @@ def witness_key(term: Term, signature: Signature):
         else:
             spelling.append((1, const_rank.get(t.name, len(const_rank))))
     return (depth, len(spelling), tuple(spelling))
+
+
+# witness_key's spelling tags (operation 0, constant 1, variable 2) moved to
+# enumeration order (variable 0, operation 1, constant 2).
+_ENUMERATION_TAG = (1, 2, 0)
+
+
+def enumeration_key(term: Term, signature: Signature):
+    """Deterministic enumeration order: depth, size, then spelling with
+    variables ordered before constants."""
+    depth, size, spelling = witness_key(term, signature)
+    return (depth, size, tuple((_ENUMERATION_TAG[tag], rank) for tag, rank in spelling))
 
 
 def _shapes(

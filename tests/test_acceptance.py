@@ -80,10 +80,11 @@ def test_criterion_02_chain_gen_languages():
         return automata.GenDfa(("f",), 1, 0, frozenset({0}), ((0,),))
 
     expected = {"a": "eps", "b": "eps_f", "c": "star", "d": "star", "e": "star"}
+    def same_language(x, y):
+        return automata.dfa_subset(x, y)[0] and automata.dfa_subset(y, x)[0]
+
     ok = all(
-        automata.dfa_equivalent(
-            automata.gen_language(chain5, element), expected_dfa(kind)
-        )
+        same_language(automata.gen_language(chain5, element), expected_dfa(kind))
         for element, kind in expected.items()
     )
     report(2, "chain languages are {eps}, {eps,f}, f*, f*, f*", ok)

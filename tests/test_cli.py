@@ -103,6 +103,58 @@ def test_monolinear_cap_exits_2(capsys, tmp_path):
     assert "error:" in err and "cap of 100" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b",
+     "--fragment", "linear", "--cap", "1"),
+    ("clone", "--algebra", fixture_path("chain5.alg"), "--cap", "1"),
+])
+def test_cap_bounds_linear_and_clone(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "error:" in err and "cap of 1 " in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("genlang", "--algebra", fixture_path("chain5.alg"), "--element", "a",
+     "--fragment", "general"),
+    ("check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b",
+     "--format", "dot"),
+    ("clone", "--algebra", fixture_path("chain5.alg"), "--max-vars", "3"),
+    ("examples", "--cap", "5"),
+])
+def test_subcommands_reject_options_they_do_not_read(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err or "invalid choice" in err
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (("matrix", "--left", fixture_path("chain5.alg")), 1),
+    (("matrix", "--left", fixture_path("chain4_a.alg"),
+      "--right", fixture_path("chain4_b.alg")), 2),
+    (("check", "--left", fixture_path("chain5.alg"), "--a", "c", "--b", "d",
+      "--relation", "approx"), 1),
+    (("check", "--left", fixture_path("chain4_a.alg"), "--right", fixture_path("chain4_b.alg"),
+      "--a", "0", "--b", "1", "--relation", "approx"), 2),
+])
+def test_self_pair_builds_one_engine(monkeypatch, capsys, argv, builds):
+    from gensim import similarity
+
+    plain = run(capsys, *argv)
+    built = []
+    build_engine = similarity.build_engine
+
+    def counted(pair, config=None):
+        built.append(pair)
+        return build_engine(pair, config)
+
+    monkeypatch.setattr(similarity, "build_engine", counted)
+    assert run(capsys, *argv) == plain
+    assert len(built) == builds
+
+
 def test_unary_ground_term_dominates(capsys, tmp_path):
     # the ground term f(a) has range {b} in Swap and {a} in Fix, so it is in
     # Gen(b, a) but not in Gen(b, b)

@@ -93,7 +93,7 @@ def test_relabeled_copy_is_isomorphism(chain5):
     assert is_isomorphism(emap)
     report = verify_isomorphism_lemma(emap)
     assert report.certified
-    assert report.method == "dfa-equivalence"
+    assert report.method == "linear-profile-renaming"
     assert check_g_functor(emap).holds
 
 
@@ -106,6 +106,46 @@ def test_lemma_on_binary_signature(powerset3):
     report = verify_isomorphism_lemma(identity_map(powerset3))
     assert report.certified
     assert report.method == "linear-profile-renaming"
+
+
+FIXTURES = [
+    "chain5.alg", "chain4_a.alg", "chain4_b.alg", "nat_sink7.alg",
+    "triple_a.alg", "triple_b.alg", "triple_c.alg", "triple_d.alg",
+    "merge_src.alg", "merge_tgt.alg", "unary_fg.alg",
+]
+
+
+def lemma_maps(powerset3):
+    yield identity_map(powerset3)
+    for name in FIXTURES:
+        algebra = load_fixture(name)
+        yield identity_map(algebra)
+        yield relabeled_copy(random.Random(name), algebra)
+    for seed in range(30):
+        rng = random.Random(seed)
+        algebra = random_monounary_algebra(rng, rng.randint(1, 6), rng.randint(1, 3))
+        yield relabeled_copy(rng, algebra)
+    # f(c) is a ground term of b: it must count on both sides
+    swap = make_algebra("Swap", ["a", "b", "d"], {"f": {"a": "b", "b": "a", "d": "d"}},
+                        constants=["a"])
+    yield identity_map(swap)
+
+
+def test_lemma_certifies_isomorphisms(powerset3):
+    for emap in lemma_maps(powerset3):
+        report = verify_isomorphism_lemma(emap)
+        assert report.certified, emap.name
+        assert report.method == "linear-profile-renaming"
+
+
+def test_lemma_flags_a_bijection_that_is_no_homomorphism(monkeypatch, chain5):
+    # a and b swapped: f(z1), with range {b, c, d, e}, generalizes b but
+    # not its image a, and not a but its image b
+    table = {e: e for e in chain5.carrier}
+    table["a"], table["b"] = "b", "a"
+    swap = ElementMap("swap", chain5, chain5, table)
+    monkeypatch.setattr(morphism, "is_isomorphism", lambda emap: True)
+    assert verify_isomorphism_lemma(swap).violations == ["a", "b"]
 
 
 def test_merge_map_is_not_g_functor(merge_map):
@@ -138,6 +178,7 @@ def test_g_functor_builds_two_engines(monkeypatch, merge_map, fragment):
         rng = random.Random(seed)
         table = {e: rng.choice(algebra.carrier) for e in algebra.carrier}
         maps.append(ElementMap(f"m{seed}", algebra, algebra, table))
+    # One engine per direction; a self map's pair needs one in all.
     builds = []
     build_engine = similarity.build_engine
 
@@ -148,11 +189,10 @@ def test_g_functor_builds_two_engines(monkeypatch, merge_map, fragment):
     for emap in maps:
         failing, expected = g_functor_by_element(emap, config)
         builds.clear()
-        for module in (morphism, similarity):
-            monkeypatch.setattr(module, "build_engine", counted)
+        monkeypatch.setattr(similarity, "build_engine", counted)
         verdict = check_g_functor(emap, config)
         monkeypatch.undo()
-        assert len(builds) == 2
+        assert len(builds) == (1 if emap.source is emap.target else 2)
         assert verdict.holds == expected.holds
         assert verdict.fragment_label == expected.fragment_label
         if failing is not None:

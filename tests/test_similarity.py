@@ -111,6 +111,25 @@ def test_algebra_level_relations(chain5, chain4_a, chain4_b):
         assert verdict.certificate.kind == "missing-partner"
 
 
+@pytest.mark.parametrize("driver", [decide_algebra_approx, decide_algebra_leq, check_reflexive])
+def test_drivers_build_one_engine_per_distinct_direction(
+    monkeypatch, driver, chain5, chain4_a, chain4_b
+):
+    from gensim import similarity
+
+    built = []
+
+    def counted(pair, config=None):
+        built.append(pair)
+        return build_engine(pair, config)
+
+    monkeypatch.setattr(similarity, "build_engine", counted)
+    for pair, builds in ((self_pair(chain5), 1), (validate_pair(chain4_a, chain4_b), 2)):
+        built.clear()
+        driver(pair)
+        assert len(built) == builds
+
+
 def test_matrix_text_render(chain5_pair):
     text = similarity_matrix(chain5_pair).render_text()
     assert "~~" in text and "<~" in text

@@ -223,6 +223,27 @@ def recursive_witness_key(term, signature):
     return (term_depth(term), term_size(term), tuple(spelling))
 
 
+def recursive_enumeration_key(term, signature):
+    """The recursive definition: depth, size, then the preorder spelling
+    with variables first, operations next and constants last."""
+    op_rank = {sym: i for i, (sym, _) in enumerate(signature.operations)}
+    const_rank = {c: i for i, c in enumerate(signature.constant_symbols)}
+    spelling = []
+
+    def walk(t):
+        if isinstance(t, Var):
+            spelling.append((0, t.index))
+        elif isinstance(t, Const):
+            spelling.append((2, const_rank.get(t.name, len(const_rank))))
+        else:
+            spelling.append((1, op_rank.get(t.op, len(op_rank))))
+            for a in t.args:
+                walk(a)
+
+    walk(term)
+    return (term_depth(term), term_size(term), tuple(spelling))
+
+
 def recursive_render(term):
     if isinstance(term, Var):
         return f"z{term.index}"
@@ -238,6 +259,12 @@ def test_witness_key_and_render_match_recursive_definitions():
     for term in terms:
         assert witness_key(term, signature) == recursive_witness_key(term, signature)
         assert render_term(term) == recursive_render(term)
+
+
+def test_enumeration_key_matches_recursive_definition():
+    signature = Signature((("f", 1), ("g", 2), ("h", 3)), ("a", "b"))
+    for term in enumerate_terms(signature, 3, 3, "general", max_size=6):
+        assert enumeration_key(term, signature) == recursive_enumeration_key(term, signature)
 
 
 def test_deep_terms_render_and_key():
