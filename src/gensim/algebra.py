@@ -79,13 +79,13 @@ class Signature:
 
 @dataclass(frozen=True)
 class Algebra:
-    """A named finite algebra: carrier, total operation tables, constants."""
+    """A named finite algebra: carrier, signature (its constant symbols
+    name carrier elements) and total operation tables."""
 
     name: str
     carrier: tuple[str, ...]
     signature: Signature
     tables: Mapping[str, Mapping[tuple[str, ...], str]]
-    constants: frozenset[str]
 
     def __post_init__(self):
         if not self.carrier:
@@ -125,14 +125,9 @@ class Algebra:
                         f"algebra {self.name!r}: {sym}({', '.join(tup)}) -> {out!r} "
                         "is outside the carrier"
                     )
-        for c in self.constants:
-            if c not in elements:
-                raise AlgebraError(f"algebra {self.name!r}: constant {c!r} not in carrier")
         for c in self.signature.constant_symbols:
             if c not in elements:
-                raise AlgebraError(
-                    f"algebra {self.name!r}: constant symbol {c!r} names no carrier element"
-                )
+                raise AlgebraError(f"algebra {self.name!r}: constant {c!r} not in carrier")
 
     def apply(self, sym: str, args: Iterable[str]) -> str:
         return self.tables[sym][tuple(args)]
@@ -199,7 +194,7 @@ def make_algebra(
     else:
         const_tuple = tuple(constants)
     sig = Signature(tuple(sig_ops), const_tuple)
-    return Algebra(name, carrier, sig, norm_tables, frozenset(const_tuple))
+    return Algebra(name, carrier, sig, norm_tables)
 
 
 def _strip_comment(line: str) -> str:
@@ -319,7 +314,7 @@ def parse_algebra(text: str) -> Algebra:
         raise AlgebraParseError("missing 'constants' line")
 
     sig = Signature(tuple(sig_ops), constants)
-    return Algebra(name, carrier, sig, tables, frozenset(constants))
+    return Algebra(name, carrier, sig, tables)
 
 
 def render_algebra(algebra: Algebra) -> str:

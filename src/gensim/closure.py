@@ -1,6 +1,5 @@
 """The least-witness closure shared by the linear, monolinear and general
-engines, and the bitmask index that answers subset and maximality queries
-over its result.
+engines.
 
 Each engine explores a least family of profiles closed under lifted
 operations, and keeps for each profile the first witness term that reaches
@@ -11,6 +10,10 @@ the combinations that use it are lifted.  The new item sits at some
 position j, older items fill the positions before j and any accepted item
 fills those after j, so every combination containing the new item is built
 exactly once.
+
+The linear and monolinear profiles are range pairs; the general engine
+projects its function pairs to range pairs.  ``similarity.Engine`` indexes
+those rows for subset and maximality queries.
 """
 
 from __future__ import annotations
@@ -33,12 +36,12 @@ class Profile(NamedTuple):
 
 
 class SaturationCapError(AlgebraError):
-    def __init__(self, cap: int):
+    def __init__(self, cap: int, message: str | None = None):
         self.cap = cap
-        super().__init__(
+        super().__init__(message or (
             f"profile saturation exceeded the cap of {cap} profiles; "
             "raise the cap, or lower K for the general engine"
-        )
+        ))
 
 
 def least_witness_closure(seeds, rules, key, cap: int | None = None) -> list[Profile]:
@@ -83,71 +86,3 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None) -> list[Pro
                     if profile not in accepted:
                         push(*profile, build(witnesses))
     return items
-
-
-def _mask(ids: list[int]) -> int:
-    """The int with bits ``ids`` set, built in one pass: OR-ing bits into a
-    growing int one at a time would copy it once per bit."""
-    buf = bytearray(ids[-1] // 8 + 1 if ids else 0)
-    for i in ids:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
-
-
-class RowIndex:
-    """Bitmask index over ``(left, right, witness)`` rows in witness order.
-
-    Row i is bit i: ``_left[a]`` holds the rows with ``a`` on the left and
-    ``_right[b]`` those with ``b`` on the right, so the rows of Gen(a,b) are
-    ``_left[a] & _right[b]`` and its first row in witness order is the
-    lowest set bit.
-    """
-
-    def __init__(self, rows, right_carrier):
-        self._witnesses: list[Term] = []
-        left_rows: dict = {}
-        right_rows: dict = {e: [] for e in right_carrier}
-        for i, (left, right, witness) in enumerate(rows):
-            self._witnesses.append(witness)
-            for e in set(left):
-                left_rows.setdefault(e, []).append(i)
-            for e in set(right):
-                right_rows[e].append(i)
-        self._left = {e: _mask(ids) for e, ids in left_rows.items()}
-        self._right = {e: _mask(ids) for e, ids in right_rows.items()}
-        self._dominators: dict = {}
-
-    def _first(self, mask: int) -> Term:
-        return self._witnesses[(mask & -mask).bit_length() - 1]
-
-    def _gen(self, a: str, b: str) -> int:
-        """The rows of Gen(a,b)."""
-        return self._left.get(a, 0) & self._right[b]
-
-    def separator(self, a: str, b: str, b_prime: str) -> Term | None:
-        """Witness of the first row in Gen(a,b) but not Gen(a,b'), or None:
-        Gen(a,b) is then a subset of Gen(a,b')."""
-        rest = self._gen(a, b) & ~self._right[b_prime]
-        return self._first(rest) if rest else None
-
-    def dominator(self, a: str, b: str) -> tuple[str, Term] | None:
-        """The first competitor b' in right-carrier order whose Gen(a,b')
-        strictly contains Gen(a,b), with the first row of the difference;
-        None when Gen(a,b) is maximal.
-
-        A competitor named ``a`` is skipped.  The answer is memoized per
-        (a, Gen(a,b)): for a fixed ``a`` the competitors of different b
-        differ only in b itself, which never strictly contains its own set.
-        """
-        mask = self._gen(a, b)
-        key = (a, mask)
-        if key not in self._dominators:
-            found = None
-            left = self._left.get(a, 0)
-            for b_prime, right in self._right.items():
-                other = left & right
-                if other != mask and mask & ~other == 0 and b_prime != a:
-                    found = (b_prime, self._first(other & ~mask))
-                    break
-            self._dominators[key] = found
-        return self._dominators[key]

@@ -56,11 +56,19 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = 200_000) -> list[Pro
 
     The theoretical profile space is doubly exponential, so feasibility is
     enforced as a runtime cap on the number of accepted profiles rather
-    than a priori.
+    than a priori.  A K for which |A|^K or |B|^K exceeds the cap is
+    refused before the assignments are listed.
     """
     if k < 1:
         raise AlgebraError("K must be >= 1")
     left_alg, right_alg = pair.left, pair.right
+    for algebra in (left_alg, right_alg):
+        if len(algebra.carrier) ** k > cap:
+            raise SaturationCapError(cap, (
+                f"K = {k} needs {len(algebra.carrier)}^{k} assignments over "
+                f"{algebra.name!r}, more than the cap of {cap}; "
+                "lower K (--max-vars) or raise --cap"
+            ))
     sig = left_alg.signature
     left_assignments = list(product(range(len(left_alg.carrier)), repeat=k))
     right_assignments = list(product(range(len(right_alg.carrier)), repeat=k))

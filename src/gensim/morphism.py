@@ -262,7 +262,7 @@ def random_monounary_algebra(rng: random.Random, size: int, n_ops: int = 1, name
     tables = {
         sym: {(e,): rng.choice(carrier) for e in carrier} for sym, _ in ops
     }
-    return Algebra(name, carrier, Signature(ops, ()), tables, frozenset())
+    return Algebra(name, carrier, Signature(ops, ()), tables)
 
 
 def relabeled_copy(rng: random.Random, algebra: Algebra, prefix: str = "r_") -> ElementMap:
@@ -283,7 +283,5 @@ def relabeled_copy(rng: random.Random, algebra: Algebra, prefix: str = "r_") -> 
         }
         for sym, _ in algebra.signature.operations
     }
-    copy = Algebra(
-        f"{prefix}{algebra.name}", carrier, algebra.signature, tables, frozenset()
-    )
+    copy = Algebra(f"{prefix}{algebra.name}", carrier, algebra.signature, tables)
     return ElementMap(f"relabel_{algebra.name}", algebra, copy, rename)

@@ -14,11 +14,10 @@ from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, validate_pair
 from . import automata
-from .closure import RowIndex
 from .general import exactness_label, saturate_profiles
 from .linear import reachable_profiles
 from .monolinear import paired_clone
-from .terms import Term, canonicalize, render_term, term_size
+from .terms import Term, render_term, term_size
 from .verdict import (
     Certificate,
     DOMINATING_ELEMENT,
@@ -45,21 +44,52 @@ class QueryConfig:
             raise AlgebraError("bounds must be positive")
 
 
-class Engine:
-    """Subset-query adapter over one pair; built once, queried many times.
+def _mask(ids: list[int]) -> int:
+    """The int with bits ``ids`` set, built in one pass: OR-ing bits into a
+    growing int one at a time would copy it once per bit."""
+    buf = bytearray(ids[-1] // 8 + 1 if ids else 0)
+    for i in ids:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
 
-    An engine holds its pair's semantic term classes as (left range, right
-    range, witness) in witness order, and answers subset and maximality
-    queries from a bitmask index over them.
+
+class Engine:
+    """Subset and maximality queries over one pair, built once.
+
+    An engine holds its pair's term classes as rows (left range, right
+    range, witness): distinct range pairs in witness order, each with its
+    minimal witness.  Row i is bit i: ``_left[a]`` holds the rows with
+    ``a`` on the left and ``_right[b]`` those with ``b`` on the right, so
+    the rows of Gen(a,b) are ``_left[a] & _right[b]`` and its first row in
+    witness order is the lowest set bit.
     """
 
-    def __init__(self, pair: AlgebraPair, label: str, classes, evidence=None):
+    def __init__(self, pair: AlgebraPair, label: str, rows):
         self.pair = pair
         self.label = label
-        self._classes = classes
-        # Rows the index returns its evidence from: the classes, unless the
-        # engine certifies with another spelling of each witness.
-        self._index = RowIndex(classes if evidence is None else evidence, pair.right.carrier)
+        self._classes = rows
+        left_rows: dict = {}
+        right_rows: dict = {e: [] for e in pair.right.carrier}
+        for i, (left, right, _) in enumerate(rows):
+            for e in left:
+                left_rows.setdefault(e, []).append(i)
+            for e in right:
+                right_rows[e].append(i)
+        self._left = {e: _mask(ids) for e, ids in left_rows.items()}
+        self._right = {e: _mask(ids) for e, ids in right_rows.items()}
+        self._dominators: dict = {}
+
+    def _first(self, mask: int) -> Term:
+        return self._classes[(mask & -mask).bit_length() - 1][2]
+
+    def _gen(self, a: str, b: str) -> int:
+        """The rows of Gen(a,b)."""
+        return self._left.get(a, 0) & self._right[b]
+
+    def competitors(self, a: str, b: str) -> list[str]:
+        """The admissible competitors b' of (a, b), in right-carrier order:
+        every right element except b, and except a when a names one."""
+        return [e for e in self.pair.right.carrier if e != b and e != a]
 
     def subset(self, a: str, b: str, b_prime: str) -> tuple[bool, Term | None]:
         """Decide Gen(a,b) subset-of Gen(a,b'); on failure, return a
@@ -67,14 +97,30 @@ class Engine:
         self.pair.left.require_element(a)
         self.pair.right.require_element(b)
         self.pair.right.require_element(b_prime)
-        witness = self._index.separator(a, b, b_prime)
-        return witness is None, witness
+        rest = self._gen(a, b) & ~self._right[b_prime]
+        return (False, self._first(rest)) if rest else (True, None)
 
     def dominator(self, a: str, b: str) -> tuple[str, Term] | None:
         """The first admissible competitor b' whose Gen(a,b') strictly
-        contains Gen(a,b), with a minimal term of the difference; None when
-        a <~ b.  The caller checks the names."""
-        return self._index.dominator(a, b)
+        contains Gen(a,b), with the first row of the difference; None when
+        a <~ b.  The caller checks the names.
+
+        The answer is memoized per (a, Gen(a,b)): for a fixed ``a`` the
+        competitors of different b differ only in b itself, which never
+        strictly contains its own set.
+        """
+        mask = self._gen(a, b)
+        key = (a, mask)
+        if key not in self._dominators:
+            found = None
+            left = self._left.get(a, 0)
+            for b_prime in self.competitors(a, b):
+                other = left & self._right[b_prime]
+                if other != mask and mask & ~other == 0:
+                    found = (b_prime, self._first(other & ~mask))
+                    break
+            self._dominators[key] = found
+        return self._dominators[key]
 
     def classes(self) -> list[tuple[frozenset[str], frozenset[str], Term]]:
         """Semantic term classes as (left range, right range, witness)."""
@@ -82,24 +128,17 @@ class Engine:
 
 
 class LinearEngine(Engine):
+    """The linear range pairs; exact on unary signatures, where every term,
+    ground terms such as ``f(c)`` included, is linear."""
+
     def __init__(self, pair: AlgebraPair, cap: int | None = None):
         label = EXACT if pair.left.signature.is_unary() else LINEAR_FRAGMENT
         super().__init__(pair, label, reachable_profiles(pair, cap))
 
 
-class UnaryEngine(Engine):
-    """The linear engine, limited to unary signatures.
-
-    Every unary term is linear, so the range pairs of all terms, ground
-    terms such as ``f(c)`` included, are the linear rows: exact.
-    """
-
-    def __init__(self, pair: AlgebraPair, cap: int | None = None):
-        if not pair.left.signature.is_unary():
-            raise automata.NonUnaryError(
-                "the unary engine requires an all-unary signature"
-            )
-        super().__init__(pair, EXACT, reachable_profiles(pair, cap))
+# The unary fragment builds LinearEngine; bench/tracing.py patches each
+# engine class by name, UnaryEngine too (ROADMAP item 1).
+UnaryEngine = LinearEngine
 
 
 class MonolinearEngine(Engine):
@@ -110,28 +149,23 @@ class MonolinearEngine(Engine):
 class GeneralEngine(Engine):
     def __init__(self, pair: AlgebraPair, k: int, cap: int):
         left_names, right_names = pair.left.carrier, pair.right.carrier
-        classes = [
-            (
-                frozenset(left_names[i] for i in set(p.left)),
-                frozenset(right_names[i] for i in set(p.right)),
-                p.witness,
-            )
-            for p in saturate_profiles(pair, k, cap=cap)
-        ]
-        # Witnesses share the variables z1..zK; evidence is renumbered by
-        # first occurrence, classes keep the raw spelling.
-        evidence = [(left, right, canonicalize(w)) for left, right, w in classes]
-        super().__init__(pair, exactness_label(pair, k), classes, evidence)
+        # The first witness of each range pair is canonical: renumbering
+        # its variables keeps its ranges and gives a key no larger.
+        witnesses: dict = {}
+        for p in saturate_profiles(pair, k, cap=cap):
+            left = frozenset(left_names[i] for i in set(p.left))
+            right = frozenset(right_names[i] for i in set(p.right))
+            witnesses.setdefault((left, right), p.witness)
+        rows = [(left, right, w) for (left, right), w in witnesses.items()]
+        super().__init__(pair, exactness_label(pair, k), rows)
 
 
 def build_engine(pair: AlgebraPair, config: QueryConfig | None = None) -> Engine:
     config = config or QueryConfig()
     fragment = config.fragment
-    if fragment == "auto":
-        fragment = "unary" if pair.left.signature.is_unary() else "linear"
-    if fragment == "unary":
-        return UnaryEngine(pair, config.cap)
-    if fragment == "linear":
+    if fragment == "unary" and not pair.left.signature.is_unary():
+        raise automata.NonUnaryError("the unary engine requires an all-unary signature")
+    if fragment in ("auto", "unary", "linear"):
         return LinearEngine(pair, config.cap)
     if fragment == "monolinear":
         return MonolinearEngine(pair, config.cap)
@@ -145,15 +179,6 @@ def build_engines(pair: AlgebraPair, config: QueryConfig | None = None) -> tuple
     if pair.left is pair.right:
         return engine, engine
     return engine, build_engine(pair.swapped(), config)
-
-
-def _admissible_competitors(pair: AlgebraPair, a: str, b: str) -> list[str]:
-    a_in_right = a in pair.right.carrier
-    return [
-        b_prime
-        for b_prime in pair.right.carrier
-        if b_prime != b and not (a_in_right and b_prime == a)
-    ]
 
 
 def decide_leq(
@@ -357,8 +382,8 @@ def find_characteristic_set(
     """Minimum set of shared generalizations pinning b down uniquely.
 
     Conditions: every member generalizes a (left) and b (right), and no
-    admissible competitor b' (b' != b, and b' != a by name) lies in the
-    intersection of the right-hand ranges.  The search space is the
+    competitor b' of ``Engine.competitors`` lies in the intersection of the
+    right-hand ranges.  The search space is the
     semantic classes of the selected fragment, so exhaustion claims are
     fragment-relative.
     """
@@ -371,7 +396,7 @@ def find_characteristic_set(
         for left, right, witness in engine.classes()
         if a in left and b in right
     ]
-    bad = set(_admissible_competitors(pair, a, b))
+    bad = set(engine.competitors(a, b))
     for size in range(1, max_size + 1):
         best: list[Term] | None = None
         best_key = None

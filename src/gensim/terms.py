@@ -85,10 +85,13 @@ def parse_term(text: str, signature: Signature | None = None) -> Term:
 
     Names matching ``z[0-9]+`` are variables; everything else is an
     operation (when followed by parentheses) or a constant.  Arities are
-    checked when a signature is supplied.
+    checked when a signature is supplied.  Iterative, like ``render_term``:
+    the stack holds the open applications, innermost last, each with the
+    arguments read so far.
     """
     tokens = _TOKEN_RE.findall(text)
     pos = 0
+    stack: list[tuple[str, list[Term]]] = []
 
     def peek() -> str | None:
         return tokens[pos] if pos < len(tokens) else None
@@ -101,33 +104,41 @@ def parse_term(text: str, signature: Signature | None = None) -> Term:
         pos += 1
         return tok
 
-    def parse_one() -> Term:
+    while True:
         tok = take()
         if tok in "(),":
             raise TermError(f"unexpected {tok!r} in {text!r}")
         if VARIABLE_RE.match(tok):
-            return Var(int(tok[1:]))
-        if peek() == "(":
+            term: Term = Var(int(tok[1:]))
+        elif peek() == "(":
             take()
-            args = [parse_one()]
-            while peek() == ",":
+            stack.append((tok, []))
+            continue
+        else:
+            if signature is not None and tok not in signature.constant_symbols:
+                if tok in signature.op_symbols:
+                    raise TermError(f"operation {tok!r} used without arguments")
+                raise TermError(f"unknown constant {tok!r}")
+            term = Const(tok)
+        # A finished term is an argument of the innermost open application:
+        # a comma opens the next argument, a ')' closes the application.
+        while stack:
+            op, args = stack[-1]
+            args.append(term)
+            if peek() == ",":
                 take()
-                args.append(parse_one())
+                break
             if take() != ")":
                 raise TermError(f"expected ')' in {text!r}")
-            if signature is not None and len(args) != signature.arity(tok):
+            stack.pop()
+            if signature is not None and len(args) != signature.arity(op):
                 raise TermError(
-                    f"{tok!r} applied to {len(args)} argument(s), "
-                    f"arity is {signature.arity(tok)}"
+                    f"{op!r} applied to {len(args)} argument(s), "
+                    f"arity is {signature.arity(op)}"
                 )
-            return App(tok, tuple(args))
-        if signature is not None and tok not in signature.constant_symbols:
-            if tok in signature.op_symbols:
-                raise TermError(f"operation {tok!r} used without arguments")
-            raise TermError(f"unknown constant {tok!r}")
-        return Const(tok)
-
-    term = parse_one()
+            term = App(op, tuple(args))
+        else:
+            break
     if pos != len(tokens):
         raise TermError(f"trailing input after term in {text!r}")
     return term
@@ -140,24 +151,27 @@ def term_depth(term: Term) -> int:
 
 
 def term_size(term: Term) -> int:
-    if isinstance(term, App):
-        return 1 + sum(term_size(a) for a in term.args)
-    return 1
+    size = 0
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        size += 1
+        if isinstance(t, App):
+            stack += t.args
+    return size
 
 
 def term_variables(term: Term) -> list[int]:
-    """Distinct variable indices in first-occurrence order."""
+    """Distinct variable indices in first-occurrence order (an iterative
+    preorder walk)."""
     out: list[int] = []
-
-    def walk(t: Term):
-        if isinstance(t, Var):
-            if t.index not in out:
-                out.append(t.index)
-        elif isinstance(t, App):
-            for a in t.args:
-                walk(a)
-
-    walk(term)
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack += reversed(t.args)
+        elif isinstance(t, Var) and t.index not in out:
+            out.append(t.index)
     return out
 
 
@@ -194,17 +208,33 @@ def shift_variables(term: Term, offset: int) -> Term:
 
 
 def eval_term(term: Term, algebra: Algebra, assignment: Mapping[int, str]) -> str:
-    """Bottom-up evaluation through the operation tables."""
-    if isinstance(term, Var):
-        if term.index not in assignment:
-            raise TermError(f"unbound variable z{term.index}")
-        return assignment[term.index]
-    if isinstance(term, Const):
-        if term.name not in algebra.carrier:
-            raise TermError(f"unknown constant {term.name!r} in {algebra.name!r}")
-        return term.name
-    args = tuple(eval_term(a, algebra, assignment) for a in term.args)
-    return algebra.apply(term.op, args)
+    """Bottom-up evaluation through the operation tables.
+
+    Iterative: ``values`` holds the values of finished subterms, and an
+    ``(op, arity)`` entry on the stack applies ``op`` to the last ``arity``
+    of them once its arguments, left to right, are done.
+    """
+    values: list[str] = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.append((t.op, len(t.args)))
+            stack += reversed(t.args)
+        elif isinstance(t, tuple):
+            op, arity = t
+            args = tuple(values[-arity:])
+            del values[-arity:]
+            values.append(algebra.apply(op, args))
+        elif isinstance(t, Var):
+            if t.index not in assignment:
+                raise TermError(f"unbound variable z{t.index}")
+            values.append(assignment[t.index])
+        else:
+            if t.name not in algebra.carrier:
+                raise TermError(f"unknown constant {t.name!r} in {algebra.name!r}")
+            values.append(t.name)
+    return values[0]
 
 
 def range_of_term(term: Term, algebra: Algebra) -> frozenset[str]:

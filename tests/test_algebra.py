@@ -33,7 +33,7 @@ def test_fixture_contents(chain5):
     assert chain5.carrier == ("a", "b", "c", "d", "e")
     assert chain5.signature.operations == (("f", 1),)
     assert chain5.apply("f", ("e",)) == "c"
-    assert chain5.constants == frozenset()
+    assert chain5.signature.constant_symbols == ()
 
 
 def test_parse_reports_line_numbers():

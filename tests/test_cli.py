@@ -114,6 +114,16 @@ def test_cap_bounds_linear_and_clone(capsys, argv):
     assert "error:" in err and "cap of 1 " in err
 
 
+def test_general_max_vars_beyond_cap_exits_2(capsys):
+    # 5^7 assignments exceed the cap: refused before any is listed
+    code, _, err = run(
+        capsys, "check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b",
+        "--fragment", "general", "--max-vars", "7", "--cap", "1000",
+    )
+    assert code == 2
+    assert "error:" in err and "K = 7" in err and "--cap" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("genlang", "--algebra", fixture_path("chain5.alg"), "--element", "a",
      "--fragment", "general"),
@@ -171,6 +181,9 @@ def test_unary_ground_term_dominates(capsys, tmp_path):
 def test_deep_chain_check(capsys, tmp_path):
     # successor chain e0 -> ... -> e1499, last element fixed: the evidence
     # term f^1301(z1) is 1,301 applications deep
+    from gensim.algebra import parse_algebra
+    from gensim.terms import parse_term, range_of_term
+
     n = 1500
     rows = "".join(f"  e{i} -> e{min(i + 1, n - 1)}\n" for i in range(n))
     chain = tmp_path / "chain.alg"
@@ -182,6 +195,12 @@ def test_deep_chain_check(capsys, tmp_path):
     assert code == 1
     assert "e1400 <~ e1300: fails [exact]" in out
     assert "element=e1301 term=" + "f(" * 1301 + "z1" + ")" * 1301 in out
+    # the printed certificate is re-checked by the range oracle
+    algebra = parse_algebra(chain.read_text())
+    term = parse_term(out.split("term=")[1].split()[0], algebra.signature)
+    generalized = range_of_term(term, algebra)
+    assert "e1400" in generalized and "e1301" in generalized
+    assert "e1300" not in generalized
 
 
 def test_missing_file_exits_2(capsys):

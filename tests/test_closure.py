@@ -4,7 +4,8 @@ The reference re-enumerates every combination of accepted items after each
 acceptance and keeps those that use the new item.  Both must accept the
 same profiles, with the same witnesses, in the same order.  The table rows
 of the naive monolinear closure are also the oracle for the monolinear
-engine's dominators.
+engine's dominators, and the raw function-pair rows of the general
+closure the oracle for the general engine's.
 """
 
 import heapq
@@ -14,13 +15,13 @@ from itertools import product
 import pytest
 
 from gensim.algebra import AlgebraPair, make_algebra, self_pair, validate_pair
-from gensim.closure import RowIndex, least_witness_closure
+from gensim.closure import least_witness_closure
 from gensim.corpus import load_fixture, powerset_algebra, truncated_multiplication_algebra
 from gensim.general import saturate_profiles
 from gensim.linear import reachable_profiles
 from gensim.monolinear import paired_clone, paired_ground_values, polynomial_clone
 from gensim.morphism import random_monounary_algebra
-from gensim.similarity import GeneralEngine, LinearEngine, MonolinearEngine, UnaryEngine
+from gensim.similarity import Engine, GeneralEngine, LinearEngine, MonolinearEngine
 from gensim.terms import (
     App,
     Const,
@@ -244,11 +245,32 @@ def test_monolinear_dominators_match_table_rows(label, pair):
     # The table rows are the oracle: a term's membership in Gen(a, b)
     # depends only on its ranges, so the range rows decide alike.
     _, tables = naive_paired_clone(pair)
-    oracle = RowIndex(
+    oracle = Engine(
+        pair,
+        "oracle",
         [(frozenset(left), frozenset(right), w) for (left, right), w in tables],
-        pair.right.carrier,
     )
     engine = MonolinearEngine(pair)
+    for a in pair.left.carrier:
+        for b in pair.right.carrier:
+            assert engine.dominator(a, b) == oracle.dominator(a, b), (a, b)
+
+
+@pytest.mark.parametrize("label,pair", PAIRS, ids=[label for label, _ in PAIRS])
+def test_general_dominators_match_function_rows(label, pair):
+    # One row per function pair, each witness canonicalized: duplicate
+    # range pairs share every mask, so the distinct rows decide alike.
+    names_l, names_r = pair.left.carrier, pair.right.carrier
+    rows = [
+        (
+            frozenset(names_l[i] for i in p.left),
+            frozenset(names_r[i] for i in p.right),
+            canonicalize(p.witness),
+        )
+        for p in saturate_profiles(pair, 2)
+    ]
+    oracle = Engine(pair, "oracle", rows)
+    engine = GeneralEngine(pair, 2, 200_000)
     for a in pair.left.carrier:
         for b in pair.right.carrier:
             assert engine.dominator(a, b) == oracle.dominator(a, b), (a, b)
@@ -258,8 +280,6 @@ def _engines(pair):
     yield LinearEngine(pair)
     yield MonolinearEngine(pair)
     yield GeneralEngine(pair, 2, 200_000)
-    if pair.left.signature.is_unary():
-        yield UnaryEngine(pair)
 
 
 @pytest.mark.parametrize("label,pair", PAIRS, ids=[label for label, _ in PAIRS])
@@ -269,6 +289,15 @@ def test_classes_come_in_witness_order(label, pair):
     for engine in _engines(pair):
         keys = [witness_key(w, sig) for _, _, w in engine.classes()]
         assert keys == sorted(keys), type(engine).__name__
+
+
+@pytest.mark.parametrize("label,pair", PAIRS, ids=[label for label, _ in PAIRS])
+def test_classes_are_distinct_range_pairs_with_canonical_witnesses(label, pair):
+    for engine in _engines(pair):
+        classes = engine.classes()
+        name = type(engine).__name__
+        assert len({(left, right) for left, right, _ in classes}) == len(classes), name
+        assert all(w == canonicalize(w) for _, _, w in classes), name
 
 
 def test_semi_naive_lifts_each_combination_once():

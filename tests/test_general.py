@@ -75,6 +75,16 @@ def test_saturation_cap():
         saturate_profiles(self_pair(algebra), 2, cap=2)
 
 
+def test_cap_bounds_assignments_and_profiles():
+    # nor is complete: all 16 binary functions, over only 2^2 assignments
+    pair = self_pair(two_elem("1000"))
+    with pytest.raises(SaturationCapError, match="cap of 4 profiles"):
+        saturate_profiles(pair, 2, cap=4)
+    with pytest.raises(SaturationCapError, match="K = 3 needs 2\\^3 assignments"):
+        saturate_profiles(pair, 3, cap=7)
+    assert len(saturate_profiles(pair, 2, cap=16)) == 16
+
+
 def test_brute_force_gen_chain(chain5):
     gens = brute_force_gen(chain5, "b", max_depth=3, max_vars=1)
     assert [render_term(t) for t in gens] == ["z1", "f(z1)"]

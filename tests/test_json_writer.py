@@ -151,7 +151,7 @@ def test_random_one_op_matrices(seed):
 
 def with_constants(algebra, constants):
     signature = Signature(algebra.signature.operations, tuple(constants))
-    return Algebra(algebra.name, algebra.carrier, signature, algebra.tables, frozenset(constants))
+    return Algebra(algebra.name, algebra.carrier, signature, algebra.tables)
 
 
 @pytest.mark.parametrize("fragment", ["unary", "linear"])

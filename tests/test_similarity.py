@@ -16,7 +16,6 @@ from gensim.similarity import (
     LinearEngine,
     MonolinearEngine,
     QueryConfig,
-    UnaryEngine,
     build_engine,
     check_reflexive,
     check_transitive,
@@ -48,8 +47,11 @@ def test_subset_rejects_unknown_element(chain5_pair, fragment, slot):
 
 
 def test_build_engine_auto(chain5_pair, powerset3):
-    assert isinstance(build_engine(chain5_pair), UnaryEngine)
-    assert isinstance(build_engine(self_pair(powerset3)), LinearEngine)
+    # auto, unary and linear all build the linear engine
+    for fragment in ("auto", "unary", "linear"):
+        engine = build_engine(chain5_pair, QueryConfig(fragment=fragment))
+        assert type(engine) is LinearEngine and engine.label == "exact"
+    assert type(build_engine(self_pair(powerset3))) is LinearEngine
     assert isinstance(
         build_engine(chain5_pair, QueryConfig(fragment="monolinear")),
         MonolinearEngine,
@@ -62,7 +64,7 @@ def test_build_engine_auto(chain5_pair, powerset3):
 def test_unary_engine_requires_unary(powerset3):
     from gensim.automata import NonUnaryError
 
-    with pytest.raises(NonUnaryError):
+    with pytest.raises(NonUnaryError, match="^the unary engine requires an all-unary signature$"):
         build_engine(self_pair(powerset3), QueryConfig(fragment="unary"))
 
 
@@ -208,7 +210,7 @@ def test_verdict_to_dict(chain4_pair):
 
 def with_constants(algebra, constants):
     signature = Signature(algebra.signature.operations, tuple(constants))
-    return Algebra(algebra.name, algebra.carrier, signature, algebra.tables, frozenset(constants))
+    return Algebra(algebra.name, algebra.carrier, signature, algebra.tables)
 
 
 def assert_evidence(verdict, a, b, left, right):
