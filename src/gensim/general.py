@@ -8,7 +8,7 @@ all terms once K reaches |A| * |B|: a separating term can always have
 variables identified down to that many, because identifying variables only
 shrinks ranges and therefore preserves a separator.  That bound is derived
 here, not quoted, and the test suite validates it against the brute-force
-oracle before it is relied on.
+oracle (``tests/oracles.py``) before it is relied on.
 """
 
 from __future__ import annotations
@@ -17,18 +17,8 @@ from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraError, AlgebraPair
-from .closure import Profile, SaturationCapError, least_witness_closure  # noqa: F401 (re-export)
-from .terms import (
-    Term,
-    App,
-    Const,
-    Var,
-    enumerate_terms,
-    is_generalization,
-    range_of_term,
-    witness_key,
-    GENERAL,
-)
+from .closure import Profile, SaturationCapError, least_witness_closure, side_lifts
+from .terms import App, Const, Var, app_key, witness_key
 from .verdict import EXACT, exact_for_vars
 
 
@@ -45,7 +35,7 @@ def _function_lift(algebra: Algebra, sym: str):
         tuple(index(x) for x in tup): index(out)
         for tup, out in algebra.tables[sym].items()
     }
-    return lambda functions: tuple(table[args] for args in zip(*functions))
+    return lambda functions: tuple(map(table.__getitem__, zip(*functions)))
 
 
 def saturate_profiles(pair: AlgebraPair, k: int, cap: int = 200_000) -> list[Profile]:
@@ -81,52 +71,9 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = 200_000) -> list[Pro
         ri = right_alg.index(c)
         seeds.append(((li,) * len(left_assignments), (ri,) * len(right_assignments), Const(c)))
     rules = [
-        (arity, _function_lift(left_alg, sym), _function_lift(right_alg, sym), partial(App, sym))
+        (arity, *side_lifts(pair, lambda algebra: _function_lift(algebra, sym)),
+         partial(App, sym), app_key(sym, sig))
         for sym, arity in sig.operations
     ]
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)
 
-
-def brute_force_gen(
-    algebra: Algebra,
-    a: str,
-    max_depth: int,
-    max_vars: int,
-    fragment: str = GENERAL,
-    cap: int = 1_000_000,
-    max_size: int | None = None,
-) -> list[Term]:
-    """Direct-definition oracle: enumerate terms, keep the generalizations."""
-    algebra.require_element(a)
-    terms = enumerate_terms(
-        algebra.signature, max_depth, max_vars, fragment, cap=cap, max_size=max_size
-    )
-    return [t for t in terms if is_generalization(t, algebra, a)]
-
-
-def brute_force_subset(
-    pair: AlgebraPair,
-    a: str,
-    b: str,
-    b_prime: str,
-    max_depth: int,
-    max_vars: int,
-    fragment: str = GENERAL,
-    cap: int = 1_000_000,
-    max_size: int | None = None,
-) -> tuple[bool, Term | None]:
-    """Oracle-level subset verdict over the enumerated term family."""
-    pair.left.require_element(a)
-    pair.right.require_element(b)
-    pair.right.require_element(b_prime)
-    terms = enumerate_terms(
-        pair.left.signature, max_depth, max_vars, fragment, cap=cap, max_size=max_size
-    )
-    for t in terms:
-        left_range = range_of_term(t, pair.left)
-        if a not in left_range:
-            continue
-        right_range = range_of_term(t, pair.right)
-        if b in right_range and b_prime not in right_range:
-            return False, t
-    return True, None

@@ -13,12 +13,13 @@ from __future__ import annotations
 from itertools import product
 
 from .algebra import Algebra, AlgebraPair
-from .closure import Profile, least_witness_closure
+from .closure import Profile, least_witness_closure, side_lifts
 from .terms import (
     App,
     Const,
     Term,
     Var,
+    app_key,
     shift_variables,
     term_variables,
     witness_key,
@@ -67,7 +68,8 @@ def reachable_profiles(pair: AlgebraPair, cap: int | None = None) -> list[Profil
     seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
     seeds += [(frozenset({c}), frozenset({c}), Const(c)) for c in sig.constant_symbols]
     rules = [
-        (arity, _range_lift(pair.left, sym), _range_lift(pair.right, sym), _linear_app(sym))
+        (arity, *side_lifts(pair, lambda algebra: _range_lift(algebra, sym)),
+         _linear_app(sym), app_key(sym, sig, linear=True))
         for sym, arity in sig.operations
     ]
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)

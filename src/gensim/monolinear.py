@@ -21,9 +21,9 @@ from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraPair, self_pair
-from .closure import Profile, least_witness_closure
+from .closure import Profile, least_witness_closure, side_lifts
 from .linear import _range_lift
-from .terms import App, Const, Term, Var, render_term, witness_key
+from .terms import App, Const, Term, Var, app_key, render_term, witness_key
 
 
 @dataclass(frozen=True)
@@ -32,17 +32,17 @@ class UnaryPolynomial:
     witness: Term
 
 
-def paired_ground_values(pair: AlgebraPair) -> list[Profile]:
+def paired_ground_values(pair: AlgebraPair, keys: list | None = None) -> list[Profile]:
     """Simultaneously realizable ground values over the pair, each with a
-    minimal ground witness."""
+    minimal ground witness (and its key appended to ``keys``)."""
     sig = pair.left.signature
     seeds = [(c, c, Const(c)) for c in sig.constant_symbols]
-    left, right = pair.left.tables, pair.right.tables
     rules = [
-        (arity, left[sym].__getitem__, right[sym].__getitem__, partial(App, sym))
+        (arity, *side_lifts(pair, lambda algebra: algebra.tables[sym].__getitem__),
+         partial(App, sym), app_key(sym, sig))
         for sym, arity in sig.operations
     ]
-    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig))
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), keys=keys)
 
 
 def ground_value_terms(algebra: Algebra) -> list[tuple[str, Term]]:
@@ -74,18 +74,18 @@ def _plug_app(sym: str, position: int, filler_terms: tuple[Term, ...]):
 def _plug_rules(pair: AlgebraPair, plug) -> list:
     """One unary rule per (operation, position, tuple of paired ground
     fillers for the other positions); ``plug`` lifts one side."""
-    grounds = paired_ground_values(pair)
+    sig = pair.left.signature
+    ground_keys: list = []
+    grounds = [(*p, k) for p, k in zip(paired_ground_values(pair, ground_keys), ground_keys)]
     rules = []
-    for sym, arity in pair.left.signature.operations:
+    for sym, arity in sig.operations:
         for fillers in product(grounds, repeat=arity - 1):
-            lefts, rights, terms = zip(*fillers) if fillers else ((), (), ())
-            for position in range(arity):
-                rules.append((
-                    1,
-                    plug(pair.left, sym, position, lefts),
-                    plug(pair.right, sym, position, rights),
-                    _plug_app(sym, position, terms),
-                ))
+            lefts, rights, terms, keys = zip(*fillers) if fillers else ((),) * 4
+            for pos in range(arity):
+                left = plug(pair.left, sym, pos, lefts)
+                right = left if pair.right is pair.left else plug(pair.right, sym, pos, rights)
+                compose = app_key(sym, sig, keys[:pos], keys[pos:])
+                rules.append((1, left, right, _plug_app(sym, pos, terms), compose))
     return rules
 
 

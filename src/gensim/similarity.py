@@ -390,29 +390,28 @@ def find_characteristic_set(
     engine = engine or build_engine(pair, config)
     pair.left.require_element(a)
     pair.right.require_element(b)
-    # Classes come in witness order, so the candidates do too.
-    candidates = [
-        (left, right, witness)
-        for left, right, witness in engine.classes()
-        if a in left and b in right
-    ]
     bad = set(engine.competitors(a, b))
+    # A set pins b down when the right ranges of its members, each cut to
+    # ``bad``, meet in nothing.  So each distinct cut keeps one candidate,
+    # its least by (size, spelling), which never loses the tie-break below.
+    least: dict = {}
+    for i, (left, right, witness) in enumerate(engine.classes()):
+        if a in left and b in right:
+            rank = (term_size(witness), render_term(witness))
+            if right & bad not in least or rank < least[right & bad][1]:
+                least[right & bad] = (i, rank, witness)
+    # Classes come in witness order, so the candidates do too.
+    candidates = sorted((i, cut, rank, w) for cut, (i, rank, w) in least.items())
     for size in range(1, max_size + 1):
         best: list[Term] | None = None
         best_key = None
         for combo in combinations(candidates, size):
-            right_meet = None
-            for _, right, _ in combo:
-                right_meet = right if right_meet is None else right_meet & right
-            if right_meet & bad:
+            if frozenset.intersection(*[cut for _, cut, _, _ in combo]):
                 continue
-            terms = [w for _, _, w in combo]
-            key = (
-                sum(term_size(t) for t in terms),
-                tuple(sorted(render_term(t) for t in terms)),
-            )
+            ranks = [rank for _, _, rank, _ in combo]
+            key = (sum(size for size, _ in ranks), tuple(sorted(text for _, text in ranks)))
             if best_key is None or key < best_key:
-                best, best_key = terms, key
+                best, best_key = [w for _, _, _, w in combo], key
         if best is not None:
             return best
     return None

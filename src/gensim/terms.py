@@ -144,21 +144,34 @@ def parse_term(text: str, signature: Signature | None = None) -> Term:
     return term
 
 
+def _fold(term: Term, leaf, node):
+    """Bottom-up fold without recursion: ``leaf(t)`` for each variable or
+    constant, left to right, and ``node(op, values)`` for each application.
+    ``values`` holds the results of finished subterms, and an ``(op,
+    arity)`` entry on the stack folds the last ``arity`` of them."""
+    values: list = []
+    stack: list = [term]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, App):
+            stack.append((t.op, len(t.args)))
+            stack += reversed(t.args)
+        elif isinstance(t, tuple):
+            op, arity = t
+            args = tuple(values[-arity:])
+            del values[-arity:]
+            values.append(node(op, args))
+        else:
+            values.append(leaf(t))
+    return values[0]
+
+
 def term_depth(term: Term) -> int:
-    if isinstance(term, App):
-        return 1 + max(term_depth(a) for a in term.args)
-    return 0
+    return _fold(term, lambda t: 0, lambda op, depths: 1 + max(depths))
 
 
 def term_size(term: Term) -> int:
-    size = 0
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        size += 1
-        if isinstance(t, App):
-            stack += t.args
-    return size
+    return _fold(term, lambda t: 1, lambda op, sizes: 1 + sum(sizes))
 
 
 def term_variables(term: Term) -> list[int]:
@@ -176,65 +189,36 @@ def term_variables(term: Term) -> list[int]:
 
 
 def variable_occurrences(term: Term) -> int:
-    if isinstance(term, Var):
-        return 1
-    if isinstance(term, App):
-        return sum(variable_occurrences(a) for a in term.args)
-    return 0
+    return _fold(term, lambda t: int(isinstance(t, Var)), lambda op, counts: sum(counts))
 
 
 def canonicalize(term: Term) -> Term:
     """Rename variables to z1, z2, ... in first-occurrence order."""
     mapping: dict[int, int] = {}
 
-    def walk(t: Term) -> Term:
-        if isinstance(t, Var):
-            if t.index not in mapping:
-                mapping[t.index] = len(mapping) + 1
-            return Var(mapping[t.index])
-        if isinstance(t, App):
-            return App(t.op, tuple(walk(a) for a in t.args))
-        return t
+    def leaf(t: Term) -> Term:
+        return Var(mapping.setdefault(t.index, len(mapping) + 1)) if isinstance(t, Var) else t
 
-    return walk(term)
+    return _fold(term, leaf, App)
 
 
 def shift_variables(term: Term, offset: int) -> Term:
-    if isinstance(term, Var):
-        return Var(term.index + offset)
-    if isinstance(term, App):
-        return App(term.op, tuple(shift_variables(a, offset) for a in term.args))
-    return term
+    return _fold(term, lambda t: Var(t.index + offset) if isinstance(t, Var) else t, App)
 
 
 def eval_term(term: Term, algebra: Algebra, assignment: Mapping[int, str]) -> str:
-    """Bottom-up evaluation through the operation tables.
+    """Bottom-up evaluation through the operation tables."""
 
-    Iterative: ``values`` holds the values of finished subterms, and an
-    ``(op, arity)`` entry on the stack applies ``op`` to the last ``arity``
-    of them once its arguments, left to right, are done.
-    """
-    values: list[str] = []
-    stack: list = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, App):
-            stack.append((t.op, len(t.args)))
-            stack += reversed(t.args)
-        elif isinstance(t, tuple):
-            op, arity = t
-            args = tuple(values[-arity:])
-            del values[-arity:]
-            values.append(algebra.apply(op, args))
-        elif isinstance(t, Var):
+    def leaf(t: Term) -> str:
+        if isinstance(t, Var):
             if t.index not in assignment:
                 raise TermError(f"unbound variable z{t.index}")
-            values.append(assignment[t.index])
-        else:
-            if t.name not in algebra.carrier:
-                raise TermError(f"unknown constant {t.name!r} in {algebra.name!r}")
-            values.append(t.name)
-    return values[0]
+            return assignment[t.index]
+        if t.name not in algebra.carrier:
+            raise TermError(f"unknown constant {t.name!r} in {algebra.name!r}")
+        return t.name
+
+    return _fold(term, leaf, algebra.apply)
 
 
 def range_of_term(term: Term, algebra: Algebra) -> frozenset[str]:
@@ -326,6 +310,36 @@ def witness_key(term: Term, signature: Signature):
     return (depth, len(spelling), tuple(spelling))
 
 
+def app_key(sym: str, signature: Signature, before=(), after=(), linear: bool = False):
+    """Compose the ``witness_key`` of ``App(sym, before + args + after)``
+    from the keys of its arguments: depth ``1 + max``, size ``1 + sum``,
+    and the spellings concatenated after the operation's own entry.  With
+    ``linear``, each argument's variables shift past those of the arguments
+    before it, as in ``linear._linear_app``.
+
+    ``compose(keys, bound)`` takes the keys of ``args``, and returns None
+    instead when the depth and size alone already exceed ``bound``'s.
+    """
+    head = ((0, _symbol_ranks(signature)[0][sym]),)
+
+    def compose(keys, bound=None):
+        keys = before + tuple(keys) + after if before or after else keys
+        depth, size = 1 + max([k[0] for k in keys]), 1 + sum([k[1] for k in keys])
+        if bound is not None and (depth, size) > bound[:2]:
+            return None
+        spelling, offset = head, 0
+        for _, _, tail in keys:
+            if offset:
+                spelling += tuple([(2, i + offset) if tag == 2 else (tag, i) for tag, i in tail])
+            else:
+                spelling += tail
+            if linear:
+                offset += sum([tag == 2 for tag, _ in tail])
+        return (depth, size, spelling)
+
+    return compose
+
+
 # witness_key's spelling tags (operation 0, constant 1, variable 2) moved to
 # enumeration order (variable 0, operation 1, constant 2).
 _ENUMERATION_TAG = (1, 2, 0)
@@ -371,17 +385,7 @@ def _label_leaves(
     each output is canonical by construction; for the general fragment a
     leaf may reuse any variable introduced so far.
     """
-    leaves: list[None] = []
-
-    def count(t: Term):
-        if isinstance(t, Var):
-            leaves.append(None)
-        elif isinstance(t, App):
-            for a in t.args:
-                count(a)
-
-    count(shape)
-    n_leaves = len(leaves)
+    n_leaves = variable_occurrences(shape)
     reuse = fragment == GENERAL
     consts = signature.constant_symbols
 
@@ -400,15 +404,9 @@ def _label_leaves(
             for rest, final in assignments(i + 1, new_used):
                 yield (choice,) + rest, final
 
-    def rebuild(t: Term, fill: Iterator[Term]) -> Term:
-        if isinstance(t, Var):
-            return next(fill)
-        if isinstance(t, App):
-            return App(t.op, tuple(rebuild(a, fill) for a in t.args))
-        return t
-
     for combo, _ in assignments(0, 0):
-        yield rebuild(shape, iter(combo))
+        fill = iter(combo)
+        yield _fold(shape, lambda t: next(fill) if isinstance(t, Var) else t, App)
 
 
 def enumerate_terms(

@@ -14,6 +14,7 @@ from itertools import product
 
 import pytest
 
+from gensim import general, linear, monolinear
 from gensim.algebra import AlgebraPair, make_algebra, self_pair, validate_pair
 from gensim.closure import least_witness_closure
 from gensim.corpus import load_fixture, powerset_algebra, truncated_multiplication_algebra
@@ -26,6 +27,7 @@ from gensim.terms import (
     App,
     Const,
     Var,
+    app_key,
     canonicalize,
     shift_variables,
     term_variables,
@@ -301,21 +303,114 @@ def test_classes_are_distinct_range_pairs_with_canonical_witnesses(label, pair):
 
 
 def test_semi_naive_lifts_each_combination_once():
-    # Profiles are integers capped at 3; the left lift records what it sees.
-    seen = []
+    # Profiles are integers capped at 3; each lift records what it sees.
+    # The two sides are different functions, so each keeps its own memo.
+    seen_left, seen_right = [], []
 
-    def lift_left(values):
-        seen.append(values)
-        return min(sum(values), 3)
+    def lift(seen):
+        def capped_sum(values):
+            seen.append(values)
+            return min(sum(values), 3)
 
-    def lift_right(values):
-        return min(sum(values), 3)
+        return capped_sum
 
     sig = make_algebra("S", ["x"], {"s": {("x", "x"): "x"}}).signature
     items = least_witness_closure(
         [(1, 1, Const("x"))],
-        [(2, lift_left, lift_right, lambda witnesses: App("s", witnesses))],
+        [(2, lift(seen_left), lift(seen_right), lambda witnesses: App("s", witnesses), app_key("s", sig))],
         lambda t: witness_key(t, sig),
     )
     assert [left for left, _, _ in items] == [1, 2, 3]
-    assert sorted(seen) == sorted(product([1, 2, 3], repeat=2))
+    assert sorted(seen_left) == sorted(product([1, 2, 3], repeat=2))
+    assert sorted(seen_right) == sorted(product([1, 2, 3], repeat=2))
+
+
+CLOSURE_MODULES = (linear, general, monolinear)
+
+
+@pytest.fixture
+def closure_calls(monkeypatch):
+    """Record every closure the engines run: its items, the keys the
+    closure composed for them, and the engine's seed key."""
+    calls = []
+
+    def recording(seeds, rules, key, cap=None, keys=None):
+        composed = [] if keys is None else keys
+        items = least_witness_closure(seeds, rules, key, cap, composed)
+        calls.append((items, composed, key))
+        return items
+
+    for module in CLOSURE_MODULES:
+        monkeypatch.setattr(module, "least_witness_closure", recording)
+    return calls
+
+
+def _run_closures(label, pair):
+    """The engines' closures, general K = 2 on ``PAIRS`` only: on the
+    binary ``bin4`` algebras it runs past any useful cap."""
+    reachable_profiles(pair)
+    paired_clone(pair)
+    if any(label == name for name, _ in PAIRS):
+        saturate_profiles(pair, 2)
+    if pair.left is pair.right:
+        polynomial_clone(pair.left)
+
+
+@pytest.mark.parametrize("label,pair", MONOLINEAR_PAIRS, ids=[label for label, _ in MONOLINEAR_PAIRS])
+def test_composed_keys_equal_witness_keys(label, pair, closure_calls):
+    # Only seeds are keyed by walking the term; every other key is composed
+    # from the keys of the arguments, and must be the witness's own key.
+    _run_closures(label, pair)
+    assert len(closure_calls) >= 3  # linear, ground values, monolinear
+    for items, composed, key in closure_calls:
+        assert composed == [key(p.witness) for p in items]
+
+
+@pytest.fixture
+def lift_calls(monkeypatch):
+    """Wrap the lifts of every rule, keeping one wrapper for a lift that
+    serves both sides; returns the calls per wrapper and side."""
+    calls = []
+
+    def counted(lift, side):
+        seen = []
+        calls.append((side, seen))
+
+        def wrapper(values):
+            seen.append(values)
+            return lift(values)
+
+        return wrapper
+
+    def recording(seeds, rules, key, cap=None, keys=None):
+        wrapped = []
+        for arity, lift_left, lift_right, build, compose in rules:
+            left = counted(lift_left, "both" if lift_left is lift_right else "left")
+            right = left if lift_left is lift_right else counted(lift_right, "right")
+            wrapped.append((arity, left, right, build, compose))
+        return least_witness_closure(seeds, wrapped, key, cap, keys)
+
+    for module in CLOSURE_MODULES:
+        monkeypatch.setattr(module, "least_witness_closure", recording)
+    return calls
+
+
+LIFT_PAIRS = [
+    ("P3", self_pair(P3)),
+    ("P3/M3", AlgebraPair(P3, M3)),
+    ("bin4", MONOLINEAR_PAIRS[-2][1]),
+    ("bin4 A/B", MONOLINEAR_PAIRS[-1][1]),
+]
+
+
+@pytest.mark.parametrize("label,pair", LIFT_PAIRS, ids=[label for label, _ in LIFT_PAIRS])
+def test_self_pairs_lift_one_side_and_each_tuple_once(label, pair, lift_calls):
+    _run_closures(label, pair)
+    sides = {side for side, _ in lift_calls}
+    # A self pair's rules share one lift; a cross pair's never do.
+    assert sides == ({"both"} if pair.left is pair.right else {"left", "right"})
+    assert any(seen for _, seen in lift_calls)
+    for _, seen in lift_calls:
+        # Components are interned, so distinct argument ids are distinct
+        # argument values: each distinct tuple is lifted once.
+        assert len(seen) == len(set(seen))

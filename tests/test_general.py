@@ -1,15 +1,10 @@
 import pytest
 
 from gensim.algebra import make_algebra, self_pair
-from gensim.general import (
-    SaturationCapError,
-    brute_force_gen,
-    brute_force_subset,
-    exactness_label,
-    saturate_profiles,
-)
+from gensim.general import SaturationCapError, exactness_label, saturate_profiles
 from gensim.similarity import GeneralEngine
 from gensim.terms import parse_term, range_of_term, render_term, term_variables
+from oracles import brute_force_gen, brute_force_subset
 
 
 def two_elem(table, name="T"):

@@ -19,6 +19,7 @@ from gensim.terms import (
     range_of_term,
     render_g_formula,
     render_term,
+    shift_variables,
     term_depth,
     term_size,
     term_variables,
@@ -275,6 +276,21 @@ def test_deep_terms_render_and_key():
     assert render_term(term) == "f(" * 3000 + "z1" + ")" * 3000
     depth, size, spelling = witness_key(term, signature)
     assert (depth, size, len(spelling)) == (3000, 3001, 3001)
+
+
+def test_deep_binary_linear_terms_shift_measure_and_classify():
+    # z1 on the spine, a fresh variable beside it at every level: linear,
+    # 5,000 applications deep, 5,001 variables.
+    term = Var(1)
+    for i in range(2, 5002):
+        term = App("m", (term, Var(i)))
+    shifted = shift_variables(term, 3)
+    assert term_variables(shifted) == list(range(4, 5005))
+    assert render_term(shifted).endswith("z4, z5), z6)" + "".join(f", z{i})" for i in range(7, 5005)))
+    assert term_depth(shifted) == 5000
+    assert variable_occurrences(shifted) == 5001
+    assert classify_fragment(shifted) == "linear"
+    assert render_term(canonicalize(shifted)) == render_term(term)
 
 
 @st.composite
