@@ -82,20 +82,15 @@ _quote = json.encoder.encode_basestring_ascii
 
 
 def render_json(payload) -> str:
-    """The JSON text of ``payload`` with two-space indentation: byte for
-    byte what ``json.dumps`` writes with ``indent=2``.
+    """The JSON text of ``payload``: byte for byte what ``json.dumps``
+    writes with ``indent=2``.  Values are dicts with str keys, lists,
+    tuples, str, int, bool and None; any other type raises TypeError.
 
-    Values are dicts with str keys, lists, tuples, str, int, bool and None;
-    any other type raises TypeError.  Within one call each container's text
-    is memoized by ``(id(obj), depth)``, so a dict that a report shares
-    between many places (one per distinct verdict of a matrix) is encoded
-    once per depth.
-
-    The text is written as one list of pieces, joined once at the end as
-    json.dumps does: a container first records where its pieces lie, and
-    is joined into one string only when it is met again.  Texts of the
-    whole report or of one long list are never built twice over, so the
-    peak memory stays near that of ``json.dumps``.
+    Each container's text is memoized per call by ``(id(obj), depth)``, so
+    a dict that a report shares (one per distinct verdict of a matrix) is
+    encoded once per depth.  The pieces go to one list, joined at the end:
+    a container records where its pieces lie and is joined only when met
+    again, so peak memory stays near that of ``json.dumps``.
     """
     out: list[str] = []
     write = out.append
@@ -155,13 +150,19 @@ def render_json(payload) -> str:
             raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     encode(payload, 0)
+    # The two closures refer to each other: emptying their cells frees
+    # them, ``out`` and ``memo`` on return, not at the next cyclic GC.
+    del encode, encode_container
     return "".join(out)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload, text) -> None:
+    """Print ``payload()`` as JSON or ``text()``, as ``--format`` asks:
+    the other is never built."""
     if args.format == "json":
-        print(render_json(payload))
+        print(render_json(payload()))
     else:
+        text = text()
         print(text, end="" if text.endswith("\n") else "\n")
 
 
@@ -186,7 +187,7 @@ def cmd_check(args) -> int:
         if cert.direction is not None:
             parts.append(f"direction={cert.direction[0]}->{cert.direction[1]}")
         lines.append("  " + " ".join(parts))
-    _emit(args, verdict.to_dict(), "\n".join(lines) + "\n")
+    _emit(args, verdict.to_dict, lambda: "\n".join(lines) + "\n")
     return 0 if verdict.holds else 1
 
 
@@ -195,7 +196,7 @@ def cmd_matrix(args) -> int:
     config = _config(args)
     _engine_notice(pair, config)
     matrix = similarity_matrix(pair, config)
-    _emit(args, matrix.to_dict(), matrix.render_text())
+    _emit(args, matrix.to_dict, matrix.render_text)
     return 0
 
 
@@ -205,22 +206,23 @@ def cmd_genlang(args) -> int:
     if args.format == "dot":
         print(automata.export_dot(dfa), end="")
         return 0
-    payload = {
-        "algebra": algebra.name,
-        "element": args.element,
-        "states": dfa.n_states,
-        "regex": automata.dfa_to_regex(dfa),
-        "ground_terms": [
-            render_term(term)
-            for value, term in ground_value_terms(algebra)
-            if value == args.element
-        ],
-    }
-    text = (
-        f"language of {args.element} in {algebra.name}: "
-        f"{payload['regex']} ({dfa.n_states} states)\n"
+    regex = automata.dfa_to_regex(dfa)
+    _emit(
+        args,
+        lambda: {
+            "algebra": algebra.name,
+            "element": args.element,
+            "states": dfa.n_states,
+            "regex": regex,
+            "ground_terms": [
+                render_term(term)
+                for value, term in ground_value_terms(algebra)
+                if value == args.element
+            ],
+        },
+        lambda: f"language of {args.element} in {algebra.name}: "
+        f"{regex} ({dfa.n_states} states)\n",
     )
-    _emit(args, payload, text)
     return 0
 
 
@@ -232,15 +234,15 @@ def cmd_charset(args) -> int:
     if charset is None:
         _emit(
             args,
-            {"found": False, "max_size": args.max_size},
-            f"no characteristic set of size <= {args.max_size}\n",
+            lambda: {"found": False, "max_size": args.max_size},
+            lambda: f"no characteristic set of size <= {args.max_size}\n",
         )
         return 1
     rendered = [render_term(t) for t in charset]
     _emit(
         args,
-        {"found": True, "terms": rendered},
-        "{ " + ", ".join(rendered) + " }\n",
+        lambda: {"found": True, "terms": rendered},
+        lambda: "{ " + ", ".join(rendered) + " }\n",
     )
     return 0
 
@@ -248,17 +250,20 @@ def cmd_charset(args) -> int:
 def cmd_clone(args) -> int:
     algebra = _load_algebra(args.algebra)
     clone = polynomial_clone(algebra, args.cap)
-    payload = {
-        "algebra": algebra.name,
-        "polynomials": [
-            {
-                "table": dict(zip(algebra.carrier, p.table)),
-                "witness": render_term(p.witness),
-            }
-            for p in clone
-        ],
-    }
-    _emit(args, payload, dump_clone(clone, algebra))
+    _emit(
+        args,
+        lambda: {
+            "algebra": algebra.name,
+            "polynomials": [
+                {
+                    "table": dict(zip(algebra.carrier, p.table)),
+                    "witness": render_term(p.witness),
+                }
+                for p in clone
+            ],
+        },
+        lambda: dump_clone(clone, algebra),
+    )
     return 0
 
 
@@ -269,28 +274,22 @@ def cmd_morphism(args) -> int:
         algebras[algebra.name] = algebra
     emap = parse_map(_read_text(args.map), algebras)
     config = _config(args)
-    if args.verify == "hom":
-        ok = is_homomorphism(emap)
+    if args.verify in ("hom", "iso"):
+        hom = args.verify == "hom"
+        kind = "homomorphism" if hom else "isomorphism"
+        ok = (is_homomorphism if hom else is_isomorphism)(emap)
         _emit(
             args,
-            {"map": emap.name, "homomorphism": ok},
-            f"{emap.name} is{'' if ok else ' not'} a homomorphism\n",
-        )
-        return 0 if ok else 1
-    if args.verify == "iso":
-        ok = is_isomorphism(emap)
-        _emit(
-            args,
-            {"map": emap.name, "isomorphism": ok},
-            f"{emap.name} is{'' if ok else ' not'} an isomorphism\n",
+            lambda: {"map": emap.name, kind: ok},
+            lambda: f"{emap.name} is{'' if ok else ' not'} {'a' if hom else 'an'} {kind}\n",
         )
         return 0 if ok else 1
     if args.verify == "iso-lemma":
         report = verify_isomorphism_lemma(emap)
         _emit(
             args,
-            report.to_dict(),
-            f"{emap.name}: generalization sets "
+            report.to_dict,
+            lambda: f"{emap.name}: generalization sets "
             f"{'certified equal' if report.certified else 'DIFFER'} "
             f"({report.method})\n",
         )
@@ -300,7 +299,7 @@ def cmd_morphism(args) -> int:
         text = f"{emap.name} is{'' if verdict.holds else ' not'} a g-functor"
         if verdict.certificate is not None:
             text += f" (fails at {verdict.certificate.element})"
-        _emit(args, verdict.to_dict(), text + "\n")
+        _emit(args, verdict.to_dict, lambda: text + "\n")
         return 0 if verdict.holds else 1
     # sit: transport of similarity along two isomorphisms
     if not args.map2:
@@ -310,8 +309,8 @@ def cmd_morphism(args) -> int:
     report = check_second_isomorphism(emap, gmap, config)
     _emit(
         args,
-        report.to_dict(),
-        f"similarity transport {emap.name}/{gmap.name}: "
+        report.to_dict,
+        lambda: f"similarity transport {emap.name}/{gmap.name}: "
         f"{'certified' if report.certified else 'VIOLATED'} "
         f"({report.pairs_checked} pairs)\n",
     )
@@ -333,7 +332,7 @@ def cmd_reflexivity(args) -> int:
             f"  {element} fails {direction[0]}->{direction[1]}: "
             f"dominated by {cert.element}, evidence {render_term(cert.term)}"
         )
-    _emit(args, report.to_dict(), "\n".join(lines) + "\n")
+    _emit(args, report.to_dict, lambda: "\n".join(lines) + "\n")
     return 0 if report.reflexive else 1
 
 
@@ -358,7 +357,7 @@ def cmd_transitivity(args) -> int:
     ]
     for x, y, z in report.violations:
         lines.append(f"  violation: {x}, {y}, {z}")
-    _emit(args, report.to_dict(), "\n".join(lines) + "\n")
+    _emit(args, report.to_dict, lambda: "\n".join(lines) + "\n")
     return 0 if report.transitive else 1
 
 

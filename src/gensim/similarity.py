@@ -77,7 +77,9 @@ class Engine:
                 right_rows[e].append(i)
         self._left = {e: _mask(ids) for e, ids in left_rows.items()}
         self._right = {e: _mask(ids) for e, ids in right_rows.items()}
-        self._dominators: dict = {}
+        self._holds = Verdict(True, None, label)
+        self._verdicts: dict = {}
+        self._failing: dict = {}
 
     def _first(self, mask: int) -> Term:
         return self._classes[(mask & -mask).bit_length() - 1][2]
@@ -100,27 +102,31 @@ class Engine:
         rest = self._gen(a, b) & ~self._right[b_prime]
         return (False, self._first(rest)) if rest else (True, None)
 
-    def dominator(self, a: str, b: str) -> tuple[str, Term] | None:
-        """The first admissible competitor b' whose Gen(a,b') strictly
-        contains Gen(a,b), with the first row of the difference; None when
-        a <~ b.  The caller checks the names.
-
-        The answer is memoized per (a, Gen(a,b)): for a fixed ``a`` the
-        competitors of different b differ only in b itself, which never
-        strictly contains its own set.
+    def verdict(self, a: str, b: str) -> Verdict:
+        """The shared verdict of a <~ b; the caller checks the names.  It
+        fails at the first admissible competitor b' whose Gen(a,b')
+        strictly contains Gen(a,b), with the first row of the difference:
+        one verdict per (b', row), memoized per (a, Gen(a,b)), since for a
+        fixed ``a`` the competitors of different b differ only in b, which
+        never strictly contains its own set.
         """
         mask = self._gen(a, b)
         key = (a, mask)
-        if key not in self._dominators:
-            found = None
+        found = self._verdicts.get(key)
+        if found is None:
+            found = self._holds
             left = self._left.get(a, 0)
             for b_prime in self.competitors(a, b):
                 other = left & self._right[b_prime]
                 if other != mask and mask & ~other == 0:
-                    found = (b_prime, self._first(other & ~mask))
+                    term = self._first(other & ~mask)
+                    cert = Certificate(DOMINATING_ELEMENT, term, b_prime)
+                    found = self._failing.setdefault(
+                        (b_prime, id(term)), Verdict(False, cert, self.label)
+                    )
                     break
-            self._dominators[key] = found
-        return self._dominators[key]
+            self._verdicts[key] = found
+        return found
 
     def classes(self) -> list[tuple[frozenset[str], frozenset[str], Term]]:
         """Semantic term classes as (left range, right range, witness)."""
@@ -191,20 +197,13 @@ def decide_leq(
     """Is the shared generalization set of (a, b) b-maximal?
 
     On failure the certificate names a dominating element b' together with
-    an evidence term in Gen(a, b') but not in Gen(a, b).
+    an evidence term in Gen(a, b') but not in Gen(a, b).  Verdicts are
+    shared, immutable objects: an engine hands out one per outcome.
     """
     engine = engine or build_engine(pair, config)
     pair.left.require_element(a)
     pair.right.require_element(b)
-    found = engine.dominator(a, b)
-    if found is None:
-        return Verdict(True, None, engine.label)
-    b_prime, evidence = found
-    return Verdict(
-        False,
-        Certificate(DOMINATING_ELEMENT, element=b_prime, term=evidence),
-        engine.label,
-    )
+    return engine.verdict(a, b)
 
 
 def decide_approx(
@@ -225,7 +224,7 @@ def decide_approx(
     backward = decide_leq(pair.swapped(), b, a, config, reverse_engine)
     if not backward.holds:
         return _with_direction(backward, (pair.right.name, pair.left.name))
-    return Verdict(True, None, forward.fragment_label)
+    return forward
 
 
 def _with_direction(failing: Verdict, direction: tuple[str, str]) -> Verdict:
@@ -285,26 +284,17 @@ class SimilarityMatrix:
     approx: dict  # (a, b) -> Verdict
 
     def to_dict(self) -> dict:
-        """The report; every cell that repeats a verdict holds the same
-        dict, so the JSON writer encodes each distinct verdict once."""
-        shared: dict = {}
-        # Evidence spelling per term object (the verdicts keep each alive):
-        # one engine row's term is one object, rendered once.
-        spelled: dict[int, str] = {}
+        """The report; cells that repeat a verdict share one dict, found
+        per verdict object and built once per content, so the JSON writer
+        encodes each distinct verdict once."""
+        by_id: dict = {}
+        by_text: dict = {}
 
         def verdict_dict(verdict: Verdict) -> dict:
-            cert = verdict.certificate
-            if cert is None:
-                key = (verdict.holds, verdict.fragment_label)
-            else:
-                term = spelled.get(id(cert.term))
-                if term is None:
-                    term = spelled[id(cert.term)] = render_term(cert.term)
-                key = (verdict.holds, verdict.fragment_label,
-                       cert.kind, cert.element, term, cert.direction)
-            out = shared.get(key)
+            out = by_id.get(id(verdict))
             if out is None:
-                out = shared[key] = verdict.to_dict()
+                out = verdict.to_dict()
+                out = by_id[id(verdict)] = by_text.setdefault(repr(out), out)
             return out
 
         cells = [
@@ -353,19 +343,21 @@ def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> S
     forward_dir = (pair.left.name, pair.right.name)
     backward_dir = (pair.right.name, pair.left.name)
     leq, geq, approx = {}, {}, {}
+    # A verdict object comes from one engine, which fixes its direction.
+    restated: dict = {}
     for a in pair.left.carrier:
         for b in pair.right.carrier:
-            v_leq = decide_leq(pair, a, b, config, engine)
-            v_geq = decide_leq(swapped, b, a, config, reverse)
-            if not v_leq.holds:
-                v_approx = _with_direction(v_leq, forward_dir)
-            elif not v_geq.holds:
-                v_approx = _with_direction(v_geq, backward_dir)
-            else:
-                v_approx = Verdict(True, None, v_leq.fragment_label)
-            leq[(a, b)] = v_leq
-            geq[(a, b)] = v_geq
-            approx[(a, b)] = v_approx
+            key = (a, b)
+            v_leq = leq[key] = decide_leq(pair, a, b, config, engine)
+            v_geq = geq[key] = decide_leq(swapped, b, a, config, reverse)
+            if v_leq.holds and v_geq.holds:
+                approx[key] = v_leq
+                continue
+            failing, direction = (v_geq, backward_dir) if v_leq.holds else (v_leq, forward_dir)
+            v_approx = restated.get(id(failing))
+            if v_approx is None:
+                v_approx = restated[id(failing)] = _with_direction(failing, direction)
+            approx[key] = v_approx
     return SimilarityMatrix(
         pair, pair.left.carrier, pair.right.carrier, leq, geq, approx
     )

@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 
 from gensim.cli import main
+from gensim.similarity import SimilarityMatrix
 
 
 def fixture_path(name: str) -> str:
@@ -380,3 +381,13 @@ def test_fragment_notice_on_stderr(capsys):
     )
     assert code == 0
     assert err == ""  # unary signature: exact engine, no notice
+
+
+@pytest.mark.parametrize("fmt,unused", [("json", "render_text"), ("text", "to_dict")])
+def test_matrix_builds_only_the_printed_output(capsys, monkeypatch, fmt, unused):
+    def refuse(self):
+        raise AssertionError(f"{unused} built under --format {fmt}")
+
+    monkeypatch.setattr(SimilarityMatrix, unused, refuse)
+    code, out, _ = run(capsys, "matrix", "--left", fixture_path("chain5.alg"), "--format", fmt)
+    assert code == 0 and "a" in out

@@ -6,6 +6,7 @@ were written with before; the writer must give the same bytes on every
 payload, shared dicts included.
 """
 
+import gc
 import json
 import random
 from importlib import resources
@@ -186,3 +187,15 @@ def test_unsupported_values_raise():
         cli.render_json([{"ok": [set()]}])
     with pytest.raises(TypeError):
         cli.render_json({("a", "b"): 1})
+
+
+def test_writer_leaves_nothing_for_the_cyclic_gc():
+    """One call frees its pieces and its memo on return."""
+    payload = similarity_matrix(self_pair(random_monounary_algebra(random.Random(3), 40))).to_dict()
+    gc.collect()
+    gc.disable()
+    try:
+        cli.render_json(payload)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

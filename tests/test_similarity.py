@@ -10,13 +10,16 @@ from gensim.algebra import (
     self_pair,
     validate_pair,
 )
+from gensim.corpus import powerset_algebra
 from gensim.morphism import random_monounary_algebra
 from gensim.similarity import (
+    Engine,
     GeneralEngine,
     LinearEngine,
     MonolinearEngine,
     QueryConfig,
     build_engine,
+    build_engines,
     check_reflexive,
     check_transitive,
     decide_algebra_approx,
@@ -27,6 +30,7 @@ from gensim.similarity import (
     similarity_matrix,
 )
 from gensim.terms import range_of_term, render_term
+from test_decision import fixture_pairs, meet3, random_pair
 
 
 def test_query_config_validation():
@@ -248,3 +252,80 @@ def test_constants_declared_in_another_order(fragment):
                 assert_evidence(got.leq[(a, b)], a, b, pair.left, pair.right)
             if not got.geq[(a, b)].holds:
                 assert_evidence(got.geq[(a, b)], b, a, pair.right, pair.left)
+
+
+def outcome(verdict):
+    """Everything a verdict says, its evidence spelled out."""
+    cert = verdict.certificate
+    if cert is None:
+        return verdict.holds, verdict.fragment_label
+    return (verdict.holds, verdict.fragment_label, cert.kind, cert.element,
+            render_term(cert.term), cert.direction)
+
+
+def assert_matrix_matches_one_off(pair, config, sample=None):
+    """Each cell (all of them, or ``sample`` of them) equals a one-off
+    decision on a fresh engine: the same rows, nothing memoized."""
+    matrix = similarity_matrix(pair, config)
+    engine, reverse = build_engines(pair, config)
+
+    def fresh(e):
+        return Engine(e.pair, e.label, e.classes())
+
+    cells = sorted(matrix.leq)
+    if sample is not None:
+        cells = random.Random(0).sample(cells, sample)
+    for a, b in cells:
+        leq = decide_leq(pair, a, b, engine=fresh(engine))
+        geq = decide_leq(pair.swapped(), b, a, engine=fresh(reverse))
+        approx = decide_approx(pair, a, b, engine=fresh(engine), reverse_engine=fresh(reverse))
+        assert outcome(matrix.leq[(a, b)]) == outcome(leq), (a, b)
+        assert outcome(matrix.geq[(a, b)]) == outcome(geq), (a, b)
+        assert outcome(matrix.approx[(a, b)]) == outcome(approx), (a, b)
+
+
+@pytest.mark.parametrize("fragment", ["linear", "monolinear", "general"])
+def test_matrix_matches_one_off_on_fixtures(fragment):
+    config = QueryConfig(fragment=fragment, max_vars=1)
+    for pair in fixture_pairs():
+        assert_matrix_matches_one_off(pair, config)
+    p3 = powerset_algebra(("1", "2", "3"))
+    config = QueryConfig(fragment=fragment, max_vars=2)
+    for pair in (self_pair(p3), validate_pair(p3, meet3()), validate_pair(meet3(), p3)):
+        assert_matrix_matches_one_off(pair, config)
+
+
+@pytest.mark.parametrize("cross", [False, True])
+def test_matrix_matches_one_off_on_random_pairs(cross):
+    assert_matrix_matches_one_off(random_pair(1, 40, 0, cross), QueryConfig())
+    # The linear rows of 2-op n = 40 cross pairs exceed the default cap,
+    # and a self pair has thousands: those take n = 12, or a sample.
+    if cross:
+        assert_matrix_matches_one_off(random_pair(2, 12, 0, cross), QueryConfig())
+    else:
+        assert_matrix_matches_one_off(random_pair(2, 40, 2, cross), QueryConfig(), sample=40)
+
+
+def assert_one_object_per_outcome(verdicts):
+    verdicts = list(verdicts)
+    assert len({id(v) for v in verdicts}) == len({outcome(v) for v in verdicts})
+
+
+@pytest.mark.parametrize("cross", [False, True])
+@pytest.mark.parametrize("n_ops,size", [(1, 40), (2, 12)])
+def test_one_verdict_object_per_outcome(cross, n_ops, size):
+    pair = random_pair(n_ops, size, 1, cross)
+    engine = build_engine(pair)
+    verdicts = [
+        decide_leq(pair, a, b, engine=engine)
+        for a in pair.left.carrier
+        for b in pair.right.carrier
+    ]
+    assert len({outcome(v) for v in verdicts}) > 1
+    assert_one_object_per_outcome(verdicts)
+    matrix = similarity_matrix(pair)
+    for relation in (matrix.leq, matrix.geq, matrix.approx):
+        assert_one_object_per_outcome(relation.values())
+    if not cross:
+        # one engine decides both directions of a self pair
+        assert_one_object_per_outcome([*matrix.leq.values(), *matrix.geq.values()])

@@ -183,5 +183,5 @@ def test_deep_chain_builds():
     pair = self_pair(chain)
     engine = build_engine(pair, UNARY)
     assert len(engine.classes()) == n
-    found = engine.dominator("e1400", "e1300")
-    assert found is not None and found[0] == "e1301"
+    found = engine.verdict("e1400", "e1300").certificate
+    assert found is not None and found.element == "e1301"
