@@ -81,19 +81,6 @@ def word_to_term(word: Iterable[str]) -> Term:
     return term
 
 
-def term_to_word(term: Term) -> list[str]:
-    """Inverse of word_to_term for unary terms over the identity variable."""
-    word: list[str] = []
-    while isinstance(term, App):
-        if len(term.args) != 1:
-            raise NonUnaryError("term is not unary")
-        word.append(term.op)
-        term = term.args[0]
-    if not isinstance(term, Var):
-        raise NonUnaryError("unary word terms must bottom out in a variable")
-    return list(reversed(word))
-
-
 def gen_language(algebra: Algebra, a: str) -> GenDfa:
     """Minimal DFA for the generalization language of ``a``.
 

@@ -8,6 +8,7 @@ order, so identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -81,79 +82,83 @@ def _engine_notice(pair, config: QueryConfig):
 _quote = json.encoder.encode_basestring_ascii
 
 
+def _template(keys: tuple, depth: int) -> str:
+    """The ``%`` template of a dict with ``keys`` at ``depth``: each key
+    quoted once, one ``%s`` per value."""
+    for k in keys:
+        if not isinstance(k, str):
+            raise TypeError(f"keys must be str, not {type(k).__name__}")
+    if not keys:
+        return "{}"
+    inner = "\n" + "  " * (depth + 1)
+    items = ("," + inner).join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
+    return "{" + inner + items + "\n" + "  " * depth + "}"
+
+
 def render_json(payload) -> str:
     """The JSON text of ``payload``: byte for byte what ``json.dumps``
     writes with ``indent=2``.  Values are dicts with str keys, lists,
     tuples, str, int, bool and None; any other type raises TypeError.
 
-    Each container's text is memoized per call by ``(id(obj), depth)``, so
-    a dict that a report shares (one per distinct verdict of a matrix) is
-    encoded once per depth.  The pieces go to one list, joined at the end:
-    a container records where its pieces lie and is joined only when met
-    again, so peak memory stays near that of ``json.dumps``.
+    Each value's text is memoized per call and per depth by ``id``: the
+    payload keeps every value alive for the call, so one id names one
+    value, and a dict that a report shares (one per distinct verdict of a
+    matrix) is encoded once per depth.  Each dict shape, its tuple of keys
+    at one depth, gets one ``%`` template.  A container looks up the texts
+    of all its values at once and encodes values only on a miss.
     """
-    out: list[str] = []
-    write = out.append
-    # (id, depth) -> (start, end) of the first encoding's pieces, or its text.
-    memo: dict[tuple[int, int], tuple[int, int] | str] = {}
+    memos: list[dict[int, str]] = [{}]  # memos[depth]: id(value) -> text
+    templates: dict[tuple[tuple, int], str] = {}
 
-    def encode(obj, depth: int) -> None:
+    def texts(values, depth: int) -> tuple:
+        if depth == len(memos):
+            memos.append({})
+        memo = memos[depth]
+        try:
+            return tuple(map(memo.__getitem__, map(id, values)))
+        except KeyError:
+            pass
+        out = []
+        for v in values:
+            text = memo.get(id(v))
+            if text is None:
+                if isinstance(v, dict):
+                    keys = tuple(v)
+                    template = templates.get((keys, depth))
+                    if template is None:
+                        template = templates[keys, depth] = _template(keys, depth)
+                    text = template % texts(v.values(), depth + 1)
+                else:
+                    text = encode(v, depth)
+                memo[id(v)] = text
+            out.append(text)
+        return tuple(out)
+
+    def encode(obj, depth: int) -> str:
         if isinstance(obj, str):
-            write(_quote(obj))
-        elif obj is None:
-            write("null")
-        elif obj is True:
-            write("true")
-        elif obj is False:
-            write("false")
-        elif isinstance(obj, int):
-            write(int.__repr__(obj))
-        else:
-            key = (id(obj), depth)
-            seen = memo.get(key)
-            if seen is None:
-                start = len(out)
-                encode_container(obj, depth)
-                memo[key] = (start, len(out))
-            else:
-                if not isinstance(seen, str):
-                    seen = memo[key] = "".join(out[seen[0]:seen[1]])
-                write(seen)
-
-    def encode_container(obj, depth: int) -> None:
-        inner = "\n" + "  " * (depth + 1)
-        if isinstance(obj, dict):
+            return _quote(obj)
+        if obj is None:
+            return "null"
+        if obj is True:
+            return "true"
+        if obj is False:
+            return "false"
+        if isinstance(obj, int):
+            return int.__repr__(obj)
+        if isinstance(obj, (list, tuple)):
             if not obj:
-                write("{}")
-                return
-            sep = "{" + inner
-            for k, v in obj.items():
-                if not isinstance(k, str):
-                    raise TypeError(f"keys must be str, not {type(k).__name__}")
-                write(sep)
-                write(_quote(k))
-                write(": ")
-                encode(v, depth + 1)
-                sep = "," + inner
-            write("\n" + "  " * depth + "}")
-        elif isinstance(obj, (list, tuple)):
-            if not obj:
-                write("[]")
-                return
-            sep = "[" + inner
-            for v in obj:
-                write(sep)
-                encode(v, depth + 1)
-                sep = "," + inner
-            write("\n" + "  " * depth + "]")
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+                return "[]"
+            inner = "\n" + "  " * (depth + 1)
+            return ("[" + inner + ("," + inner).join(texts(obj, depth + 1))
+                    + "\n" + "  " * depth + "]")
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
-    encode(payload, 0)
-    # The two closures refer to each other: emptying their cells frees
-    # them, ``out`` and ``memo`` on return, not at the next cyclic GC.
-    del encode, encode_container
-    return "".join(out)
+    try:
+        return texts((payload,), 0)[0]
+    finally:
+        # The closures refer to each other: emptying their cells frees
+        # them and the memos on return, not at the next cyclic GC.
+        del texts, encode
 
 
 def _emit(args, payload, text) -> None:
@@ -471,9 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ``main`` builds its parser on the first call and reuses it: parsing
+# reads the parser and never changes it, and each call gets a new Namespace.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AlgebraError, OSError) as exc:

@@ -263,25 +263,3 @@ def random_monounary_algebra(rng: random.Random, size: int, n_ops: int = 1, name
         sym: {(e,): rng.choice(carrier) for e in carrier} for sym, _ in ops
     }
     return Algebra(name, carrier, Signature(ops, ()), tables)
-
-
-def relabeled_copy(rng: random.Random, algebra: Algebra, prefix: str = "r_") -> ElementMap:
-    """A random isomorphism onto a disjointly named copy of the algebra."""
-    images = [f"{prefix}{i}" for i in range(len(algebra.carrier))]
-    rng.shuffle(images)
-    rename = dict(zip(algebra.carrier, images))
-    for c in algebra.signature.constant_symbols:
-        raise AlgebraError(
-            f"cannot relabel algebra with constant symbol {c!r}: "
-            "constants denote themselves"
-        )
-    carrier = tuple(sorted(images))
-    tables = {
-        sym: {
-            tuple(rename[x] for x in tup): rename[out]
-            for tup, out in algebra.tables[sym].items()
-        }
-        for sym, _ in algebra.signature.operations
-    }
-    copy = Algebra(f"{prefix}{algebra.name}", carrier, algebra.signature, tables)
-    return ElementMap(f"relabel_{algebra.name}", algebra, copy, rename)

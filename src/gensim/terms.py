@@ -32,6 +32,27 @@ class App:
     op: str
     args: tuple["Term", ...]
 
+    # Equality and hashing walk the term with a stack, not by recursion.
+    def __eq__(self, other):
+        if not isinstance(other, App):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            x, y = stack.pop()
+            if x is y:
+                continue
+            if not (isinstance(x, App) and isinstance(y, App)):
+                if x != y:
+                    return False
+            elif x.op != y.op or len(x.args) != len(y.args):
+                return False
+            else:
+                stack += zip(x.args, y.args)
+        return True
+
+    def __hash__(self):
+        return _fold(self, hash, lambda op, hashes: hash((op, hashes)))
+
 
 Term = Union[Var, Const, App]
 

@@ -1,10 +1,24 @@
 """Brute-force oracles for the engines, straight from the definitions:
-enumerate the terms within bounds and evaluate each one."""
+enumerate the terms within bounds and evaluate each one.  Also the helpers
+that only tests use: the inverse of ``automata.word_to_term`` and a random
+isomorphic copy of an algebra."""
 
 from __future__ import annotations
 
-from gensim.algebra import Algebra, AlgebraPair
-from gensim.terms import GENERAL, Term, enumerate_terms, is_generalization, range_of_term
+import random
+
+from gensim.algebra import Algebra, AlgebraError, AlgebraPair
+from gensim.automata import NonUnaryError
+from gensim.morphism import ElementMap
+from gensim.terms import (
+    GENERAL,
+    App,
+    Term,
+    Var,
+    enumerate_terms,
+    is_generalization,
+    range_of_term,
+)
 
 
 def brute_force_gen(
@@ -50,3 +64,38 @@ def brute_force_subset(
         if b in right_range and b_prime not in right_range:
             return False, t
     return True, None
+
+
+def term_to_word(term: Term) -> list[str]:
+    """Inverse of word_to_term for unary terms over the identity variable."""
+    word: list[str] = []
+    while isinstance(term, App):
+        if len(term.args) != 1:
+            raise NonUnaryError("term is not unary")
+        word.append(term.op)
+        term = term.args[0]
+    if not isinstance(term, Var):
+        raise NonUnaryError("unary word terms must bottom out in a variable")
+    return list(reversed(word))
+
+
+def relabeled_copy(rng: random.Random, algebra: Algebra, prefix: str = "r_") -> ElementMap:
+    """A random isomorphism onto a disjointly named copy of the algebra."""
+    images = [f"{prefix}{i}" for i in range(len(algebra.carrier))]
+    rng.shuffle(images)
+    rename = dict(zip(algebra.carrier, images))
+    for c in algebra.signature.constant_symbols:
+        raise AlgebraError(
+            f"cannot relabel algebra with constant symbol {c!r}: "
+            "constants denote themselves"
+        )
+    carrier = tuple(sorted(images))
+    tables = {
+        sym: {
+            tuple(rename[x] for x in tup): rename[out]
+            for tup, out in algebra.tables[sym].items()
+        }
+        for sym, _ in algebra.signature.operations
+    }
+    copy = Algebra(f"{prefix}{algebra.name}", carrier, algebra.signature, tables)
+    return ElementMap(f"relabel_{algebra.name}", algebra, copy, rename)

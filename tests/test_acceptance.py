@@ -25,7 +25,6 @@ from gensim.morphism import (
     check_second_isomorphism,
     is_homomorphism,
     random_monounary_algebra,
-    relabeled_copy,
     verify_isomorphism_lemma,
 )
 from gensim.similarity import (
@@ -46,6 +45,7 @@ from gensim.terms import (
     range_of_term,
     render_term,
 )
+from oracles import relabeled_copy
 
 
 def report(number: int, description: str, ok: bool):

@@ -1,9 +1,15 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import gensim
+from gensim import cli
 from gensim.cli import main
 from gensim.similarity import SimilarityMatrix
 
@@ -391,3 +397,38 @@ def test_matrix_builds_only_the_printed_output(capsys, monkeypatch, fmt, unused)
     monkeypatch.setattr(SimilarityMatrix, unused, refuse)
     code, out, _ = run(capsys, "matrix", "--left", fixture_path("chain5.alg"), "--format", fmt)
     assert code == 0 and "a" in out
+
+
+CHAIN5 = ("--left", fixture_path("chain5.alg"))
+
+
+def separate_process(argv):
+    """``gensim ARGV`` in a process of its own: (exit code, stdout, stderr)."""
+    src = str(pathlib.Path(gensim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from gensim.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("calls", [
+    [("check", *CHAIN5, "--a", "a", "--b", "b", "--relation", "approx"),
+     ("check", *CHAIN5, "--a", "a", "--b", "b")],
+    [("check", *CHAIN5), ("matrix", *CHAIN5)],
+    [("matrix", *CHAIN5, "--format", "json"), ("matrix", *CHAIN5, "--format", "text")],
+], ids=["relation-default", "usage-error-then-valid", "json-then-text"])
+def test_calls_in_one_process_match_separate_processes(capsys, monkeypatch, calls):
+    """``main`` reuses one parser: a call sees no option of the one before."""
+    monkeypatch.setenv("COLUMNS", "80")
+    results = []
+    for argv in calls:
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results == [separate_process(argv) for argv in calls]
+    assert cli._parser() is cli._parser() and cli.build_parser() is not cli._parser()

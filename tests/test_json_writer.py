@@ -12,11 +12,13 @@ import random
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gensim import cli
 from gensim.algebra import Algebra, Signature, render_algebra, self_pair, validate_pair
-from gensim.morphism import random_monounary_algebra, relabeled_copy, render_map
+from gensim.morphism import random_monounary_algebra, render_map
 from gensim.similarity import QueryConfig, similarity_matrix
+from oracles import relabeled_copy
 
 FIXTURES = [
     "chain5.alg", "chain4_a.alg", "chain4_b.alg", "nat_sink7.alg",
@@ -199,3 +201,44 @@ def test_writer_leaves_nothing_for_the_cyclic_gc():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# Keys and strings built from the characters the writer must escape or
+# keep: template markers, quotes, backslashes, control and non-ASCII.
+PIECES = ["a", "%", "%s", "%%", '"', "\\", "\n", "é", "\u2603", "\U0001f600"]
+TEXT = st.lists(st.sampled_from(PIECES), max_size=4).map("".join)
+SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | TEXT
+
+
+def containers(children):
+    return (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(TEXT | st.text(max_size=3), children, max_size=4)
+    )
+
+
+@st.composite
+def payloads(draw):
+    """Trees whose leaves may be the very same dict or list object, so
+    one object sits at several depths and beside itself."""
+    shared = draw(st.lists(st.recursive(SCALARS, containers, max_leaves=6), min_size=1, max_size=3))
+    return draw(st.recursive(SCALARS | st.sampled_from(shared), containers, max_leaves=24))
+
+
+@settings(max_examples=300, deadline=None)
+@given(payloads())
+def test_writer_matches_dumps_on_generated_payloads(payload):
+    assert_matches_dumps(payload)
+
+
+def test_same_shape_dicts_with_an_unsupported_value_raise():
+    rows = [{"a": 1, "b": [2]} for _ in range(3)]
+    assert_matches_dumps(rows)
+    for bad in ({1: "x"}, {"x": 1, 2: "y"}, {3}, 1.5):
+        with pytest.raises(TypeError):
+            cli.render_json([*rows, {"a": 1, "b": bad}])
+        with pytest.raises(TypeError):
+            cli.render_json([*rows, {"a": bad, "b": [2]}])
+    assert_matches_dumps(rows)
+

@@ -278,6 +278,24 @@ def test_deep_terms_render_and_key():
     assert (depth, size, len(spelling)) == (3000, 3001, 3001)
 
 
+def test_deep_terms_compare_and_hash():
+    def chain(ops):
+        term = Var(1)
+        for op in ops:
+            term = App(op, (term,))
+        return term
+
+    deep = chain(["f"] * 10_000)
+    again = chain(["f"] * 10_000)
+    inner = chain(["g"] + ["f"] * 9_999)  # differs at the innermost application
+    assert deep is not again and deep == again and hash(deep) == hash(again)
+    assert deep != inner and len({deep, again, inner}) == 2
+    pair = App("m", (deep, Const("c")))
+    assert pair == App("m", (again, Const("c")))
+    assert pair != App("m", (again, Const("d"))) and pair != App("m", (again,))
+    assert pair != deep and deep != Var(1) and Var(1) != deep
+
+
 def test_deep_binary_linear_terms_shift_measure_and_classify():
     # z1 on the spine, a fresh variable beside it at every level: linear,
     # 5,000 applications deep, 5,001 variables.
@@ -312,6 +330,13 @@ def test_canonicalize_idempotent(term):
 @given(unary_terms())
 def test_depth_size_agree_on_unary(term):
     assert term_size(term) == term_depth(term) + 1
+
+
+@given(unary_terms(), unary_terms())
+def test_equality_and_hash_follow_structure(t, u):
+    assert (t == u) == (render_term(t) == render_term(u))
+    if t == u:
+        assert hash(t) == hash(u)
 
 
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=3))
