@@ -6,13 +6,17 @@ from element ``x`` visits ``f1(x)``, then ``f2(f1(x))`` and so on, which
 keeps the automaton literally the algebra's transition graph.  The term
 spelling is the reverse of the word: ``w = f g`` (apply f, then g) is the
 term ``g(f(z1))``.
+
+``gen_language`` builds the minimal DFA of Gen(a) in one pass, numbered
+breadth-first in alphabet order, so equal languages give equal DFAs.
+``dfa_intersect`` and ``dfa_subset`` walk the reachable product of two DFAs.
 """
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterable
 
 from .algebra import Algebra, AlgebraError
@@ -38,7 +42,6 @@ class GenDfa:
     start: int
     finals: frozenset[int]
     delta: tuple[tuple[int, ...], ...]  # delta[state][symbol_index]
-    names: tuple[str, ...] | None = None
 
     def __post_init__(self):
         if not self.finals <= set(range(self.n_states)):
@@ -86,167 +89,71 @@ def gen_language(algebra: Algebra, a: str) -> GenDfa:
 
     The union over all start elements is determinized by tracking the image
     set of the word function, seeded with the full carrier; a word is
-    accepted iff ``a`` lies in the image.
+    accepted iff ``a`` lies in the image.  The image sets are numbered
+    breadth-first in alphabet order.  Moore (1956) refinement then splits
+    the sets that contain ``a`` from those that do not, and re-keys every
+    set by its block and its successors' blocks until the number of blocks
+    stops growing.  Each partition is numbered by first appearance in the
+    sets' order, which is the breadth-first order of the minimal DFA, so
+    the last keys are its transition rows.
     """
     alphabet = _require_unary(algebra)
     algebra.require_element(a)
-    start_set = frozenset(algebra.carrier)
-    sets: dict[frozenset[str], int] = {start_set: 0}
-    order: list[frozenset[str]] = [start_set]
-    queue = deque([start_set])
-    while queue:
-        current = queue.popleft()
-        for sym in alphabet:
-            nxt = frozenset(algebra.apply(sym, (e,)) for e in current)
-            if nxt not in sets:
-                sets[nxt] = len(order)
+    tables = algebra.tables
+    maps = [{x: tables[sym][(x,)] for x in algebra.carrier}.__getitem__ for sym in alphabet]
+    order = [frozenset(algebra.carrier)]
+    ids = {order[0]: 0}
+    columns: list[list[int]] = [[] for _ in alphabet]  # successor ids per symbol
+    for current in order:  # grows while read: a breadth-first queue
+        for image, column in zip(maps, columns):
+            nxt = frozenset(map(image, current))
+            if nxt not in ids:
+                ids[nxt] = len(order)
                 order.append(nxt)
-                queue.append(nxt)
-    delta = []
-    for s in order:
-        delta.append(
-            tuple(
-                sets[frozenset(algebra.apply(sym, (e,)) for e in s)]
-                for sym in alphabet
-            )
-        )
-    finals = frozenset(i for i, s in enumerate(order) if a in s)
-    dfa = GenDfa(
-        alphabet=alphabet,
-        n_states=len(order),
-        start=0,
-        finals=finals,
-        delta=tuple(delta),
-    )
-    return dfa_minimize(dfa)
-
-
-def _reachable(dfa: GenDfa) -> list[int]:
-    seen = [False] * dfa.n_states
-    seen[dfa.start] = True
-    order = [dfa.start]
-    queue = deque([dfa.start])
-    while queue:
-        s = queue.popleft()
-        for t in dfa.delta[s]:
-            if not seen[t]:
-                seen[t] = True
-                order.append(t)
-                queue.append(t)
-    return order
-
-
-def dfa_minimize(dfa: GenDfa) -> GenDfa:
-    """Hopcroft minimization with canonical BFS state numbering."""
-    reach = _reachable(dfa)
-    remap = {s: i for i, s in enumerate(reach)}
-    n = len(reach)
-    delta = [
-        tuple(remap[dfa.delta[s][c]] for c in range(len(dfa.alphabet))) for s in reach
-    ]
-    finals = {remap[s] for s in dfa.finals if s in remap}
-
-    # Hopcroft partition refinement over block ids; a split keeps the old
-    # id for the part inside the splitter's preimage.
-    partition = [block for block in (finals, set(range(n)) - finals) if block]
-    block_of = [0] * n
-    for i, block in enumerate(partition):
-        for s in block:
-            block_of[s] = i
-    work = list(range(len(partition)))
-    in_work = set(work)
-    preimage: list[list[list[int]]] = [[[] for _ in range(n)] for _ in dfa.alphabet]
-    for s in range(n):
-        for c in range(len(dfa.alphabet)):
-            preimage[c][delta[s][c]].append(s)
-    while work:
-        i = work.pop()
-        in_work.discard(i)
-        splitter = partition[i]
-        for c in range(len(dfa.alphabet)):
-            touched: dict[int, set[int]] = {}
-            for t in splitter:
-                for s in preimage[c][t]:
-                    touched.setdefault(block_of[s], set()).add(s)
-            for j, inter in touched.items():
-                block = partition[j]
-                if len(inter) == len(block):
-                    continue
-                diff = block - inter
-                partition[j] = inter
-                k = len(partition)
-                partition.append(diff)
-                for s in diff:
-                    block_of[s] = k
-                if j in in_work:
-                    added = k
-                else:
-                    added = j if len(inter) <= len(diff) else k
-                work.append(added)
-                in_work.add(added)
-
-    # canonical numbering: BFS from the start block in alphabet order, each
-    # block read through its least state
-    rep = [n] * len(partition)
-    for s in range(n - 1, -1, -1):
-        rep[block_of[s]] = s
-    start_block = block_of[0]
-    number = {start_block: 0}
-    order = [start_block]
-    queue = deque([start_block])
-    while queue:
-        b = queue.popleft()
-        for c in range(len(dfa.alphabet)):
-            nb = block_of[delta[rep[b]][c]]
-            if nb not in number:
-                number[nb] = len(order)
-                order.append(nb)
-                queue.append(nb)
-    new_n = len(order)
-    new_delta = []
-    new_finals = set()
-    for b in order:
-        new_delta.append(tuple(number[block_of[delta[rep[b]][c]]] for c in range(len(dfa.alphabet))))
-        if rep[b] in finals:
-            new_finals.add(number[b])
+            column.append(ids[nxt])
+    block = [0 if a in s else 1 for s in order]  # the full carrier holds a
+    n_blocks = len(set(block))
+    while True:
+        keys = list(zip(block, *[map(block.__getitem__, c) for c in columns]))
+        number = dict(zip(dict.fromkeys(keys), count()))
+        block = list(map(number.__getitem__, keys))
+        if len(number) == n_blocks:
+            break
+        n_blocks = len(number)
     return GenDfa(
-        alphabet=dfa.alphabet,
-        n_states=new_n,
+        alphabet=alphabet,
+        n_states=n_blocks,
         start=0,
-        finals=frozenset(new_finals),
-        delta=tuple(new_delta),
+        finals=frozenset(b for b, s in zip(block, order) if a in s),
+        delta=tuple(key[1:] for key in number),
     )
 
 
 def dfa_intersect(x: GenDfa, y: GenDfa) -> GenDfa:
-    """Minimized product automaton for the language intersection."""
+    """Product automaton for the language intersection: the pairs of states
+    reachable from the start pair, numbered breadth-first, not minimized."""
     alphabet = _require_same_alphabet(x, y)
     pairs: dict[tuple[int, int], int] = {(x.start, y.start): 0}
     order = [(x.start, y.start)]
-    queue = deque(order)
     rows = []
-    while queue:
-        p, q = queue.popleft()
+    for p, q in order:  # grows while read: a breadth-first queue
         row = []
         for c in range(len(alphabet)):
             nxt = (x.delta[p][c], y.delta[q][c])
             if nxt not in pairs:
                 pairs[nxt] = len(order)
                 order.append(nxt)
-                queue.append(nxt)
             row.append(pairs[nxt])
-        rows.append(row)
-    finals = frozenset(
-        i for i, (p, q) in enumerate(order) if p in x.finals and q in y.finals
-    )
-    product = GenDfa(
+        rows.append(tuple(row))
+    return GenDfa(
         alphabet=alphabet,
         n_states=len(order),
         start=0,
-        finals=finals,
-        delta=tuple(tuple(r) for r in rows),
+        finals=frozenset(
+            i for i, (p, q) in enumerate(order) if p in x.finals and q in y.finals
+        ),
+        delta=tuple(rows),
     )
-    return dfa_minimize(product)
 
 
 def dfa_subset(x: GenDfa, y: GenDfa) -> tuple[bool, Term | None]:
@@ -271,27 +178,17 @@ def dfa_subset(x: GenDfa, y: GenDfa) -> tuple[bool, Term | None]:
     return True, None
 
 
-_DOT_ID_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*|[0-9]+)$")
-
-
-def _dot_id(name: str) -> str:
-    if _DOT_ID_RE.match(name):
-        return name
-    return '"' + name.replace('"', '\\"') + '"'
-
-
 def export_dot(dfa: GenDfa) -> str:
-    """Graphviz rendering: start arrow, doublecircle finals, labelled edges."""
-    names = dfa.names or tuple(f"q{i}" for i in range(dfa.n_states))
+    """Graphviz rendering: start arrow, doublecircle finals, labelled edges;
+    state ``i`` is named ``qi``."""
     lines = ["digraph gendfa {", "  rankdir=LR;", "  __start [shape=point];"]
-    lines.append(f"  __start -> {_dot_id(names[dfa.start])};")
-    for i, name in enumerate(names):
+    lines.append(f"  __start -> q{dfa.start};")
+    for i in range(dfa.n_states):
         shape = "doublecircle" if i in dfa.finals else "circle"
-        lines.append(f"  {_dot_id(name)} [shape={shape}];")
-    for i, name in enumerate(names):
-        for c, sym in enumerate(dfa.alphabet):
-            target = names[dfa.delta[i][c]]
-            lines.append(f'  {_dot_id(name)} -> {_dot_id(target)} [label="{sym}"];')
+        lines.append(f"  q{i} [shape={shape}];")
+    for i, row in enumerate(dfa.delta):
+        for sym, target in zip(dfa.alphabet, row):
+            lines.append(f'  q{i} -> q{target} [label="{sym}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -17,23 +17,12 @@ from .closure import Profile, least_witness_closure, side_lifts
 from .terms import (
     App,
     Const,
-    Term,
     Var,
     app_key,
     shift_variables,
     term_variables,
     witness_key,
 )
-
-
-def lifted_range(term: Term, algebra: Algebra) -> frozenset[str]:
-    """Set-lifted bottom-up range; exact for linear terms."""
-    if isinstance(term, Var):
-        return frozenset(algebra.carrier)
-    if isinstance(term, Const):
-        algebra.require_element(term.name)
-        return frozenset({term.name})
-    return _range_lift(algebra, term.op)([lifted_range(a, algebra) for a in term.args])
 
 
 def _range_lift(algebra: Algebra, sym: str):

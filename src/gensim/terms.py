@@ -53,6 +53,20 @@ class App:
     def __hash__(self):
         return _fold(self, hash, lambda op, hashes: hash((op, hashes)))
 
+    # The dataclass repr's text, folded without recursion; a one-element
+    # args tuple keeps its trailing comma.
+    def __repr__(self):
+        return _fold(self, repr, lambda op, reprs: (
+            f"App(op={op!r}, args=({', '.join(reprs)}{',' * (len(reprs) == 1)}))"
+        ))
+
+    # Terms are immutable, so a copy is the term itself.
+    def __copy__(self):
+        return self
+
+    def __deepcopy__(self, memo):
+        return self
+
 
 Term = Union[Var, Const, App]
 

@@ -1,7 +1,7 @@
 """Brute-force oracles for the engines, straight from the definitions:
 enumerate the terms within bounds and evaluate each one.  Also the helpers
-that only tests use: the inverse of ``automata.word_to_term`` and a random
-isomorphic copy of an algebra."""
+that only tests use: the set-lifted range of a term, the inverse of
+``automata.word_to_term`` and a random isomorphic copy of an algebra."""
 
 from __future__ import annotations
 
@@ -9,10 +9,12 @@ import random
 
 from gensim.algebra import Algebra, AlgebraError, AlgebraPair
 from gensim.automata import NonUnaryError
+from gensim.linear import _range_lift
 from gensim.morphism import ElementMap
 from gensim.terms import (
     GENERAL,
     App,
+    Const,
     Term,
     Var,
     enumerate_terms,
@@ -64,6 +66,17 @@ def brute_force_subset(
         if b in right_range and b_prime not in right_range:
             return False, t
     return True, None
+
+
+def lifted_range(term: Term, algebra: Algebra) -> frozenset[str]:
+    """Set-lifted bottom-up range through the linear engine's lift; exact
+    for linear terms."""
+    if isinstance(term, Var):
+        return frozenset(algebra.carrier)
+    if isinstance(term, Const):
+        algebra.require_element(term.name)
+        return frozenset({term.name})
+    return _range_lift(algebra, term.op)([lifted_range(a, algebra) for a in term.args])
 
 
 def term_to_word(term: Term) -> list[str]:

@@ -19,7 +19,6 @@ from gensim.corpus import (
     truncated_multiplication_algebra,
 )
 from gensim.general import SaturationCapError
-from gensim.linear import lifted_range
 from gensim.morphism import (
     check_g_functor,
     check_second_isomorphism,
@@ -45,7 +44,7 @@ from gensim.terms import (
     range_of_term,
     render_term,
 )
-from oracles import relabeled_copy
+from oracles import lifted_range, relabeled_copy
 
 
 def report(number: int, description: str, ok: bool):

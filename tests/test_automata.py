@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +19,8 @@ def words_up_to(alphabet, n):
 
 
 def build_path_automaton(algebra, from_elem, to_elem):
-    """The algebra's transition graph with the given start and final element."""
+    """The algebra's transition graph with the given start and final element;
+    state ``i`` is the carrier's ``i``-th element."""
     alphabet = algebra.signature.op_symbols
     index = {e: i for i, e in enumerate(algebra.carrier)}
     delta = tuple(
@@ -30,7 +33,6 @@ def build_path_automaton(algebra, from_elem, to_elem):
         start=index[from_elem],
         finals=frozenset({index[to_elem]}),
         delta=delta,
-        names=algebra.carrier,
     )
 
 
@@ -81,14 +83,6 @@ def test_gen_language_rejects_binary(powerset3):
         automata.gen_language(powerset3, "0")
 
 
-def test_minimize_preserves_language(chain5):
-    dfa = build_path_automaton(chain5, "a", "c")
-    minimal = automata.dfa_minimize(dfa)
-    assert minimal.n_states <= dfa.n_states
-    for word in words_up_to(("f",), 8):
-        assert dfa.accepts(word) == minimal.accepts(word)
-
-
 def test_intersect(chain5):
     lang_b = automata.gen_language(chain5, "b")   # {eps, f}
     lang_c = automata.gen_language(chain5, "c")   # f*
@@ -127,9 +121,9 @@ def test_export_dot(chain5):
     dfa = build_path_automaton(chain5, "a", "c")
     dot = automata.export_dot(dfa)
     assert dot.startswith("digraph")
-    assert "__start -> a;" in dot
-    assert "c [shape=doublecircle];" in dot
-    assert 'a -> b [label="f"];' in dot
+    assert "__start -> q0;" in dot
+    assert "q0 [shape=circle];" in dot and "q2 [shape=doublecircle];" in dot
+    assert 'q0 -> q1 [label="f"];' in dot and 'q4 -> q2 [label="f"];' in dot
 
 
 def test_regex_display(chain5):
@@ -140,8 +134,8 @@ def test_regex_display(chain5):
 
 
 @st.composite
-def random_unary(draw):
-    size = draw(st.integers(min_value=1, max_value=4))
+def random_unary(draw, max_size=4):
+    size = draw(st.integers(min_value=1, max_value=max_size))
     carrier = [f"e{i}" for i in range(size)]
     n_ops = draw(st.integers(min_value=1, max_value=2))
     tables = {
@@ -161,14 +155,53 @@ def test_gen_language_matches_oracle(algebra, data):
         assert dfa.accepts(word) == (word in oracle)
 
 
+def assert_minimal(dfa):
+    """Canonical numbering and pairwise distinguishable states, by brute
+    force: breadth-first search from state 0 in alphabet order meets the
+    states as 0..n-1, and the words shorter than n tell every two states
+    apart."""
+    assert dfa.start == 0
+    order = [0]
+    for state in order:
+        for target in dfa.delta[state]:
+            if target not in order:
+                order.append(target)
+    assert order == list(range(dfa.n_states))
+    for length in range(dfa.n_states):
+        words = words_up_to(dfa.alphabet, length)
+        behaviours = {
+            tuple(replace(dfa, start=s).accepts(w) for w in words)
+            for s in range(dfa.n_states)
+        }
+        if len(behaviours) == dfa.n_states:
+            return
+    pytest.fail(f"two of the {dfa.n_states} states accept the same words")
+
+
 @settings(max_examples=30, deadline=None)
-@given(random_unary(), st.data())
-def test_minimize_is_idempotent(algebra, data):
+@given(random_unary(max_size=5), st.data())
+def test_gen_language_is_minimal(algebra, data):
     element = data.draw(st.sampled_from(algebra.carrier))
     dfa = automata.gen_language(algebra, element)
-    again = automata.dfa_minimize(dfa)
-    assert again.n_states == dfa.n_states
-    assert again.delta == dfa.delta and again.finals == dfa.finals
+    assert_minimal(dfa)
+    oracle = language_by_oracle(algebra, element, max_len=4)
+    for word in words_up_to(algebra.signature.op_symbols, 4):
+        assert dfa.accepts(word) == (word in oracle)
+
+
+def test_gen_language_cerny6():
+    # f is a cyclic shift and g merges e0 into e1: every nonempty image set
+    # is reachable and no two are equivalent, so 2^6 - 1 states.
+    carrier = [f"e{i}" for i in range(6)]
+    shift = {e: carrier[(i + 1) % 6] for i, e in enumerate(carrier)}
+    merge = {e: e for e in carrier} | {"e0": "e1"}
+    cerny = make_algebra("Cerny6", carrier, {"f": shift, "g": merge})
+    dfa = automata.gen_language(cerny, "e0")
+    assert dfa.n_states == 63
+    assert_minimal(dfa)
+    oracle = language_by_oracle(cerny, "e0")
+    for word in words_up_to(("f", "g"), 6):
+        assert dfa.accepts(word) == (word in oracle)
 
 
 @settings(max_examples=30, deadline=None)

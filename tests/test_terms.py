@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -294,6 +296,37 @@ def test_deep_terms_compare_and_hash():
     assert pair == App("m", (again, Const("c")))
     assert pair != App("m", (again, Const("d"))) and pair != App("m", (again,))
     assert pair != deep and deep != Var(1) and Var(1) != deep
+
+
+def test_repr_of_shallow_terms_is_the_dataclass_repr():
+    assert repr(App("g", (App("f", (Var(1),)),))) == (
+        "App(op='g', args=(App(op='f', args=(Var(index=1),)),))"
+    )
+    assert repr(App("m", (Var(1), Const("c"), App("f", (Var(2),))))) == (
+        "App(op='m', args=(Var(index=1), Const(name='c'), App(op='f', args=(Var(index=2),))))"
+    )
+
+
+def test_deep_terms_print_and_copy():
+    term = Var(1)
+    for _ in range(10_000):
+        term = App("f", (term,))
+
+    # A RecursionError is turned into a plain failure here: pytest's report
+    # of one would compare the deep terms held by a thousand frames.
+    def without_recursion(f, *args):
+        try:
+            return f(*args)
+        except RecursionError:
+            return RecursionError
+
+    text = without_recursion(repr, term)
+    same = text == "App(op='f', args=(" * 10_000 + "Var(index=1)" + ",))" * 10_000
+    assert same
+    assert copy.copy(term) is term and without_recursion(copy.deepcopy, term) is term
+    held = [term, App("m", (term, Const("c")))]
+    copied = without_recursion(copy.deepcopy, held)
+    assert copied is not held and copied[0] is term and copied == held
 
 
 def test_deep_binary_linear_terms_shift_measure_and_classify():
