@@ -31,7 +31,6 @@ from .terms import (
     render_g_formula,
     render_term,
 )
-from .corpus import load_fixture
 from .verdict import Certificate, Verdict
 from .similarity import (
     QueryConfig,
@@ -56,6 +55,20 @@ from .morphism import (
 )
 
 __version__ = "1.0.0"
+
+
+# ``corpus`` loads on first use of ``load_fixture`` (PEP 562), so that
+# ``import gensim`` does not pay for it or for ``dataclasses``.
+def __getattr__(name):
+    if name == "load_fixture":
+        from .corpus import load_fixture
+
+        return load_fixture
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), "load_fixture"})
 
 __all__ = [
     "Algebra",

@@ -8,9 +8,10 @@ deterministic and reports are byte-stable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, Mapping
+
+from .record import Frozen
 
 
 VARIABLE_RE = re.compile(r"^z[0-9]+$")
@@ -36,20 +37,21 @@ class SignatureMismatchError(AlgebraError):
     """The two algebras of a pair do not share a signature."""
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Frozen):
     """Operation symbols with arities plus the distinguished constant symbols.
 
     Constant symbols name carrier elements directly; nullary operations are
     not supported (use constants instead).
     """
 
-    operations: tuple[tuple[str, int], ...]
-    constant_symbols: tuple[str, ...] = ()
+    __slots__ = ("operations", "constant_symbols")
 
-    def __post_init__(self):
+    def __init__(
+        self, operations: tuple[tuple[str, int], ...], constant_symbols: tuple[str, ...] = ()
+    ):
+        super().__init__(operations, constant_symbols)
         seen: set[str] = set()
-        for sym, arity in self.operations:
+        for sym, arity in operations:
             if arity < 1:
                 raise AlgebraError(f"operation {sym!r} has arity {arity}; must be >= 1")
             if sym in seen:
@@ -57,7 +59,7 @@ class Signature:
             if VARIABLE_RE.match(sym):
                 raise AlgebraError(f"operation symbol {sym!r} clashes with variable names")
             seen.add(sym)
-        for c in self.constant_symbols:
+        for c in constant_symbols:
             if c in seen:
                 raise AlgebraError(f"constant symbol {c!r} clashes with an operation symbol")
             if VARIABLE_RE.match(c):
@@ -77,57 +79,68 @@ class Signature:
         return all(k == 1 for _, k in self.operations)
 
 
-@dataclass(frozen=True)
-class Algebra:
+class Algebra(Frozen):
     """A named finite algebra: carrier, signature (its constant symbols
     name carrier elements) and total operation tables."""
 
-    name: str
-    carrier: tuple[str, ...]
-    signature: Signature
-    tables: Mapping[str, Mapping[tuple[str, ...], str]]
+    __slots__ = ("name", "carrier", "signature", "tables", "_ids")
 
-    def __post_init__(self):
-        if not self.carrier:
-            raise AlgebraError(f"algebra {self.name!r} has an empty carrier")
+    def __init__(
+        self,
+        name: str,
+        carrier: tuple[str, ...],
+        signature: Signature,
+        tables: Mapping[str, Mapping[tuple[str, ...], str]],
+    ):
+        super().__init__(name, carrier, signature, tables)
+        if not carrier:
+            raise AlgebraError(f"algebra {name!r} has an empty carrier")
         # Element name -> position in the carrier, for name checks and ids.
-        elements = {e: i for i, e in enumerate(self.carrier)}
-        if len(elements) != len(self.carrier):
-            raise AlgebraError(f"algebra {self.name!r} has duplicate elements")
+        elements = {e: i for i, e in enumerate(carrier)}
+        if len(elements) != len(carrier):
+            raise AlgebraError(f"algebra {name!r} has duplicate elements")
         for keyword in CONSTANTS_KEYWORDS:
             if keyword in elements:
                 raise AlgebraError(
-                    f"algebra {self.name!r}: element name {keyword!r} is reserved "
+                    f"algebra {name!r}: element name {keyword!r} is reserved "
                     "(a 'constants' keyword)"
                 )
         object.__setattr__(self, "_ids", elements)
-        for sym, arity in self.signature.operations:
-            table = self.tables.get(sym)
+        for sym, arity in signature.operations:
+            table = tables.get(sym)
             if table is None:
-                raise AlgebraError(f"algebra {self.name!r}: missing table for {sym!r}")
-            for tup in product(self.carrier, repeat=arity):
+                raise AlgebraError(f"algebra {name!r}: missing table for {sym!r}")
+            # n ** arity distinct keys, each a tuple of arity carrier
+            # elements, are all the rows: checked in bulk, and row by row
+            # only to word the error.
+            if (
+                len(table) == len(carrier) ** arity
+                and set(map(type, table)) == {tuple}
+                and set(map(len, table)) == {arity}
+                and elements.keys() >= set(chain.from_iterable(table))
+                and elements.keys() >= set(table.values())
+            ):
+                continue
+            for tup in product(carrier, repeat=arity):
                 if tup not in table:
                     raise AlgebraError(
-                        f"algebra {self.name!r}: missing table row for "
-                        f"{sym}({', '.join(tup)})"
+                        f"algebra {name!r}: missing table row for {sym}({', '.join(tup)})"
                     )
             for tup, out in table.items():
                 if len(tup) != arity:
-                    raise AlgebraError(
-                        f"algebra {self.name!r}: {sym!r} row {tup} has wrong arity"
-                    )
+                    raise AlgebraError(f"algebra {name!r}: {sym!r} row {tup} has wrong arity")
                 if any(x not in elements for x in tup):
                     raise AlgebraError(
-                        f"algebra {self.name!r}: {sym!r} row {tup} uses unknown elements"
+                        f"algebra {name!r}: {sym!r} row {tup} uses unknown elements"
                     )
                 if out not in elements:
                     raise AlgebraError(
-                        f"algebra {self.name!r}: {sym}({', '.join(tup)}) -> {out!r} "
+                        f"algebra {name!r}: {sym}({', '.join(tup)}) -> {out!r} "
                         "is outside the carrier"
                     )
-        for c in self.signature.constant_symbols:
+        for c in signature.constant_symbols:
             if c not in elements:
-                raise AlgebraError(f"algebra {self.name!r}: constant {c!r} not in carrier")
+                raise AlgebraError(f"algebra {name!r}: constant {c!r} not in carrier")
 
     def apply(self, sym: str, args: Iterable[str]) -> str:
         return self.tables[sym][tuple(args)]
@@ -144,12 +157,10 @@ class Algebra:
         return element
 
 
-@dataclass(frozen=True)
-class AlgebraPair:
+class AlgebraPair(Frozen):
     """A validated pair of algebras over one shared signature."""
 
-    left: Algebra
-    right: Algebra
+    __slots__ = ("left", "right")
 
     @property
     def overlap(self) -> tuple[str, ...]:

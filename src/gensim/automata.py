@@ -15,11 +15,11 @@ breadth-first in alphabet order, so equal languages give equal DFAs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import count
 from typing import Iterable
 
 from .algebra import Algebra, AlgebraError
+from .record import Frozen
 from .terms import App, Term, Var
 
 
@@ -31,24 +31,25 @@ class AlphabetMismatchError(AlgebraError):
     pass
 
 
-@dataclass(frozen=True)
-class GenDfa:
+class GenDfa(Frozen):
     """A complete DFA over the unary-operation alphabet: a word language.
     Ground terms are not words; ``monolinear.ground_value_terms`` lists
-    them."""
+    them.  ``delta[state][symbol_index]`` is the successor state."""
 
-    alphabet: tuple[str, ...]
-    n_states: int
-    start: int
-    finals: frozenset[int]
-    delta: tuple[tuple[int, ...], ...]  # delta[state][symbol_index]
+    __slots__ = ("alphabet", "n_states", "start", "finals", "delta")
 
-    def __post_init__(self):
-        if not self.finals <= set(range(self.n_states)):
+    def __init__(
+        self,
+        alphabet: tuple[str, ...],
+        n_states: int,
+        start: int,
+        finals: frozenset[int],
+        delta: tuple[tuple[int, ...], ...],
+    ):
+        super().__init__(alphabet, n_states, start, finals, delta)
+        if not finals <= set(range(n_states)):
             raise AlgebraError("final states outside the state set")
-        if len(self.delta) != self.n_states or any(
-            len(row) != len(self.alphabet) for row in self.delta
-        ):
+        if len(delta) != n_states or any(len(row) != len(alphabet) for row in delta):
             raise AlgebraError("transition table is not total")
 
     def step(self, state: int, symbol: str) -> int:

@@ -14,7 +14,6 @@ import sys
 
 from . import automata
 from .algebra import Algebra, AlgebraError, parse_algebra, self_pair, validate_pair
-from .corpus import example_checks
 from .monolinear import dump_clone, ground_value_terms, polynomial_clone
 from .morphism import (
     check_g_functor,
@@ -364,6 +363,14 @@ def cmd_transitivity(args) -> int:
         lines.append(f"  violation: {x}, {y}, {z}")
     _emit(args, report.to_dict, lambda: "\n".join(lines) + "\n")
     return 0 if report.transitive else 1
+
+
+def example_checks():
+    """The bundled example checks; ``corpus`` (and the ``dataclasses`` it
+    uses) is imported here, so other subcommands never load it."""
+    from .corpus import example_checks
+
+    return example_checks()
 
 
 def cmd_examples(args) -> int:

@@ -13,7 +13,14 @@ from itertools import combinations, product
 from typing import Callable
 
 from . import automata
-from .algebra import Algebra, AlgebraPair, make_algebra, parse_algebra, validate_pair
+from .algebra import (
+    Algebra,
+    AlgebraPair,
+    Signature,
+    make_algebra,
+    parse_algebra,
+    validate_pair,
+)
 # Unused here; bench/tracing.py patches corpus.paired_clone (ROADMAP item 1).
 from .monolinear import paired_clone  # noqa: F401
 from .morphism import check_g_functor, is_homomorphism, parse_map
@@ -73,21 +80,15 @@ def truncated_multiplication_algebra(limit: int = 12) -> Algebra:
     from small factors; overflow products collapse to ``X``.
     """
     top = limit * limit
-    carrier = [str(i) for i in range(1, top + 1)] + ["X"]
-    table = {}
-    for x in carrier:
-        for y in carrier:
-            if x == "X" or y == "X":
-                table[(x, y)] = "X"
-            else:
-                prod_val = int(x) * int(y)
-                table[(x, y)] = str(prod_val) if prod_val <= top else "X"
-    return make_algebra(
-        "TruncMul",
-        carrier,
-        {"m": table},
-        constants=[str(i) for i in range(1, limit + 1)],
-    )
+    carrier = tuple(str(i) for i in range(1, top + 1)) + ("X",)
+    # Element i is carrier[i - 1] and X is element top + 1, so a product
+    # over top, X's included, is X.
+    table = {
+        (x, y): carrier[i * j - 1] if i * j <= top else "X"
+        for i, x in enumerate(carrier, 1)
+        for j, y in enumerate(carrier, 1)
+    }
+    return Algebra("TruncMul", carrier, Signature((("m", 2),), carrier[:limit]), {"m": table})
 
 
 @dataclass(frozen=True)

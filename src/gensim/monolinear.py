@@ -16,20 +16,18 @@ them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraPair, self_pair
 from .closure import Profile, least_witness_closure, side_lifts
 from .linear import _range_lift
+from .record import Frozen
 from .terms import App, Const, Term, Var, app_key, render_term, witness_key
 
 
-@dataclass(frozen=True)
-class UnaryPolynomial:
-    table: tuple[str, ...]  # indexed by carrier order
-    witness: Term
+class UnaryPolynomial(Frozen):
+    __slots__ = ("table", "witness")  # table: indexed by carrier order
 
 
 def paired_ground_values(pair: AlgebraPair, keys: list | None = None) -> list[Profile]:

@@ -9,7 +9,6 @@ element.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
@@ -23,6 +22,7 @@ from .algebra import (
     validate_pair,
 )
 from .linear import reachable_profiles
+from .record import Frozen, Record
 from .similarity import QueryConfig, build_engines, decide_approx, similarity_matrix
 from .verdict import Certificate, FAILING_ELEMENT, Verdict
 
@@ -35,32 +35,27 @@ class ConstantPreservationError(MapError):
     """The map moves a named constant, so it cannot be a homomorphism."""
 
 
-@dataclass(frozen=True)
-class ElementMap:
+class ElementMap(Frozen):
     """A total map between the carriers of two same-signature algebras."""
 
-    name: str
-    source: Algebra
-    target: Algebra
-    table: Mapping[str, str]
+    __slots__ = ("name", "source", "target", "table")
 
-    def __post_init__(self):
-        if self.source.signature != self.target.signature:
-            raise SignatureMismatchError(
-                f"map {self.name!r}: source and target signatures differ"
-            )
-        for a in self.source.carrier:
-            if a not in self.table:
-                raise MapError(f"map {self.name!r}: no image for {a!r}")
-        for a, c in self.table.items():
-            if a not in self.source.carrier:
-                raise MapError(f"map {self.name!r}: unknown source element {a!r}")
-            if c not in self.target.carrier:
-                raise MapError(f"map {self.name!r}: image {c!r} not in target carrier")
-        for c in self.source.signature.constant_symbols:
-            if self.table[c] != c:
+    def __init__(self, name: str, source: Algebra, target: Algebra, table: Mapping[str, str]):
+        super().__init__(name, source, target, table)
+        if source.signature != target.signature:
+            raise SignatureMismatchError(f"map {name!r}: source and target signatures differ")
+        for a in source.carrier:
+            if a not in table:
+                raise MapError(f"map {name!r}: no image for {a!r}")
+        for a, c in table.items():
+            if a not in source.carrier:
+                raise MapError(f"map {name!r}: unknown source element {a!r}")
+            if c not in target.carrier:
+                raise MapError(f"map {name!r}: image {c!r} not in target carrier")
+        for c in source.signature.constant_symbols:
+            if table[c] != c:
                 raise ConstantPreservationError(
-                    f"map {self.name!r} moves constant {c!r} to {self.table[c]!r}"
+                    f"map {name!r} moves constant {c!r} to {table[c]!r}"
                 )
 
     def __call__(self, element: str) -> str:
@@ -140,12 +135,9 @@ def is_isomorphism(emap: ElementMap) -> bool:
     return emap.is_bijective() and is_homomorphism(emap)
 
 
-@dataclass
-class LemmaReport:
-    emap: ElementMap
-    checked: tuple[str, ...]
-    violations: list[str]  # source elements whose Gen sets differ
-    method: str
+class LemmaReport(Record):
+    # violations: source elements whose Gen sets differ
+    __slots__ = ("emap", "checked", "violations", "method")
 
     @property
     def certified(self) -> bool:
@@ -205,12 +197,8 @@ def check_g_functor(emap: ElementMap, config: QueryConfig | None = None) -> Verd
     return Verdict(True, None, label)
 
 
-@dataclass
-class SecondIsomorphismReport:
-    f_map: ElementMap
-    g_map: ElementMap
-    pairs_checked: int
-    violations: list[tuple[str, str]]
+class SecondIsomorphismReport(Record):
+    __slots__ = ("f_map", "g_map", "pairs_checked", "violations")  # violations: (a, b) pairs
 
     @property
     def certified(self) -> bool:

@@ -9,7 +9,6 @@ applies to b itself.  ``a ~~ b`` is the conjunction of both directions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, validate_pair
@@ -17,6 +16,7 @@ from . import automata
 from .general import exactness_label, saturate_profiles
 from .linear import reachable_profiles
 from .monolinear import paired_clone
+from .record import Frozen, Record
 from .terms import Term, render_term, term_size
 from .verdict import (
     Certificate,
@@ -31,16 +31,14 @@ from .verdict import (
 FRAGMENT_CHOICES = ("auto", "unary", "linear", "monolinear", "general")
 
 
-@dataclass(frozen=True)
-class QueryConfig:
-    fragment: str = "auto"
-    max_vars: int = 2  # K for the general engine
-    cap: int = 200_000
+class QueryConfig(Frozen):
+    __slots__ = ("fragment", "max_vars", "cap")  # max_vars: K for the general engine
 
-    def __post_init__(self):
-        if self.fragment not in FRAGMENT_CHOICES:
-            raise AlgebraError(f"unknown fragment {self.fragment!r}")
-        if self.max_vars < 1 or self.cap < 1:
+    def __init__(self, fragment: str = "auto", max_vars: int = 2, cap: int = 200_000):
+        super().__init__(fragment, max_vars, cap)
+        if fragment not in FRAGMENT_CHOICES:
+            raise AlgebraError(f"unknown fragment {fragment!r}")
+        if max_vars < 1 or cap < 1:
             raise AlgebraError("bounds must be positive")
 
 
@@ -274,14 +272,11 @@ def decide_algebra_approx(pair: AlgebraPair, config: QueryConfig | None = None) 
     return forward
 
 
-@dataclass
-class SimilarityMatrix:
-    pair: AlgebraPair
-    rows: tuple[str, ...]
-    cols: tuple[str, ...]
-    leq: dict  # (a, b) -> Verdict for a <~ b
-    geq: dict  # (a, b) -> Verdict for b <~ a (on the swapped pair)
-    approx: dict  # (a, b) -> Verdict
+class SimilarityMatrix(Record):
+    """``leq``, ``geq`` and ``approx`` map (a, b) to the Verdict of a <~ b,
+    of b <~ a (on the swapped pair) and of a ~~ b."""
+
+    __slots__ = ("pair", "rows", "cols", "leq", "geq", "approx")
 
     def to_dict(self) -> dict:
         """The report; cells that repeat a verdict share one dict, found
@@ -409,11 +404,9 @@ def find_characteristic_set(
     return None
 
 
-@dataclass
-class ReflexivityReport:
-    pair: AlgebraPair
-    checked: tuple[str, ...]
-    violations: list[tuple[str, tuple[str, str], Verdict]]  # element, direction, verdict
+class ReflexivityReport(Record):
+    # violations: (element, direction, verdict) triples
+    __slots__ = ("pair", "checked", "violations")
 
     @property
     def reflexive(self) -> bool:
@@ -447,12 +440,8 @@ def check_reflexive(pair: AlgebraPair, config: QueryConfig | None = None) -> Ref
     return ReflexivityReport(pair, pair.overlap, violations)
 
 
-@dataclass
-class TransitivityReport:
-    relation: str
-    triples_checked: int
-    violations: list[tuple[str, str, str]]
-    details: dict
+class TransitivityReport(Record):
+    __slots__ = ("relation", "triples_checked", "violations", "details")  # violations: triples
 
     @property
     def transitive(self) -> bool:

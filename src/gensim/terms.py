@@ -9,28 +9,24 @@ plain structural comparison.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Iterator, Mapping, Union
 
 from .algebra import Algebra, AlgebraError, Signature, VARIABLE_RE
+from .record import Frozen
 
 
-@dataclass(frozen=True)
-class Var:
-    index: int  # z1 -> Var(1)
+class Var(Frozen):
+    __slots__ = ("index",)  # z1 -> Var(1)
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Const(Frozen):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class App:
-    op: str
-    args: tuple["Term", ...]
+class App(Frozen):
+    __slots__ = ("op", "args")  # args: a tuple of terms
 
     # Equality and hashing walk the term with a stack, not by recursion.
     def __eq__(self, other):
@@ -53,7 +49,7 @@ class App:
     def __hash__(self):
         return _fold(self, hash, lambda op, hashes: hash((op, hashes)))
 
-    # The dataclass repr's text, folded without recursion; a one-element
+    # The ``Record`` repr's text, folded without recursion; a one-element
     # args tuple keeps its trailing comma.
     def __repr__(self):
         return _fold(self, repr, lambda op, reprs: (

@@ -7,8 +7,7 @@ exactness of the engine that produced it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .record import Frozen
 from .terms import Term, render_term
 
 # Certificate kinds
@@ -26,12 +25,17 @@ def exact_for_vars(k: int) -> str:
     return f"exact-for-{k}-vars"
 
 
-@dataclass(frozen=True)
-class Certificate:
-    kind: str
-    term: Term | None = None
-    element: str | None = None
-    direction: tuple[str, str] | None = None
+class Certificate(Frozen):
+    __slots__ = ("kind", "term", "element", "direction")
+
+    def __init__(
+        self,
+        kind: str,
+        term: Term | None = None,
+        element: str | None = None,
+        direction: tuple[str, str] | None = None,
+    ):
+        super().__init__(kind, term, element, direction)
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -44,11 +48,8 @@ class Certificate:
         return out
 
 
-@dataclass(frozen=True)
-class Verdict:
-    holds: bool
-    certificate: Certificate | None
-    fragment_label: str
+class Verdict(Frozen):
+    __slots__ = ("holds", "certificate", "fragment_label")
 
     def to_dict(self) -> dict:
         out: dict = {"holds": self.holds, "fragment": self.fragment_label}

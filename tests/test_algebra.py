@@ -100,6 +100,32 @@ def test_algebra_rejects_out_of_carrier_output():
         make_algebra("A", ["x"], {"f": {"x": "w"}})
 
 
+FULL_M = {(a, b): "x" for a in "xy" for b in "xy"}
+
+
+@pytest.mark.parametrize("rows, message", [
+    ({k: v for k, v in FULL_M.items() if k != ("y", "y")}, "missing table row for m(y, y)"),
+    ({**FULL_M, ("x",): "x"}, "'m' row ('x',) has wrong arity"),
+    ({**FULL_M, ("x", "w"): "x"}, "'m' row ('x', 'w') uses unknown elements"),
+    ({**FULL_M, ("y", "y"): "w"}, "m(y, y) -> 'w' is outside the carrier"),
+    # A missing row is reported before a bad one.
+    ({**{k: v for k, v in FULL_M.items() if k != ("y", "y")}, ("y", "w"): "x"},
+     "missing table row for m(y, y)"),
+], ids=["missing-row", "wrong-arity", "unknown-element", "output-outside", "missing-first"])
+def test_binary_table_errors_keep_their_wording(rows, message):
+    with pytest.raises(AlgebraError) as info:
+        Algebra("A", ("x", "y"), Signature((("m", 2),)), {"m": rows})
+    assert str(info.value) == f"algebra 'A': {message}"
+
+
+def test_unary_table_needs_tuple_keys():
+    # Bare string keys of the right count, spelled in carrier letters, are
+    # still not the rows ("x",) and ("y",).
+    with pytest.raises(AlgebraError) as info:
+        Algebra("A", ("x", "y"), Signature((("f", 1),)), {"f": {"x": "y", "y": "x"}})
+    assert str(info.value) == "algebra 'A': missing table row for f(x)"
+
+
 def test_validate_pair_signature_mismatch():
     a = two_chain("A")
     b = make_algebra("B", ["x", "y"], {"g": {"x": "y", "y": "y"}})

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -170,7 +168,10 @@ def assert_minimal(dfa):
     for length in range(dfa.n_states):
         words = words_up_to(dfa.alphabet, length)
         behaviours = {
-            tuple(replace(dfa, start=s).accepts(w) for w in words)
+            tuple(
+                automata.GenDfa(dfa.alphabet, dfa.n_states, s, dfa.finals, dfa.delta).accepts(w)
+                for w in words
+            )
             for s in range(dfa.n_states)
         }
         if len(behaviours) == dfa.n_states:

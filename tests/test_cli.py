@@ -432,3 +432,25 @@ def test_calls_in_one_process_match_separate_processes(capsys, monkeypatch, call
         results.append((code, captured.out, captured.err))
     assert results == [separate_process(argv) for argv in calls]
     assert cli._parser() is cli._parser() and cli.build_parser() is not cli._parser()
+
+
+def test_cli_import_loads_neither_dataclasses_nor_corpus():
+    """``gensim.corpus`` (and the ``dataclasses`` it needs) loads only for
+    ``examples``; every public name of the package still resolves."""
+    src = str(pathlib.Path(gensim.__file__).resolve().parent.parent)
+    code = (
+        "import sys, gensim.cli\n"
+        "print(sorted({'dataclasses', 'gensim.corpus'} & set(sys.modules)))\n"
+        "import gensim\n"
+        "print(all(getattr(gensim, name) is not None for name in gensim.__all__))\n"
+        "from gensim import load_fixture\n"
+        "from gensim.corpus import load_fixture as direct\n"
+        "print(load_fixture is direct, 'load_fixture' in dir(gensim))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert done.stdout.splitlines() == ["[]", "True", "True True"]
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        gensim.nonexistent

@@ -1,7 +1,7 @@
 import copy
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gensim.algebra import Signature, make_algebra
 from gensim.terms import (
@@ -372,6 +372,7 @@ def test_equality_and_hash_follow_structure(t, u):
         assert hash(t) == hash(u)
 
 
+@settings(deadline=None)
 @given(st.integers(min_value=0, max_value=3), st.integers(min_value=1, max_value=3))
 def test_enumeration_deterministic(depth, max_vars):
     first = enumerate_terms(SIG_M, depth, max_vars, "linear")
