@@ -289,7 +289,7 @@ def cmd_morphism(args) -> int:
         )
         return 0 if ok else 1
     if args.verify == "iso-lemma":
-        report = verify_isomorphism_lemma(emap)
+        report = verify_isomorphism_lemma(emap, config)
         _emit(
             args,
             report.to_dict,
@@ -393,20 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gensim",
         description="Decide generalization-based similarity on finite algebras.",
     )
-    # Each subcommand takes only the options it reads: the output format,
-    # the saturation cap of its closures, and the engine selection.
+    # Each subcommand takes only the options some mode of it reads: the
+    # output format, the saturation cap of its closures, and the engine
+    # selection, whose defaults are QueryConfig's.
+    defaults = QueryConfig()
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("text", "json"), default="text")
     cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--cap", type=int, default=200_000, help="saturation size cap")
+    cap.add_argument("--cap", type=int, default=defaults.cap, help="saturation size cap")
     engine = argparse.ArgumentParser(add_help=False, parents=[cap])
     engine.add_argument(
         "--fragment",
         choices=FRAGMENT_CHOICES,
-        default="auto",
-        help="term fragment / engine selection (default: auto)",
+        default=defaults.fragment,
+        help="term fragment / engine selection (default: %(default)s)",
     )
-    engine.add_argument("--max-vars", type=int, default=2, help="K for the general engine")
+    engine.add_argument(
+        "--max-vars", type=int, default=defaults.max_vars, help="K for the general engine"
+    )
     common = [engine, fmt]
 
     sub = parser.add_subparsers(dest="command", required=True)

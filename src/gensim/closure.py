@@ -33,6 +33,10 @@ class Profile(NamedTuple):
     witness: Term
 
 
+# The default cap on the number of profiles a closure accepts.
+DEFAULT_CAP = 200_000
+
+
 class SaturationCapError(AlgebraError):
     def __init__(self, cap: int, message: str | None = None):
         self.cap = cap

@@ -17,7 +17,7 @@ from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraError, AlgebraPair
-from .closure import Profile, SaturationCapError, least_witness_closure, side_lifts
+from .closure import DEFAULT_CAP, Profile, SaturationCapError, least_witness_closure, side_lifts
 from .terms import App, Const, Var, app_key, witness_key
 from .verdict import EXACT, exact_for_vars
 
@@ -38,7 +38,7 @@ def _function_lift(algebra: Algebra, sym: str):
     return lambda functions: tuple(map(table.__getitem__, zip(*functions)))
 
 
-def saturate_profiles(pair: AlgebraPair, k: int, cap: int = 200_000) -> list[Profile]:
+def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP) -> list[Profile]:
     """Least closed set of K-variable function pairs, minimal witnesses.
 
     Each side of a profile holds one value index per assignment over A^K

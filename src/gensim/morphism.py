@@ -113,13 +113,6 @@ def parse_map(text: str, algebras: Mapping[str, Algebra]) -> ElementMap:
     return ElementMap(name, source, target, table)
 
 
-def render_map(emap: ElementMap) -> str:
-    lines = [f"map {emap.name} : {emap.source.name} -> {emap.target.name}"]
-    for a in emap.source.carrier:
-        lines.append(f"  {a} -> {emap.table[a]}")
-    return "\n".join(lines) + "\n"
-
-
 def is_homomorphism(emap: ElementMap) -> bool:
     """Does the map commute with every operation on every tuple?"""
     src, tgt = emap.source, emap.target
@@ -155,18 +148,19 @@ class LemmaReport(Record):
         }
 
 
-def verify_isomorphism_lemma(emap: ElementMap) -> LemmaReport:
+def verify_isomorphism_lemma(emap: ElementMap, config: QueryConfig | None = None) -> LemmaReport:
     """Certify Gen(a) = Gen(F(a)) for every source element a.
 
     Each range pair of (A, B) holds the ranges of one term in A and in B,
     so a is a violation when some pair has a on the left but not F(a) on
     the right, or the other way round.  Term by term, this is exact on
     unary signatures (ground terms included) and covers the linear
-    fragment elsewhere.
+    fragment elsewhere.  Only ``config.cap`` is read.
     """
     if not is_isomorphism(emap):
         raise MapError(f"map {emap.name!r} is not an isomorphism")
-    rows = reachable_profiles(AlgebraPair(emap.source, emap.target))
+    config = config or QueryConfig()
+    rows = reachable_profiles(AlgebraPair(emap.source, emap.target), config.cap)
     violations = [
         a
         for a in emap.source.carrier

@@ -13,6 +13,7 @@ from itertools import combinations
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, validate_pair
 from . import automata
+from .closure import DEFAULT_CAP
 from .general import exactness_label, saturate_profiles
 from .linear import reachable_profiles
 from .monolinear import paired_clone
@@ -34,7 +35,7 @@ FRAGMENT_CHOICES = ("auto", "unary", "linear", "monolinear", "general")
 class QueryConfig(Frozen):
     __slots__ = ("fragment", "max_vars", "cap")  # max_vars: K for the general engine
 
-    def __init__(self, fragment: str = "auto", max_vars: int = 2, cap: int = 200_000):
+    def __init__(self, fragment: str = "auto", max_vars: int = 2, cap: int = DEFAULT_CAP):
         super().__init__(fragment, max_vars, cap)
         if fragment not in FRAGMENT_CHOICES:
             raise AlgebraError(f"unknown fragment {fragment!r}")
@@ -78,6 +79,7 @@ class Engine:
         self._holds = Verdict(True, None, label)
         self._verdicts: dict = {}
         self._failing: dict = {}
+        self._restated: dict = {}
 
     def _first(self, mask: int) -> Term:
         return self._classes[(mask & -mask).bit_length() - 1][2]
@@ -124,6 +126,21 @@ class Engine:
                     )
                     break
             self._verdicts[key] = found
+        return found
+
+    def approx_failure(self, failing: Verdict) -> Verdict:
+        """``failing``, a failing verdict of this engine, restated for
+        ``~~``: its certificate names the engine's direction.  Memoized,
+        as a verdict object comes from one engine, which fixes it."""
+        found = self._restated.get(id(failing))
+        if found is None:
+            cert = failing.certificate
+            direction = (self.pair.left.name, self.pair.right.name)
+            found = self._restated[id(failing)] = Verdict(
+                False,
+                Certificate(cert.kind, cert.term, cert.element, direction),
+                failing.fragment_label,
+            )
         return found
 
     def classes(self) -> list[tuple[frozenset[str], frozenset[str], Term]]:
@@ -177,12 +194,17 @@ def build_engine(pair: AlgebraPair, config: QueryConfig | None = None) -> Engine
 
 
 def build_engines(pair: AlgebraPair, config: QueryConfig | None = None) -> tuple[Engine, Engine]:
-    """The engines of the pair and of its swap; a self pair's engine is its
-    own reverse, so it is built once."""
+    """The engines of the pair and of its swap."""
     engine = build_engine(pair, config)
+    return engine, _reverse_engine(pair, engine, config)
+
+
+def _reverse_engine(pair: AlgebraPair, engine: Engine, config: QueryConfig | None) -> Engine:
+    """The engine of the swapped pair, given ``engine`` of ``pair``: a self
+    pair's engine is its own reverse, so it is built once."""
     if pair.left is pair.right:
-        return engine, engine
-    return engine, build_engine(pair.swapped(), config)
+        return engine
+    return build_engine(pair.swapped(), config)
 
 
 def decide_leq(
@@ -212,64 +234,46 @@ def decide_approx(
     engine: Engine | None = None,
     reverse_engine: Engine | None = None,
 ) -> Verdict:
-    """g-similarity: both directed maximality checks."""
+    """g-similarity: both directed maximality checks.  The reverse engine
+    is built only when the forward check holds."""
     engine = engine or build_engine(pair, config)
     forward = decide_leq(pair, a, b, config, engine)
     if not forward.holds:
-        return _with_direction(forward, (pair.left.name, pair.right.name))
-    if reverse_engine is None and pair.left is pair.right:
-        reverse_engine = engine
+        return engine.approx_failure(forward)
+    reverse_engine = reverse_engine or _reverse_engine(pair, engine, config)
     backward = decide_leq(pair.swapped(), b, a, config, reverse_engine)
     if not backward.holds:
-        return _with_direction(backward, (pair.right.name, pair.left.name))
+        return reverse_engine.approx_failure(backward)
     return forward
-
-
-def _with_direction(failing: Verdict, direction: tuple[str, str]) -> Verdict:
-    """A failing ``<~`` verdict, restated as a failing ``~~`` verdict whose
-    certificate names its direction (left name, right name)."""
-    cert = failing.certificate
-    return Verdict(
-        False,
-        Certificate(cert.kind, cert.term, cert.element, direction),
-        failing.fragment_label,
-    )
 
 
 def decide_algebra_leq(pair: AlgebraPair, config: QueryConfig | None = None) -> Verdict:
     """Every left element must have a g-similar partner on the right."""
-    return _partners(pair, *build_engines(pair, config))
-
-
-def _partners(pair: AlgebraPair, engine: Engine, reverse: Engine) -> Verdict:
-    """decide_algebra_leq over the engines of the pair and of its swap."""
-    swapped = pair.swapped()
-    for a in pair.left.carrier:
-        if not any(
-            decide_leq(pair, a, b, engine=engine).holds
-            and decide_leq(swapped, b, a, engine=reverse).holds
-            for b in pair.right.carrier
-        ):
-            return Verdict(
-                False, Certificate(MISSING_PARTNER, element=a), engine.label
-            )
-    return Verdict(True, None, engine.label)
+    return _missing_partner(similarity_matrix(pair, config), both_sides=False)
 
 
 def decide_algebra_approx(pair: AlgebraPair, config: QueryConfig | None = None) -> Verdict:
-    engine, reverse = build_engines(pair, config)
-    forward = _partners(pair, engine, reverse)
-    if not forward.holds:
-        return forward
-    backward = _partners(pair.swapped(), reverse, engine)
-    if not backward.holds:
-        cert = Certificate(
-            MISSING_PARTNER,
-            element=backward.certificate.element,
-            direction=(pair.right.name, pair.left.name),
-        )
-        return Verdict(False, cert, backward.fragment_label)
-    return forward
+    """Every element of each algebra must have a g-similar partner."""
+    return _missing_partner(similarity_matrix(pair, config), both_sides=True)
+
+
+def _missing_partner(matrix: SimilarityMatrix, both_sides: bool) -> Verdict:
+    """Fail at the first left element with no ``~~`` partner in
+    ``matrix``, then (``both_sides``) at the first right one."""
+    approx = matrix.approx
+    # Every cell carries the label of the engines that decided it.
+    label = approx[matrix.rows[0], matrix.cols[0]].fragment_label
+    for a in matrix.rows:
+        if not any(approx[a, b].holds for b in matrix.cols):
+            return Verdict(False, Certificate(MISSING_PARTNER, element=a), label)
+    if both_sides:
+        pair = matrix.pair
+        for b in matrix.cols:
+            if not any(approx[a, b].holds for a in matrix.rows):
+                direction = (pair.right.name, pair.left.name)
+                cert = Certificate(MISSING_PARTNER, element=b, direction=direction)
+                return Verdict(False, cert, label)
+    return Verdict(True, None, label)
 
 
 class SimilarityMatrix(Record):
@@ -335,24 +339,18 @@ def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> S
     """All pairwise directed and symmetric verdicts, declaration order."""
     swapped = pair.swapped()
     engine, reverse = build_engines(pair, config)
-    forward_dir = (pair.left.name, pair.right.name)
-    backward_dir = (pair.right.name, pair.left.name)
     leq, geq, approx = {}, {}, {}
-    # A verdict object comes from one engine, which fixes its direction.
-    restated: dict = {}
     for a in pair.left.carrier:
         for b in pair.right.carrier:
             key = (a, b)
             v_leq = leq[key] = decide_leq(pair, a, b, config, engine)
             v_geq = geq[key] = decide_leq(swapped, b, a, config, reverse)
-            if v_leq.holds and v_geq.holds:
+            if not v_leq.holds:
+                approx[key] = engine.approx_failure(v_leq)
+            elif not v_geq.holds:
+                approx[key] = reverse.approx_failure(v_geq)
+            else:
                 approx[key] = v_leq
-                continue
-            failing, direction = (v_geq, backward_dir) if v_leq.holds else (v_leq, forward_dir)
-            v_approx = restated.get(id(failing))
-            if v_approx is None:
-                v_approx = restated[id(failing)] = _with_direction(failing, direction)
-            approx[key] = v_approx
     return SimilarityMatrix(
         pair, pair.left.carrier, pair.right.carrier, leq, geq, approx
     )

@@ -223,16 +223,6 @@ def variable_occurrences(term: Term) -> int:
     return _fold(term, lambda t: int(isinstance(t, Var)), lambda op, counts: sum(counts))
 
 
-def canonicalize(term: Term) -> Term:
-    """Rename variables to z1, z2, ... in first-occurrence order."""
-    mapping: dict[int, int] = {}
-
-    def leaf(t: Term) -> Term:
-        return Var(mapping.setdefault(t.index, len(mapping) + 1)) if isinstance(t, Var) else t
-
-    return _fold(term, leaf, App)
-
-
 def shift_variables(term: Term, offset: int) -> Term:
     return _fold(term, lambda t: Var(t.index + offset) if isinstance(t, Var) else t, App)
 
@@ -267,11 +257,6 @@ def range_of_term(term: Term, algebra: Algebra) -> frozenset[str]:
         if len(values) == len(algebra.carrier):
             break
     return frozenset(values)
-
-
-def is_generalization(term: Term, algebra: Algebra, a: str) -> bool:
-    algebra.require_element(a)
-    return a in range_of_term(term, algebra)
 
 
 def classify_fragment(term: Term) -> str:

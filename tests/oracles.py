@@ -1,7 +1,9 @@
 """Brute-force oracles for the engines, straight from the definitions:
 enumerate the terms within bounds and evaluate each one.  Also the helpers
 that only tests use: the set-lifted range of a term, the inverse of
-``automata.word_to_term`` and a random isomorphic copy of an algebra."""
+``automata.word_to_term``, variable renaming to first-occurrence order,
+the ``.map`` text of an element map and a random isomorphic copy of an
+algebra."""
 
 from __future__ import annotations
 
@@ -17,10 +19,25 @@ from gensim.terms import (
     Const,
     Term,
     Var,
+    _fold,
     enumerate_terms,
-    is_generalization,
     range_of_term,
 )
+
+
+def is_generalization(term: Term, algebra: Algebra, a: str) -> bool:
+    algebra.require_element(a)
+    return a in range_of_term(term, algebra)
+
+
+def canonicalize(term: Term) -> Term:
+    """Rename variables to z1, z2, ... in first-occurrence order."""
+    mapping: dict[int, int] = {}
+
+    def leaf(t: Term) -> Term:
+        return Var(mapping.setdefault(t.index, len(mapping) + 1)) if isinstance(t, Var) else t
+
+    return _fold(term, leaf, App)
 
 
 def brute_force_gen(
@@ -112,3 +129,11 @@ def relabeled_copy(rng: random.Random, algebra: Algebra, prefix: str = "r_") -> 
     }
     copy = Algebra(f"{prefix}{algebra.name}", carrier, algebra.signature, tables)
     return ElementMap(f"relabel_{algebra.name}", algebra, copy, rename)
+
+
+def render_map(emap: ElementMap) -> str:
+    """The ``.map`` text of ``emap``, which ``parse_map`` reads back."""
+    lines = [f"map {emap.name} : {emap.source.name} -> {emap.target.name}"]
+    for a in emap.source.carrier:
+        lines.append(f"  {a} -> {emap.table[a]}")
+    return "\n".join(lines) + "\n"

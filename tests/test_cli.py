@@ -331,6 +331,23 @@ def test_morphism_verifications(capsys, schema):
     assert "--map2" in err
 
 
+def test_iso_lemma_reads_the_cap(capsys, tmp_path):
+    identity = tmp_path / "id.map"
+    identity.write_text(
+        "map id : Chain5 -> Chain5\n" + "".join(f"{e} -> {e}\n" for e in "abcde")
+    )
+    base = (
+        "morphism", "--map", str(identity), "--algebras", fixture_path("chain5.alg"),
+        "--verify", "iso-lemma",
+    )
+    code, _, err = run(capsys, *base, "--cap", "1")
+    assert code == 2
+    assert "error:" in err and "cap of 1 " in err
+    code, out, _ = run(capsys, *base)
+    assert code == 0
+    assert out == "id: generalization sets certified equal (linear-profile-renaming)\n"
+
+
 def test_reflexivity(capsys, schema):
     code, out, _ = run(
         capsys,

@@ -28,11 +28,12 @@ from gensim.terms import (
     Const,
     Var,
     app_key,
-    canonicalize,
     shift_variables,
     term_variables,
     witness_key,
 )
+from oracles import canonicalize
+from test_similarity import with_constants
 
 
 def naive_closure(seeds, ops, sig):
@@ -414,3 +415,50 @@ def test_self_pairs_lift_one_side_and_each_tuple_once(label, pair, lift_calls):
         # Components are interned, so distinct argument ids are distinct
         # argument values: each distinct tuple is lifted once.
         assert len(seen) == len(set(seen))
+
+
+ENGINE_ROWS = {
+    "linear": reachable_profiles,
+    "monolinear": paired_clone,
+    "general": lambda pair: saturate_profiles(pair, 1),
+}
+
+
+def constant_pairs(engine, left_constants, right_constants):
+    """Seeded cross pairs whose algebras declare the constants e3 and e0 in
+    the given orders: 2-op monounary ones, and for the range engines ones
+    with a binary operation, whose monolinear terms take constant fillers.
+    The general engine's function pairs of those are too many for a test."""
+    size = 4 if engine == "general" else 8
+    pairs = [
+        (random_monounary_algebra(random.Random(seed), size, 2, name="A"),
+         random_monounary_algebra(random.Random(seed + 100), size, 2, name="B"))
+        for seed in range(8)
+    ]
+    if engine != "general":
+        pairs += [(random_binary(seed, "A"), random_binary(seed + 100, "B")) for seed in range(2)]
+    for left, right in pairs:
+        yield validate_pair(
+            with_constants(left, left_constants), with_constants(right, right_constants)
+        )
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_ROWS))
+def test_swapped_pair_transposes_rows_when_constant_orders_agree(engine):
+    """The rows of the swapped pair are the pair's rows with their sides
+    swapped: same order, same witnesses."""
+    rows = ENGINE_ROWS[engine]
+    for pair in constant_pairs(engine, ("e3", "e0"), ("e3", "e0")):
+        assert rows(pair.swapped()) == [(p.right, p.left, p.witness) for p in rows(pair)]
+
+
+@pytest.mark.parametrize("engine", sorted(ENGINE_ROWS))
+def test_swapped_pair_keeps_the_row_set_when_constant_orders_differ(engine):
+    """Each direction ranks the constants in its left algebra's order, so
+    the swapped pair's rows may come in another order with other
+    witnesses; only the set of rows is the same."""
+    rows = ENGINE_ROWS[engine]
+    for pair in constant_pairs(engine, ("e3", "e0"), ("e0", "e3")):
+        forward = [(p.right, p.left) for p in rows(pair)]
+        backward = [(p.left, p.right) for p in rows(pair.swapped())]
+        assert len(backward) == len(forward) and set(backward) == set(forward)

@@ -16,9 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from gensim import cli
 from gensim.algebra import Algebra, Signature, render_algebra, self_pair, validate_pair
-from gensim.morphism import random_monounary_algebra, render_map
+from gensim.morphism import random_monounary_algebra
 from gensim.similarity import QueryConfig, similarity_matrix
-from oracles import relabeled_copy
+from oracles import relabeled_copy, render_map
 
 FIXTURES = [
     "chain5.alg", "chain4_a.alg", "chain4_b.alg", "nat_sink7.alg",

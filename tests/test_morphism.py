@@ -15,12 +15,11 @@ from gensim.morphism import (
     is_isomorphism,
     parse_map,
     random_monounary_algebra,
-    render_map,
     verify_isomorphism_lemma,
 )
 from gensim.similarity import QueryConfig, decide_approx
 from gensim.terms import render_term
-from oracles import relabeled_copy
+from oracles import relabeled_copy, render_map
 
 
 def identity_map(algebra):

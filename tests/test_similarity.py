@@ -30,6 +30,7 @@ from gensim.similarity import (
     similarity_matrix,
 )
 from gensim.terms import range_of_term, render_term
+from gensim.verdict import Certificate, Verdict
 from test_decision import fixture_pairs, meet3, random_pair
 
 
@@ -110,11 +111,86 @@ def test_cross_engine_agreement_on_fixture(chain4_pair):
 
 def test_algebra_level_relations(chain5, chain4_a, chain4_b):
     assert decide_algebra_approx(self_pair(chain5)).holds
+    # ChainA and ChainB swap 0 and 1: 0 ~~ 1 and 1 ~~ 0.
     pair = validate_pair(chain4_a, chain4_b)
-    verdict = decide_algebra_leq(pair)
-    # 0 in ChainA has no approx partner in ChainB: its depth profile differs
-    if not verdict.holds:
-        assert verdict.certificate.kind == "missing-partner"
+    assert decide_algebra_leq(pair) == Verdict(True, None, "exact")
+    assert decide_algebra_approx(pair) == Verdict(True, None, "exact")
+    # Every Chain5 element has a partner in ChainA, but ChainA's 2 has none.
+    pair = validate_pair(chain5, chain4_a)
+    assert decide_algebra_leq(pair) == Verdict(True, None, "exact")
+    cert = Certificate("missing-partner", element="2", direction=("ChainA", "Chain5"))
+    assert decide_algebra_approx(pair) == Verdict(False, cert, "exact")
+
+
+def partners_by_cell(pair, both_sides):
+    """The algebra-level verdict spelled out from one ``decide_approx``
+    call per cell: it fails at the first left element with no ``~~``
+    partner, then (``both_sides``) at the first right element with none."""
+    engine, reverse = build_engines(pair)
+    cells = {
+        (a, b): decide_approx(pair, a, b, engine=engine, reverse_engine=reverse)
+        for a in pair.left.carrier
+        for b in pair.right.carrier
+    }
+    (label,) = {v.fragment_label for v in cells.values()}
+    for a in pair.left.carrier:
+        if not any(cells[a, b].holds for b in pair.right.carrier):
+            return Verdict(False, Certificate("missing-partner", element=a), label)
+    if both_sides:
+        for b in pair.right.carrier:
+            if not any(cells[a, b].holds for a in pair.left.carrier):
+                direction = (pair.right.name, pair.left.name)
+                cert = Certificate("missing-partner", element=b, direction=direction)
+                return Verdict(False, cert, label)
+    return Verdict(True, None, label)
+
+
+def test_algebra_level_relations_match_per_cell_decisions():
+    pairs = fixture_pairs()
+    for n_ops in (1, 2):
+        for seed in range(6):
+            left = random_monounary_algebra(random.Random(seed), 5, n_ops, name="L")
+            right = random_monounary_algebra(random.Random(seed + 100), 5, n_ops, name="S")
+            pairs += [validate_pair(left, right), validate_pair(right, left)]
+    seen = set()
+    for pair in pairs:
+        names = (pair.left.name, pair.right.name)
+        assert decide_algebra_leq(pair) == partners_by_cell(pair, both_sides=False), names
+        approx = decide_algebra_approx(pair)
+        assert approx == partners_by_cell(pair, both_sides=True), names
+        cert = approx.certificate
+        seen.add("holds" if cert is None else "right" if cert.direction else "left")
+    # Each outcome occurs: holds, no partner for a left or a right element.
+    assert seen == {"holds", "left", "right"}
+
+
+def test_decide_approx_builds_the_reverse_engine_only_when_forward_holds(
+    monkeypatch, chain5, chain4_a, chain4_b
+):
+    from gensim import similarity
+
+    cross = validate_pair(chain4_a, chain4_b)
+    forward = {(a, b): decide_leq(cross, a, b).holds for a, b in similarity_matrix(cross).leq}
+    fails = next(cell for cell, holds in forward.items() if not holds)
+    holds = next(cell for cell, holds in forward.items() if holds)
+    built = []
+
+    def counted(pair, config=None):
+        built.append(pair)
+        return build_engine(pair, config)
+
+    monkeypatch.setattr(similarity, "build_engine", counted)
+    # chain5: c ~~ d holds, a <~ b holds but b <~ a fails, b <~ a fails.
+    for a, b in (("c", "d"), ("a", "b"), ("b", "a")):
+        built.clear()
+        decide_approx(self_pair(chain5), a, b)
+        assert [(p.left, p.right) for p in built] == [(chain5, chain5)]
+    built.clear()
+    decide_approx(cross, *fails)
+    assert [(p.left, p.right) for p in built] == [(chain4_a, chain4_b)]
+    built.clear()
+    decide_approx(cross, *holds)
+    assert [(p.left, p.right) for p in built] == [(chain4_a, chain4_b), (chain4_b, chain4_a)]
 
 
 @pytest.mark.parametrize("driver", [decide_algebra_approx, decide_algebra_leq, check_reflexive])

@@ -10,13 +10,11 @@ from gensim.terms import (
     EnumerationCapError,
     TermError,
     Var,
-    canonicalize,
     classify_fragment,
     enumerate_terms,
     enumeration_key,
     eval_term,
     fragment_admits,
-    is_generalization,
     parse_term,
     range_of_term,
     render_g_formula,
@@ -28,6 +26,7 @@ from gensim.terms import (
     variable_occurrences,
     witness_key,
 )
+from oracles import canonicalize, is_generalization
 
 
 SIG_FG = Signature((("f", 1), ("g", 1)))
