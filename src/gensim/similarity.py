@@ -261,16 +261,15 @@ def _missing_partner(matrix: SimilarityMatrix, both_sides: bool) -> Verdict:
     """Fail at the first left element with no ``~~`` partner in
     ``matrix``, then (``both_sides``) at the first right one."""
     approx = matrix.approx
-    # Every cell carries the label of the engines that decided it.
+    # A pair's engine and its reverse carry one label, so every cell does.
     label = approx[matrix.rows[0], matrix.cols[0]].fragment_label
     for a in matrix.rows:
         if not any(approx[a, b].holds for b in matrix.cols):
             return Verdict(False, Certificate(MISSING_PARTNER, element=a), label)
     if both_sides:
-        pair = matrix.pair
+        direction = (matrix.pair.right.name, matrix.pair.left.name)
         for b in matrix.cols:
             if not any(approx[a, b].holds for a in matrix.rows):
-                direction = (pair.right.name, pair.left.name)
                 cert = Certificate(MISSING_PARTNER, element=b, direction=direction)
                 return Verdict(False, cert, label)
     return Verdict(True, None, label)

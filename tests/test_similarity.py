@@ -170,9 +170,9 @@ def test_decide_approx_builds_the_reverse_engine_only_when_forward_holds(
     from gensim import similarity
 
     cross = validate_pair(chain4_a, chain4_b)
-    forward = {(a, b): decide_leq(cross, a, b).holds for a, b in similarity_matrix(cross).leq}
-    fails = next(cell for cell, holds in forward.items() if not holds)
-    holds = next(cell for cell, holds in forward.items() if holds)
+    forward = similarity_matrix(cross).leq
+    fails = next(cell for cell, verdict in forward.items() if not verdict.holds)
+    holds = next(cell for cell, verdict in forward.items() if verdict.holds)
     built = []
 
     def counted(pair, config=None):
