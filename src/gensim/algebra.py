@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from itertools import chain, product
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .record import Frozen
 
@@ -208,9 +208,13 @@ def make_algebra(
     return Algebra(name, carrier, sig, norm_tables)
 
 
-def _strip_comment(line: str) -> str:
-    idx = line.find("#")
-    return line if idx < 0 else line[:idx]
+def scan_lines(text: str) -> Iterator[tuple[int, str]]:
+    """The (line number, text) of each non-blank line of a ``.alg`` or
+    ``.map`` file, its ``#`` comment cut and its ends stripped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
 
 
 _ROW_RE = re.compile(r"^\(?\s*(?P<args>[^()]*?)\s*\)?\s*->\s*(?P<out>\S+)$")
@@ -218,19 +222,16 @@ _ROW_RE = re.compile(r"^\(?\s*(?P<args>[^()]*?)\s*\)?\s*->\s*(?P<out>\S+)$")
 
 def parse_algebra(text: str) -> Algebra:
     """Parse the line-oriented ``.alg`` format into a validated Algebra."""
-    lines = text.splitlines()
     name: str | None = None
     carrier: tuple[str, ...] = ()
-    constants: tuple[str, ...] = ()
-    seen_constants = False
+    # (line number, names), resolved after the loop against the final
+    # carrier, so the header lines may come in any order.
+    constants_line: tuple[int, list[str]] | None = None
     sig_ops: list[tuple[str, int]] = []
     tables: dict[str, dict[tuple[str, ...], str]] = {}
     current_op: tuple[str, int] | None = None
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
+    for lineno, line in scan_lines(text):
         parts = line.split()
         head = parts[0]
         if current_op is not None and head != "end":
@@ -265,6 +266,8 @@ def parse_algebra(text: str) -> Algebra:
                 raise AlgebraParseError("expected 'algebra <name>'", lineno)
             name = parts[1]
         elif head == "elements":
+            if carrier:
+                raise AlgebraParseError("duplicate 'elements' line", lineno)
             if not parts[1:]:
                 raise AlgebraParseError("'elements' needs at least one name", lineno)
             if len(set(parts[1:])) != len(parts[1:]):
@@ -277,16 +280,9 @@ def parse_algebra(text: str) -> Algebra:
                     )
             carrier = tuple(parts[1:])
         elif head == "constants":
-            seen_constants = True
-            if parts[1:] == ["none"]:
-                constants = ()
-            elif parts[1:] == ["all"]:
-                constants = carrier
-            else:
-                for c in parts[1:]:
-                    if c not in carrier:
-                        raise AlgebraParseError(f"unknown constant element {c!r}", lineno)
-                constants = tuple(parts[1:])
+            if constants_line is not None:
+                raise AlgebraParseError("duplicate 'constants' line", lineno)
+            constants_line = (lineno, parts[1:])
         elif head == "op":
             if len(parts) != 2 or "/" not in parts[1]:
                 raise AlgebraParseError("expected 'op <sym>/<arity>'", lineno)
@@ -295,6 +291,10 @@ def parse_algebra(text: str) -> Algebra:
                 arity = int(arity_text)
             except ValueError:
                 raise AlgebraParseError(f"bad arity {arity_text!r}", lineno) from None
+            if arity < 1:
+                raise AlgebraParseError(
+                    f"operation {sym!r} has arity {arity}; must be >= 1", lineno
+                )
             if sym in tables:
                 raise AlgebraParseError(f"duplicate operation {sym!r}", lineno)
             if not carrier:
@@ -321,10 +321,18 @@ def parse_algebra(text: str) -> Algebra:
         raise AlgebraParseError("missing 'algebra <name>' header")
     if not carrier:
         raise AlgebraParseError("missing 'elements' line")
-    if not seen_constants:
+    if constants_line is None:
         raise AlgebraParseError("missing 'constants' line")
+    lineno, constants = constants_line
+    if constants == ["none"]:
+        constants = []
+    elif constants == ["all"]:
+        constants = carrier
+    for c in constants:
+        if c not in carrier:
+            raise AlgebraParseError(f"unknown constant element {c!r}", lineno)
 
-    sig = Signature(tuple(sig_ops), constants)
+    sig = Signature(tuple(sig_ops), tuple(constants))
     return Algebra(name, carrier, sig, tables)
 
 

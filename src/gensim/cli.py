@@ -52,13 +52,6 @@ def _load_algebra(path: str) -> Algebra:
     return parse_algebra(_read_text(path))
 
 
-def _load_pair(args):
-    left = _load_algebra(args.left)
-    if getattr(args, "right", None):
-        return validate_pair(left, _load_algebra(args.right))
-    return self_pair(left)
-
-
 def _config(args) -> QueryConfig:
     return QueryConfig(
         fragment=args.fragment,
@@ -67,13 +60,19 @@ def _config(args) -> QueryConfig:
     )
 
 
-def _engine_notice(pair, config: QueryConfig):
+def _query(args):
+    """The pair (``--right`` defaults to ``--left``) and the engine options
+    of a query; notes on stderr when the default engine is not exact."""
+    left = _load_algebra(args.left)
+    pair = validate_pair(left, _load_algebra(args.right)) if args.right else self_pair(left)
+    config = _config(args)
     if config.fragment == "auto" and not pair.left.signature.is_unary():
         print(
             f"note: non-unary signature, verdicts are {LINEAR_FRAGMENT} "
             "(pass --fragment general for more)",
             file=sys.stderr,
         )
+    return pair, config
 
 
 # The C string escaper that json.dumps uses, bound at import: the writer
@@ -171,9 +170,7 @@ def _emit(args, payload, text) -> None:
 
 
 def cmd_check(args) -> int:
-    pair = _load_pair(args)
-    config = _config(args)
-    _engine_notice(pair, config)
+    pair, config = _query(args)
     decide = decide_approx if args.relation == "approx" else decide_leq
     verdict = decide(pair, args.a, args.b, config)
     relation_symbol = "~~" if args.relation == "approx" else "<~"
@@ -196,9 +193,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_matrix(args) -> int:
-    pair = _load_pair(args)
-    config = _config(args)
-    _engine_notice(pair, config)
+    pair, config = _query(args)
     matrix = similarity_matrix(pair, config)
     _emit(args, matrix.to_dict, matrix.render_text)
     return 0
@@ -231,9 +226,7 @@ def cmd_genlang(args) -> int:
 
 
 def cmd_charset(args) -> int:
-    pair = _load_pair(args)
-    config = _config(args)
-    _engine_notice(pair, config)
+    pair, config = _query(args)
     charset = find_characteristic_set(pair, args.a, args.b, args.max_size, config)
     if charset is None:
         _emit(
@@ -322,9 +315,7 @@ def cmd_morphism(args) -> int:
 
 
 def cmd_reflexivity(args) -> int:
-    pair = _load_pair(args)
-    config = _config(args)
-    _engine_notice(pair, config)
+    pair, config = _query(args)
     report = check_reflexive(pair, config)
     lines = [
         f"overlap {{{', '.join(report.checked)}}}: "
@@ -412,20 +403,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-vars", type=int, default=defaults.max_vars, help="K for the general engine"
     )
     common = [engine, fmt]
+    pair = argparse.ArgumentParser(add_help=False)
+    pair.add_argument("--left", required=True, help="left .alg file")
+    pair.add_argument("--right", help="right .alg file (default: left)")
+    elements = argparse.ArgumentParser(add_help=False)
+    elements.add_argument("--a", required=True, help="left element")
+    elements.add_argument("--b", required=True, help="right element")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", parents=common, help="decide a <~ b or a ~~ b")
-    p.add_argument("--left", required=True, help="left .alg file")
-    p.add_argument("--right", help="right .alg file (default: left)")
-    p.add_argument("--a", required=True, help="left element")
-    p.add_argument("--b", required=True, help="right element")
+    p = sub.add_parser(
+        "check", parents=[*common, pair, elements], help="decide a <~ b or a ~~ b"
+    )
     p.add_argument("--relation", choices=("leq", "approx"), default="leq")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("matrix", parents=common, help="all pairwise verdicts")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right")
+    p = sub.add_parser("matrix", parents=[*common, pair], help="all pairwise verdicts")
     p.set_defaults(func=cmd_matrix)
 
     p = sub.add_parser("genlang", help="generalization language of an element")
@@ -435,12 +428,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_genlang)
 
     p = sub.add_parser(
-        "charset", parents=common, help="minimum characteristic generalization set"
+        "charset",
+        parents=[*common, pair, elements],
+        help="minimum characteristic generalization set",
     )
-    p.add_argument("--left", required=True)
-    p.add_argument("--right")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
     p.add_argument("--max-size", type=int, default=3)
     p.set_defaults(func=cmd_charset)
 
@@ -464,10 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_morphism)
 
     p = sub.add_parser(
-        "reflexivity", parents=common, help="self-similarity over shared names"
+        "reflexivity", parents=[*common, pair], help="self-similarity over shared names"
     )
-    p.add_argument("--left", required=True)
-    p.add_argument("--right")
     p.set_defaults(func=cmd_reflexivity)
 
     p = sub.add_parser(

@@ -98,6 +98,26 @@ class ExampleCheck:
     run: Callable[[], bool]
 
 
+# Checks in presentation order, which is their order of definition.
+_EXAMPLES: list[ExampleCheck] = []
+
+
+def _example(name: str, description: str):
+    """Register the decorated function as the example check ``name``."""
+
+    def register(run: Callable[[], bool]) -> Callable[[], bool]:
+        _EXAMPLES.append(ExampleCheck(name, description, run))
+        return run
+
+    return register
+
+
+def example_checks() -> list[ExampleCheck]:
+    """The fixture expectations, in presentation order."""
+    return list(_EXAMPLES)
+
+
+@_example("chain5-order", "chain fixture orders as a < b < c ~ d ~ e")
 def _chain5_order() -> bool:
     algebra = load_fixture("chain5.alg")
     matrix = similarity_matrix(AlgebraPair(algebra, algebra))
@@ -109,6 +129,7 @@ def _chain5_order() -> bool:
     )
 
 
+@_example("chain5-languages", "generalization languages of the chain fixture")
 def _chain5_languages() -> bool:
     algebra = load_fixture("chain5.alg")
     expected_words = {
@@ -126,6 +147,7 @@ def _chain5_languages() -> bool:
     return True
 
 
+@_example("nat-sink-order", "truncated successor orders interior elements by magnitude")
 def _nat_sink_order() -> bool:
     algebra = load_fixture("nat_sink7.alg")
     matrix = similarity_matrix(AlgebraPair(algebra, algebra))
@@ -138,6 +160,10 @@ def _nat_sink_order() -> bool:
     )
 
 
+@_example(
+    "chain4-reflexivity-failure",
+    "cross-algebra reflexivity fails at element 1 with evidence f(z1)",
+)
 def _chain4_reflexivity_failure() -> bool:
     pair = validate_pair(load_fixture("chain4_a.alg"), load_fixture("chain4_b.alg"))
     verdict = decide_leq(pair, "1", "1")
@@ -150,6 +176,10 @@ def _chain4_reflexivity_failure() -> bool:
     )
 
 
+@_example(
+    "triple-transitivity-failure",
+    "a <~ b and b <~ c but not a <~ c, also inside the union algebra",
+)
 def _triple_transitivity_failure() -> bool:
     a = load_fixture("triple_a.alg")
     b = load_fixture("triple_b.alg")
@@ -167,6 +197,7 @@ def _triple_transitivity_failure() -> bool:
     )
 
 
+@_example("merge-not-g-functor", "the merge homomorphism is not a g-functor")
 def _merge_not_g_functor() -> bool:
     emap = load_merge_map()
     reverse = validate_pair(emap.target, emap.source)
@@ -179,6 +210,10 @@ def _merge_not_g_functor() -> bool:
     )
 
 
+@_example(
+    "powerset-union-law",
+    "monolinear similarity on the powerset algebra is inclusion",
+)
 def _powerset_law() -> bool:
     algebra = powerset_algebra(("1", "2", "3"))
     pair = AlgebraPair(algebra, algebra)
@@ -196,6 +231,10 @@ def _powerset_law() -> bool:
     return True
 
 
+@_example(
+    "divisibility-spot-check",
+    "k*z generalizes a in truncated multiplication iff k divides a",
+)
 def _divisibility_spot_check() -> bool:
     algebra = truncated_multiplication_algebra(12)
     for k in range(1, 13):
@@ -207,58 +246,11 @@ def _divisibility_spot_check() -> bool:
     return True
 
 
+@_example(
+    "characteristic-singleton",
+    "one shared generalization pins c down in the mirror pair",
+)
 def _characteristic_singleton() -> bool:
     pair = validate_pair(load_fixture("triple_b.alg"), load_fixture("triple_c.alg"))
     charset = find_characteristic_set(pair, "b", "c")
     return charset is not None and [render_term(t) for t in charset] == ["g(z1)"]
-
-
-def example_checks() -> list[ExampleCheck]:
-    """The fixture expectations, in presentation order."""
-    return [
-        ExampleCheck(
-            "chain5-order",
-            "chain fixture orders as a < b < c ~ d ~ e",
-            _chain5_order,
-        ),
-        ExampleCheck(
-            "chain5-languages",
-            "generalization languages of the chain fixture",
-            _chain5_languages,
-        ),
-        ExampleCheck(
-            "nat-sink-order",
-            "truncated successor orders interior elements by magnitude",
-            _nat_sink_order,
-        ),
-        ExampleCheck(
-            "chain4-reflexivity-failure",
-            "cross-algebra reflexivity fails at element 1 with evidence f(z1)",
-            _chain4_reflexivity_failure,
-        ),
-        ExampleCheck(
-            "triple-transitivity-failure",
-            "a <~ b and b <~ c but not a <~ c, also inside the union algebra",
-            _triple_transitivity_failure,
-        ),
-        ExampleCheck(
-            "merge-not-g-functor",
-            "the merge homomorphism is not a g-functor",
-            _merge_not_g_functor,
-        ),
-        ExampleCheck(
-            "powerset-union-law",
-            "monolinear similarity on the powerset algebra is inclusion",
-            _powerset_law,
-        ),
-        ExampleCheck(
-            "divisibility-spot-check",
-            "k*z generalizes a in truncated multiplication iff k divides a",
-            _divisibility_spot_check,
-        ),
-        ExampleCheck(
-            "characteristic-singleton",
-            "one shared generalization pins c down in the mirror pair",
-            _characteristic_singleton,
-        ),
-    ]

@@ -19,6 +19,7 @@ from .algebra import (
     AlgebraPair,
     Signature,
     SignatureMismatchError,
+    scan_lines,
     validate_pair,
 )
 from .linear import reachable_profiles
@@ -77,22 +78,18 @@ def parse_map(text: str, algebras: Mapping[str, Algebra]) -> ElementMap:
     """
     name = source = target = None
     table: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        idx = raw.find("#")
-        line = (raw if idx < 0 else raw[:idx]).strip()
-        if not line:
-            continue
+    for lineno, line in scan_lines(text):
         if line.startswith("map "):
             if name is not None:
                 raise AlgebraParseError("duplicate 'map' header", lineno)
             head, _, rest = line[4:].partition(":")
             name = head.strip()
             src_name, arrow, tgt_name = rest.partition("->")
-            if not name or not arrow or not src_name.strip() or not tgt_name.strip():
+            src_name, tgt_name = src_name.strip(), tgt_name.strip()
+            if not name or not arrow or not src_name or not tgt_name:
                 raise AlgebraParseError(
                     "expected 'map <name> : <source> -> <target>'", lineno
                 )
-            src_name, tgt_name = src_name.strip(), tgt_name.strip()
             if src_name not in algebras:
                 raise AlgebraParseError(f"unknown source algebra {src_name!r}", lineno)
             if tgt_name not in algebras:

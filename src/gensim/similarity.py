@@ -361,7 +361,6 @@ def find_characteristic_set(
     b: str,
     max_size: int = 3,
     config: QueryConfig | None = None,
-    engine: Engine | None = None,
 ) -> list[Term] | None:
     """Minimum set of shared generalizations pinning b down uniquely.
 
@@ -371,7 +370,9 @@ def find_characteristic_set(
     semantic classes of the selected fragment, so exhaustion claims are
     fragment-relative.
     """
-    engine = engine or build_engine(pair, config)
+    if max_size < 1:
+        raise AlgebraError(f"max_size must be >= 1, not {max_size}")
+    engine = build_engine(pair, config)
     pair.left.require_element(a)
     pair.right.require_element(b)
     bad = set(engine.competitors(a, b))

@@ -71,6 +71,42 @@ def test_parse_unknown_directive():
         parse_algebra("algebra A\nelements x\nconstants none\nbogus\n")
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("algebra A\nelements x\nconstants none\nop f/-1\nend\n", 4,
+     "operation 'f' has arity -1; must be >= 1"),
+    ("algebra A\nelements x\nconstants none\nop f/0\nend\n", 4,
+     "operation 'f' has arity 0; must be >= 1"),
+    ("algebra A\nelements a b\nelements c d\nconstants none\n", 3,
+     "duplicate 'elements' line"),
+    ("algebra A\nelements a b\nconstants a\n# later\nconstants b\n", 5,
+     "duplicate 'constants' line"),
+    # a 'constants' line is resolved after the loop, keeping its own line
+    ("algebra A\nconstants c\nelements a b\nop f/1\n  a -> b\n  b -> a\nend\n", 2,
+     "unknown constant element 'c'"),
+], ids=["arity-below-0", "arity-0", "elements-twice", "constants-twice", "constants-unknown"])
+def test_parse_header_faults_name_their_line(text, line, message):
+    with pytest.raises(AlgebraParseError) as exc:
+        parse_algebra(text)
+    assert str(exc.value) == f"line {line}: {message}"
+    assert exc.value.line == line
+
+
+@pytest.mark.parametrize("constants", ["all", "none", "b a"])
+def test_header_lines_in_any_order(constants):
+    from itertools import permutations
+
+    headers = ["algebra A", "elements a b", f"constants {constants}"]
+    table = "op f/1\n  a -> b\n  b -> b\nend\n"
+    first, *rest = (
+        parse_algebra("\n".join(order) + "\n" + table) for order in permutations(headers)
+    )
+    # 'constants all' before 'elements' used to declare no constants
+    assert rest == [first] * 5
+    assert first.signature.constant_symbols == {
+        "all": ("a", "b"), "none": (), "b a": ("b", "a")
+    }[constants]
+
+
 def test_comments_and_blank_lines_ignored(chain4_a):
     from gensim.corpus import fixture_text
 

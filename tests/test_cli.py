@@ -84,6 +84,11 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "check", "--left", str(bad), "--a", "b", "--b", "b")
     assert code == 2
     assert "line 2" in err and "reserved" in err
+    # a negative arity is rejected at its line, not with a traceback
+    bad.write_text("algebra A\nelements x\nconstants none\nop f/-1\nend\n")
+    code, _, err = run(capsys, "matrix", "--left", str(bad))
+    assert code == 2
+    assert err == "error: line 4: operation 'f' has arity -1; must be >= 1\n"
     # a file that is not UTF-8 is an input error, not a failed property
     bad.write_bytes(b"\xff")
     code, _, err = run(capsys, "check", "--left", str(bad), "--a", "x", "--b", "x")
@@ -296,6 +301,15 @@ def test_charset_not_found(capsys):
     )
     assert code == 1
     assert "no characteristic set" in out
+    # a size bound below 1 is a usage error, not a failed search
+    for bound in ("0", "-1"):
+        code, out, err = run(
+            capsys,
+            "charset", "--left", fixture_path("chain5.alg"),
+            "--a", "c", "--b", "c", "--max-size", bound,
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: max_size must be >= 1, not {bound}\n"
 
 
 def test_clone(capsys, schema):
@@ -385,10 +399,19 @@ def test_transitivity_triple(capsys, schema):
 
 
 def test_examples_all_pass(capsys, schema):
+    from gensim import corpus
+
+    names = [
+        "chain5-order", "chain5-languages", "nat-sink-order",
+        "chain4-reflexivity-failure", "triple-transitivity-failure",
+        "merge-not-g-functor", "powerset-union-law", "divisibility-spot-check",
+        "characteristic-singleton",
+    ]
+    assert [c.name for c in corpus.example_checks()] == names
     code, out, _ = run(capsys, "examples")
     assert code == 0
     lines = [l for l in out.strip().splitlines()]
-    assert len(lines) == 9
+    assert [l.split()[1].rstrip(":") for l in lines] == names
     assert all(l.startswith("PASS") for l in lines)
     code, out, _ = run(capsys, "examples", "--format", "json")
     assert code == 0

@@ -33,6 +33,17 @@ def test_parse_map_round_trip(merge_map, merge_src, merge_tgt):
     assert again.source is merge_src and again.target is merge_tgt
 
 
+def test_parse_map_ignores_comments_and_blank_lines(merge_src, merge_tgt):
+    algebras = {"MergeSrc": merge_src, "MergeTgt": merge_tgt}
+    plain = parse_map("map F : MergeSrc -> MergeTgt\n  a -> c\n  b -> c\n", algebras)
+    commented = parse_map(
+        "# header comment\n\nmap F : MergeSrc -> MergeTgt  # inline\n"
+        "   \n  a -> c # first\n\n# between\n  b -> c\n",
+        algebras,
+    )
+    assert commented == plain
+
+
 def test_parse_map_errors(merge_src, merge_tgt):
     algebras = {"MergeSrc": merge_src, "MergeTgt": merge_tgt}
     from gensim.algebra import AlgebraParseError

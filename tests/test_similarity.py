@@ -241,6 +241,16 @@ def test_characteristic_set_respects_exclusion(chain5):
     assert result is None
 
 
+def test_characteristic_set_bounds(triple_b, triple_c):
+    pair = validate_pair(triple_b, triple_c)
+    for max_size in (0, -1):
+        with pytest.raises(AlgebraError, match="max_size must be >= 1"):
+            find_characteristic_set(pair, "b", "c", max_size)
+    # the engine comes from the config only
+    with pytest.raises(TypeError, match="engine"):
+        find_characteristic_set(pair, "b", "c", engine=None)
+
+
 def test_characteristic_set_with_constants():
     algebra = make_algebra(
         "K", ["x", "y"], {"f": {"x": "y", "y": "y"}}, constants=["x"]
