@@ -224,6 +224,7 @@ def parse_algebra(text: str) -> Algebra:
     """Parse the line-oriented ``.alg`` format into a validated Algebra."""
     name: str | None = None
     carrier: tuple[str, ...] = ()
+    elements: set[str] = set()
     # (line number, names), resolved after the loop against the final
     # carrier, so the header lines may come in any order.
     constants_line: tuple[int, list[str]] | None = None
@@ -232,24 +233,23 @@ def parse_algebra(text: str) -> Algebra:
     current_op: tuple[str, int] | None = None
 
     for lineno, line in scan_lines(text):
-        parts = line.split()
-        head = parts[0]
+        head = line.split(None, 1)[0]
         if current_op is not None and head != "end":
             sym, arity = current_op
             m = _ROW_RE.match(line)
             if not m:
                 raise AlgebraParseError(f"malformed table row {line!r}", lineno)
             args_text = m.group("args")
-            args = tuple(a.strip() for a in args_text.split(",")) if args_text else ()
+            args = tuple(map(str.strip, args_text.split(","))) if args_text else ()
             if len(args) != arity:
                 raise AlgebraParseError(
                     f"{sym!r} expects {arity} argument(s), row has {len(args)}", lineno
                 )
             for a in args:
-                if a not in carrier:
+                if a not in elements:
                     raise AlgebraParseError(f"unknown element {a!r} in row", lineno)
             out = m.group("out")
-            if out not in carrier:
+            if out not in elements:
                 raise AlgebraParseError(
                     f"out-of-carrier output {out!r} for {sym}({', '.join(args)})", lineno
                 )
@@ -259,6 +259,7 @@ def parse_algebra(text: str) -> Algebra:
                 )
             tables[sym][args] = out
             continue
+        parts = line.split()
         if head == "algebra":
             if name is not None:
                 raise AlgebraParseError("duplicate 'algebra' header", lineno)
@@ -279,9 +280,12 @@ def parse_algebra(text: str) -> Algebra:
                         lineno,
                     )
             carrier = tuple(parts[1:])
+            elements = set(carrier)
         elif head == "constants":
             if constants_line is not None:
                 raise AlgebraParseError("duplicate 'constants' line", lineno)
+            if len(set(parts[1:])) != len(parts[1:]):
+                raise AlgebraParseError("duplicate constant name", lineno)
             constants_line = (lineno, parts[1:])
         elif head == "op":
             if len(parts) != 2 or "/" not in parts[1]:
@@ -306,11 +310,13 @@ def parse_algebra(text: str) -> Algebra:
             if current_op is None:
                 raise AlgebraParseError("'end' without an open op block", lineno)
             sym, arity = current_op
-            for tup in product(carrier, repeat=arity):
-                if tup not in tables[sym]:
-                    raise AlgebraParseError(
-                        f"missing table row for {sym}({', '.join(tup)})", lineno
-                    )
+            # n ** arity distinct rows are all of them; a scan words the error.
+            rows = tables[sym]
+            if len(rows) != len(carrier) ** arity:
+                missing = next(t for t in product(carrier, repeat=arity) if t not in rows)
+                raise AlgebraParseError(
+                    f"missing table row for {sym}({', '.join(missing)})", lineno
+                )
             current_op = None
         else:
             raise AlgebraParseError(f"unknown directive {head!r}", lineno)

@@ -1,23 +1,25 @@
 """The least-witness closure shared by the linear, monolinear and general
-engines.  Each engine explores a least family of profiles closed under lifted
-operations, and keeps for each profile the first witness term that reaches
-it in witness order.  A profile is a pair: what a term denotes in the left
-algebra and in the right one (a range, a function or a value).  The loop is
-semi-naive (Bancilhon & Ramakrishnan, 1986): when an item is accepted, only
-the combinations that use it are lifted, each exactly once.  It is Knuth's
-(1977) generalization of Dijkstra's algorithm: a term's key exceeds its
-arguments' keys, so the first pop of a profile is final, and only
-candidates that beat their profile's pending key are pushed.  A key is
-composed from the stored keys of the arguments, and a witness is built
-only when accepted.  Components are interned as ints, and a lift is
-memoized per side on the tuple of argument ids; a self pair's rules pass
-one lift for both sides, which is applied once and not memoized.
+engines: the least family of profiles closed under lifted operations, each
+with the first witness term that reaches it in witness order.  A profile
+pairs what a term denotes in the left and in the right algebra (a range, a
+function or a value).  The loop is semi-naive (Bancilhon & Ramakrishnan,
+1986): an accepted item lifts only the combinations that use it, each once.
+It is Knuth's (1977) generalization of Dijkstra's algorithm: a term's key
+exceeds its arguments' keys, so a profile's first pop is final, and a
+candidate is pushed only when it beats its pending key.  Keys are composed
+from the arguments' stored keys, and witnesses built only when accepted.
+Components are interned as ints, and a lift is memoized per side on the
+tuple of argument ids; a self pair's one lift for both sides is not.
+
+Unary and binary rules run on unrolled kernels, higher arities on a loop
+over ``product``.  A candidate's depth and size (``1 + max``, ``1 + sum``)
+are checked against its pending key before its key is composed.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import count, product
+from itertools import chain, count, product, repeat
 from typing import NamedTuple
 
 from .algebra import AlgebraError, AlgebraPair
@@ -60,19 +62,17 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
     """The least family of profiles containing ``seeds`` and closed under
     ``rules``, in acceptance order.
 
-    A rule is ``(arity, lift_left, lift_right, build, compose)``: for a
-    tuple of ``arity`` profiles, ``lift_left`` maps their left components
-    to the left component of the result, ``lift_right`` likewise, ``build``
-    maps their witnesses to its witness, and ``compose(keys, bound)`` their
-    keys to its key, or to None when that cannot be below ``bound``
-    (``terms.app_key``).  Seeds are keyed by ``key``, which ``compose``
-    must agree with.  Candidates are popped in key order, so the first
-    witness of each profile is its minimal one.  Equal keys must mean
-    identical terms, so that ties never decide a witness.  A rule's two
-    lifts may be one object only when every seed's sides are equal (a self
-    pair).  When ``keys`` is a list, the key of each accepted item is
-    appended to it.  Raises ``SaturationCapError`` when more than ``cap``
-    profiles are accepted.
+    A rule ``(arity, lift_left, lift_right, build, compose)`` maps the left
+    components of ``arity`` profiles to a left component (``lift_left``),
+    their right ones likewise, their witnesses to a witness (``build``),
+    and their keys to a key, or to None when that cannot be below
+    ``bound`` (``compose(keys, bound)``, ``terms.app_key``); it must agree
+    with ``key``, the seeds' key.  Candidates are popped in key order, so
+    each profile's first witness is its minimal one; equal keys must mean
+    identical terms.  The two lifts may be one object only when every
+    seed's sides are equal (a self pair).  Each accepted key is appended
+    to ``keys`` when it is a list.  Raises ``SaturationCapError`` when more
+    than ``cap`` profiles are accepted.
     """
     ids: dict = {}
     values: list = []
@@ -94,7 +94,17 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
     heap: list = []
     tick = count()
     pending: dict = {}  # profile ids -> least key pushed, or _ACCEPTED
-    columns: tuple = ([], [], [])  # per accepted item: left id, right id, (key, witness)
+
+    def offer(candidate, depth_size, arg_keys, build, compose, args) -> None:
+        """Push a candidate whose key beats its pending one."""
+        best = pending.get(candidate)
+        if best is None or best is not _ACCEPTED and depth_size <= best[:2]:
+            k = compose(arg_keys, best)
+            if k is not None and (best is None or k < best):
+                pending[candidate] = k
+                heappush(heap, (k, next(tick), candidate, build, args))
+
+    rows: list = []  # per accepted item: left id, right id, key, witness
     items: list[Profile] = []
     for left, right, witness in seeds:
         profile, k = (intern(left), intern(right)), key(witness)
@@ -103,8 +113,7 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
             heappush(heap, (k, next(tick), profile, None, witness))
     # One lift for both sides is a self pair's: its items' ids are equal on
     # both sides, so no two combinations share an id tuple to memoize.
-    memos = [({}, {}) if rule[1] is not rule[2] else None for rule in rules]
-    arities = {rule[0] for rule in rules}
+    memos = [({}, {}) if rule[1] is not rule[2] else (None, None) for rule in rules]
     while heap:
         k, _, profile, build, args = heappop(heap)
         if pending[profile] is _ACCEPTED:
@@ -116,30 +125,51 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
             keys.append(k)
         if cap is not None and len(items) > cap:
             raise SaturationCapError(cap)
-        for column, value in zip(columns, (*profile, (k, witness))):
-            column.append(value)
-        combos = {arity: list(_combinations(columns, arity)) for arity in arities}
-        for (arity, lift_left, lift_right, build, compose), memo in zip(rules, memos):
-            for lefts, rights, parts in combos[arity]:
-                left = lifted(lift_left, lefts, memo and memo[0])
-                right = left if memo is None else lifted(lift_right, rights, memo[1])
-                candidate = (left, right)
-                best = pending.get(candidate)
-                if best is _ACCEPTED:
-                    continue
-                k = compose([part[0] for part in parts], best)
-                if k is not None and (best is None or k < best):
-                    pending[candidate] = k
-                    args = tuple([part[1] for part in parts])
-                    heappush(heap, (k, next(tick), candidate, build, args))
+        newest = (*profile, k, witness)
+        rows.append(newest)
+        for (arity, lift_left, lift_right, build, compose), (memo_left, memo_right) in zip(rules, memos):
+            if arity == 1:
+                # The newest item is the one combination.
+                if memo_right is None:
+                    left = right = intern(lift_left((values[profile[0]],)))
+                else:
+                    left = memo_left.get(profile[:1])
+                    if left is None:
+                        left = lifted(lift_left, profile[:1], memo_left)
+                    right = memo_right.get(profile[1:])
+                    if right is None:
+                        right = lifted(lift_right, profile[1:], memo_right)
+                offer((left, right), (k[0] + 1, k[1] + 1), (k,), build, compose, (witness,))
+            elif arity == 2:
+                # The newest row first with any row second, then an older
+                # row first with the newest second (ids, key, witness).
+                for (la, ra, ka, wa), (lb, rb, kb, wb) in chain(
+                    zip(repeat(newest), rows), zip(rows[:-1], repeat(newest))
+                ):
+                    if memo_right is None:
+                        left = right = intern(lift_left((values[la], values[lb])))
+                    else:
+                        left = memo_left.get((la, lb))
+                        if left is None:
+                            left = lifted(lift_left, (la, lb), memo_left)
+                        right = memo_right.get((ra, rb))
+                        if right is None:
+                            right = lifted(lift_right, (ra, rb), memo_right)
+                    if pending.get((left, right)) is not _ACCEPTED:
+                        depth_size = 1 + max(ka[0], kb[0]), 1 + ka[1] + kb[1]
+                        offer((left, right), depth_size, (ka, kb), build, compose, (wa, wb))
+            else:
+                for combo in _combinations(rows, arity):
+                    left_ids, right_ids, arg_keys, args = zip(*combo)
+                    left = lifted(lift_left, left_ids, memo_left)
+                    right = left if memo_right is None else lifted(lift_right, right_ids, memo_right)
+                    depth_size = 1 + max([a[0] for a in arg_keys]), 1 + sum([a[1] for a in arg_keys])
+                    offer((left, right), depth_size, arg_keys, build, compose, args)
     return items
 
 
-def _combinations(columns, arity: int):
-    """Each ``arity``-tuple of accepted items that uses the newest, once, in
-    every column: the newest at position j, older items before it, any after."""
+def _combinations(rows, arity: int):
+    """Each ``arity``-tuple of accepted rows that uses the newest, once: the
+    newest at position j, older rows before it, any rows after."""
     for j in range(arity):
-        yield from zip(*[
-            product(*[column[:-1] for _ in range(j)], column[-1:], *[column] * (arity - 1 - j))
-            for column in columns
-        ])
+        yield from product(*[rows[:-1]] * j, rows[-1:], *[rows] * (arity - 1 - j))

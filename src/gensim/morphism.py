@@ -43,7 +43,11 @@ class ElementMap(Frozen):
 
     def __init__(self, name: str, source: Algebra, target: Algebra, table: Mapping[str, str]):
         super().__init__(name, source, target, table)
-        if source.signature != target.signature:
+        # Constants may come in any order, as in ``validate_pair``.
+        source_sig, target_sig = source.signature, target.signature
+        if (source_sig.operations, set(source_sig.constant_symbols)) != (
+            target_sig.operations, set(target_sig.constant_symbols)
+        ):
             raise SignatureMismatchError(f"map {name!r}: source and target signatures differ")
         for a in source.carrier:
             if a not in table:

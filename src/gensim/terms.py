@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import product
-from typing import Iterator, Mapping, Union
+from itertools import islice, product
+from typing import Iterator, Union
 
 from .algebra import Algebra, AlgebraError, Signature, VARIABLE_RE
 from .record import Frozen
@@ -227,33 +227,31 @@ def shift_variables(term: Term, offset: int) -> Term:
     return _fold(term, lambda t: Var(t.index + offset) if isinstance(t, Var) else t, App)
 
 
-def eval_term(term: Term, algebra: Algebra, assignment: Mapping[int, str]) -> str:
-    """Bottom-up evaluation through the operation tables."""
-
-    def leaf(t: Term) -> str:
-        if isinstance(t, Var):
-            if t.index not in assignment:
-                raise TermError(f"unbound variable z{t.index}")
-            return assignment[t.index]
-        if t.name not in algebra.carrier:
-            raise TermError(f"unknown constant {t.name!r} in {algebra.name!r}")
-        return t.name
-
-    return _fold(term, leaf, algebra.apply)
-
-
 def range_of_term(term: Term, algebra: Algebra) -> frozenset[str]:
     """All values of the term over every variable assignment.
 
     Ground terms yield a singleton.  This enumerates assignments directly
-    and serves as the independent oracle for the symbolic engines.
+    and serves as the independent oracle for the symbolic engines.  It
+    folds the term column-wise per block of 1,024 assignments, and stops
+    once the range is the whole carrier.
     """
     variables = term_variables(term)
-    if not variables:
-        return frozenset({eval_term(term, algebra, {})})
+    assignments = product(algebra.carrier, repeat=len(variables))
     values = set()
-    for combo in product(algebra.carrier, repeat=len(variables)):
-        values.add(eval_term(term, algebra, dict(zip(variables, combo))))
+
+    # A leaf is its column over the current block.
+    def leaf(t: Term):
+        if isinstance(t, Var):
+            return columns[t.index]
+        try:
+            return (algebra.require_element(t.name),) * width
+        except AlgebraError:
+            raise TermError(f"unknown constant {t.name!r} in {algebra.name!r}") from None
+
+    # A ground term has one, empty, assignment.
+    for block in iter(lambda: tuple(islice(assignments, 1024)), ()):
+        columns, width = dict(zip(variables, zip(*block))), len(block)
+        values.update(_fold(term, leaf, lambda op, args: [*map(algebra.tables[op].__getitem__, zip(*args))]))
         if len(values) == len(algebra.carrier):
             break
     return frozenset(values)

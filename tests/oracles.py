@@ -1,16 +1,21 @@
 """Brute-force oracles for the engines, straight from the definitions:
-enumerate the terms within bounds and evaluate each one.  Also the helpers
-that only tests use: the set-lifted range of a term, the inverse of
+enumerate the terms within bounds and evaluate each one, per assignment
+(``eval_term``).  Also the helpers that only tests use: the set-lifted
+range of a term, the inverse of
 ``automata.word_to_term``, variable renaming to first-occurrence order,
 the ``.map`` text of an element map and a random isomorphic copy of an
-algebra."""
+algebra.  ``reference_closure`` is the closure loop of one product per
+arity, the reference for ``closure.least_witness_closure``'s kernels."""
 
 from __future__ import annotations
 
 import random
+from heapq import heappop, heappush
+from itertools import count, product
 
 from gensim.algebra import Algebra, AlgebraError, AlgebraPair
 from gensim.automata import NonUnaryError
+from gensim.closure import Profile, SaturationCapError
 from gensim.linear import _range_lift
 from gensim.morphism import ElementMap
 from gensim.terms import (
@@ -18,11 +23,27 @@ from gensim.terms import (
     App,
     Const,
     Term,
+    TermError,
     Var,
     _fold,
     enumerate_terms,
     range_of_term,
 )
+
+
+def eval_term(term: Term, algebra: Algebra, assignment: dict[int, str]) -> str:
+    """Bottom-up evaluation through the operation tables."""
+
+    def leaf(t: Term) -> str:
+        if isinstance(t, Var):
+            if t.index not in assignment:
+                raise TermError(f"unbound variable z{t.index}")
+            return assignment[t.index]
+        if t.name not in algebra.carrier:
+            raise TermError(f"unknown constant {t.name!r} in {algebra.name!r}")
+        return t.name
+
+    return _fold(term, leaf, algebra.apply)
 
 
 def is_generalization(term: Term, algebra: Algebra, a: str) -> bool:
@@ -137,3 +158,81 @@ def render_map(emap: ElementMap) -> str:
     for a in emap.source.carrier:
         lines.append(f"  {a} -> {emap.table[a]}")
     return "\n".join(lines) + "\n"
+
+
+_ACCEPTED = object()  # the pending mark of an accepted profile
+
+
+def reference_closure(seeds, rules, key, cap: int | None = None, keys=None) -> list[Profile]:
+    """``closure.least_witness_closure`` as one loop for every arity: each
+    accepted item lists its combinations by ``product`` and lifts them
+    through ``lifted``, and every candidate reaches ``compose``."""
+    ids: dict = {}
+    values: list = []
+
+    def intern(value) -> int:
+        i = ids.setdefault(value, len(values))
+        if i == len(values):
+            values.append(value)
+        return i
+
+    def lifted(lift, arg_ids, memo) -> int:
+        i = None if memo is None else memo.get(arg_ids)
+        if i is None:
+            i = intern(lift(tuple(map(values.__getitem__, arg_ids))))
+            if memo is not None:
+                memo[arg_ids] = i
+        return i
+
+    heap: list = []
+    tick = count()
+    pending: dict = {}  # profile ids -> least key pushed, or _ACCEPTED
+    columns: tuple = ([], [], [])  # per accepted item: left id, right id, (key, witness)
+    items: list[Profile] = []
+    for left, right, witness in seeds:
+        profile, k = (intern(left), intern(right)), key(witness)
+        if profile not in pending or k < pending[profile]:
+            pending[profile] = k
+            heappush(heap, (k, next(tick), profile, None, witness))
+    # One lift for both sides is a self pair's: its items' ids are equal on
+    # both sides, so no two combinations share an id tuple to memoize.
+    memos = [({}, {}) if rule[1] is not rule[2] else None for rule in rules]
+    arities = {rule[0] for rule in rules}
+    while heap:
+        k, _, profile, build, args = heappop(heap)
+        if pending[profile] is _ACCEPTED:
+            continue
+        pending[profile] = _ACCEPTED
+        witness = args if build is None else build(args)
+        items.append(Profile(values[profile[0]], values[profile[1]], witness))
+        if keys is not None:
+            keys.append(k)
+        if cap is not None and len(items) > cap:
+            raise SaturationCapError(cap)
+        for column, value in zip(columns, (*profile, (k, witness))):
+            column.append(value)
+        combos = {arity: list(_combinations(columns, arity)) for arity in arities}
+        for (arity, lift_left, lift_right, build, compose), memo in zip(rules, memos):
+            for lefts, rights, parts in combos[arity]:
+                left = lifted(lift_left, lefts, memo and memo[0])
+                right = left if memo is None else lifted(lift_right, rights, memo[1])
+                candidate = (left, right)
+                best = pending.get(candidate)
+                if best is _ACCEPTED:
+                    continue
+                k = compose([part[0] for part in parts], best)
+                if k is not None and (best is None or k < best):
+                    pending[candidate] = k
+                    args = tuple([part[1] for part in parts])
+                    heappush(heap, (k, next(tick), candidate, build, args))
+    return items
+
+
+def _combinations(columns, arity: int):
+    """Each ``arity``-tuple of accepted items that uses the newest, once, in
+    every column: the newest at position j, older items before it, any after."""
+    for j in range(arity):
+        yield from zip(*[
+            product(*[column[:-1] for _ in range(j)], column[-1:], *[column] * (arity - 1 - j))
+            for column in columns
+        ])

@@ -96,6 +96,28 @@ def test_malformed_file_exits_2(capsys, tmp_path):
     assert "error:" in err and "UTF-8" in err
 
 
+def test_repeated_constant_exits_2(capsys, tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("algebra A\nelements a b\nconstants a a\nop f/1\n  a -> b\n  b -> a\nend\n")
+    code, _, err = run(capsys, "matrix", "--left", str(bad))
+    assert code == 2
+    assert err == "error: line 3: duplicate constant name\n"
+
+
+def test_map_between_constant_orders(capsys, tmp_path):
+    # One algebra declared with its constants in two orders: the identity
+    # map between the copies is a homomorphism.
+    rows = "op f/1\n  a -> b\n  b -> a\nend\n"
+    (tmp_path / "ab.alg").write_text(f"algebra AB\nelements a b\nconstants a b\n{rows}")
+    (tmp_path / "ba.alg").write_text(f"algebra BA\nelements a b\nconstants b a\n{rows}")
+    (tmp_path / "id.map").write_text("map id : AB -> BA\n  a -> a\n  b -> b\n")
+    code, out, err = run(
+        capsys, "morphism", "--map", str(tmp_path / "id.map"),
+        "--algebras", str(tmp_path / "ab.alg"), str(tmp_path / "ba.alg"), "--verify", "hom",
+    )
+    assert (code, out, err) == (0, "id is a homomorphism\n", "")
+
+
 def test_monolinear_cap_exits_2(capsys, tmp_path):
     import random
 

@@ -1,4 +1,5 @@
-"""The semi-naive closure against a naive reference.
+"""The semi-naive closure against a naive reference, and its unary and
+binary kernels against the one-product-per-arity loop they replace.
 
 The reference re-enumerates every combination of accepted items after each
 acceptance and keeps those that use the new item.  Both must accept the
@@ -8,6 +9,7 @@ engine's dominators, and the raw function-pair rows of the general
 closure the oracle for the general engine's.
 """
 
+import contextlib
 import heapq
 import random
 from itertools import product
@@ -16,7 +18,7 @@ import pytest
 
 from gensim import general, linear, monolinear
 from gensim.algebra import AlgebraPair, make_algebra, self_pair, validate_pair
-from gensim.closure import least_witness_closure
+from gensim.closure import SaturationCapError, least_witness_closure
 from gensim.corpus import load_fixture, powerset_algebra, truncated_multiplication_algebra
 from gensim.general import saturate_profiles
 from gensim.linear import reachable_profiles
@@ -32,7 +34,7 @@ from gensim.terms import (
     term_variables,
     witness_key,
 )
-from oracles import canonicalize
+from oracles import canonicalize, reference_closure
 from test_similarity import with_constants
 
 
@@ -462,3 +464,110 @@ def test_swapped_pair_keeps_the_row_set_when_constant_orders_differ(engine):
         forward = [(p.right, p.left) for p in rows(pair)]
         backward = [(p.left, p.right) for p in rows(pair.swapped())]
         assert len(backward) == len(forward) and set(backward) == set(forward)
+
+
+def random_algebra(seed, size, arities, name, constants=("e0",)):
+    """Random tables on e0..e(size-1), one operation o<j> per arity."""
+    rng = random.Random(seed)
+    carrier = [f"e{i}" for i in range(size)]
+    tables = {
+        f"o{j}": {args: rng.choice(carrier) for args in product(carrier, repeat=arity)}
+        for j, arity in enumerate(arities)
+    }
+    return make_algebra(name, carrier, tables, constants=constants)
+
+
+KERNEL_ENGINES = {
+    "linear": reachable_profiles,
+    "monolinear": paired_clone,  # and the paired ground values
+    "clone": lambda pair: polynomial_clone(pair.left),
+    "general1": lambda pair: saturate_profiles(pair, 1),
+    "general2": lambda pair: saturate_profiles(pair, 2),
+    # Binary K = 2 function pairs run far past any useful count.
+    "general2 cap 200": lambda pair: saturate_profiles(pair, 2, cap=200),
+}
+
+
+def _kernel_cases():
+    cases = [
+        (label, pair, ("linear", "monolinear", "general1", "general2")
+         + ("clone",) * (pair.left is pair.right))
+        for label, pair in _fixture_pairs()
+    ]
+    # Seeds whose 3-op clone stays small (most run past 3,000 tables).
+    for ops, seed in ((1, 3), (2, 0), (3, 7)):
+        left = random_monounary_algebra(random.Random(seed), 8, ops, name="A")
+        right = random_monounary_algebra(random.Random(seed + 100), 8, ops, name="B")
+        for constants in ((), ("e3", "e0")):
+            left_c, right_c = with_constants(left, constants), with_constants(right, constants)
+            label = f"mono{ops} 8 {'/'.join(constants) or 'no constants'}"
+            cases.append((label, self_pair(left_c), ("linear", "monolinear", "clone", "general1")))
+            cases.append((f"{label} A/B", validate_pair(left_c, right_c), ("linear", "monolinear")))
+    # Cross pairs of binary n = 4 algebras have too many K = 1 function pairs.
+    for size, seed in ((3, 2), (4, 4)):
+        left = random_algebra(seed, size, (2, 1), "A")
+        right = random_algebra(seed + 100, size, (2, 1), "B")
+        general = ("general1", "general2 cap 200")
+        cases.append((f"bin {size}", self_pair(left), ("linear", "monolinear", "clone") + general))
+        cases.append((
+            f"bin {size} A/B",
+            validate_pair(left, right),
+            ("linear", "monolinear") + general * (size == 3),
+        ))
+    cases.append(("P3/M3", AlgebraPair(P3, M3), ("linear", "monolinear", "general1")))
+    ternary = random_algebra(5, 3, (1, 3), "A")
+    cases.append(("ternary", self_pair(ternary), ("linear", "monolinear", "general1", "clone")))
+    cases.append((
+        "ternary A/B",
+        validate_pair(ternary, random_algebra(105, 3, (1, 3), "B")),
+        ("linear", "monolinear"),
+    ))
+    return cases
+
+
+KERNEL_CASES = _kernel_cases()
+
+
+@pytest.fixture
+def closure_args(monkeypatch):
+    """Record the arguments of every closure the engines run."""
+    calls = []
+
+    def recording(seeds, rules, key, cap=None, keys=None):
+        seeds = list(seeds)
+        calls.append((seeds, rules, key, cap))
+        return least_witness_closure(seeds, rules, key, cap, keys)
+
+    for module in CLOSURE_MODULES:
+        monkeypatch.setattr(module, "least_witness_closure", recording)
+    return calls
+
+
+def _outcome(closure, seeds, rules, key, cap):
+    """The accepted items, or None when the cap was hit, with the keys
+    composed for them (up to the item past the cap)."""
+    keys = []
+    try:
+        return closure(seeds, rules, key, cap, keys), keys
+    except SaturationCapError:
+        return None, keys
+
+
+@pytest.mark.parametrize("label,pair,engines", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_kernels_match_the_reference_loop(label, pair, engines, closure_args):
+    """The same rows, witnesses and keys in the same order, and the cap
+    hit at the same accepted count."""
+    for engine in engines:
+        with contextlib.suppress(SaturationCapError):
+            KERNEL_ENGINES[engine](pair)
+    assert closure_args
+    for seeds, rules, key, cap in closure_args:
+        items, keys = _outcome(least_witness_closure, seeds, rules, key, cap)
+        assert (items, keys) == _outcome(reference_closure, seeds, rules, key, cap)
+        if items is None:
+            assert len(keys) == cap + 1
+        elif len(items) > 1:
+            low = len(items) // 2
+            capped = _outcome(least_witness_closure, seeds, rules, key, low)
+            assert capped == (None, keys[:low + 1])
+            assert capped == _outcome(reference_closure, seeds, rules, key, low)

@@ -1,4 +1,5 @@
 import copy
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,6 @@ from gensim.terms import (
     classify_fragment,
     enumerate_terms,
     enumeration_key,
-    eval_term,
     fragment_admits,
     parse_term,
     range_of_term,
@@ -26,7 +26,7 @@ from gensim.terms import (
     variable_occurrences,
     witness_key,
 )
-from oracles import canonicalize, is_generalization
+from oracles import canonicalize, eval_term, is_generalization
 
 
 SIG_FG = Signature((("f", 1), ("g", 1)))
@@ -120,6 +120,47 @@ def test_range_of_nonlinear_term_differs_from_lifted():
     assert range_of_term(nonlinear, algebra) == {"0", "1"}
     xor_like = parse_term("m(z1, z2)")
     assert range_of_term(xor_like, algebra) == {"0", "1"}
+
+
+def per_assignment_range(term, algebra):
+    variables = term_variables(term)
+    return {
+        eval_term(term, algebra, dict(zip(variables, combo)))
+        for combo in product(algebra.carrier, repeat=len(variables))
+    }
+
+
+RANGE_ALGEBRAS = [
+    make_algebra(
+        "F", ["a", "b", "c"],
+        {"f": {"a": "b", "b": "c", "c": "c"}, "g": {"a": "a", "b": "a", "c": "b"}},
+        constants=["c"],
+    ),
+    make_algebra(
+        "M", ["0", "1", "2"],
+        {"m": {(x, y): str((int(x) * 2 + int(y)) % 3) for x in "012" for y in "012"}},
+        constants=["1"],
+    ),
+    make_algebra(
+        "P", ["0", "1", "2"], {"p": {(x, y): x for x in "012" for y in "012"}}, constants=["1"]
+    ),
+]
+# The left projection over 3^7 assignments, more than one block of the
+# column-wise fold, reaches its last value only after 1,458 of them.
+WIDE_TERM = parse_term("p(z1, p(z2, p(z3, p(z4, p(z5, p(z6, z7))))))")
+
+
+@pytest.mark.parametrize("algebra", RANGE_ALGEBRAS, ids=lambda a: a.name)
+def test_range_of_term_matches_per_assignment_evaluation(algebra):
+    terms = enumerate_terms(algebra.signature, 3, 3, cap=20_000, max_size=7)
+    if "p" in algebra.tables:
+        terms.append(WIDE_TERM)
+    for term in terms:
+        assert range_of_term(term, algebra) == per_assignment_range(term, algebra), term
+    op, arity = algebra.signature.operations[0]
+    for term in (Const("nope"), App(op, (Var(1),) * (arity - 1) + (Const("nope"),))):
+        with pytest.raises(TermError, match="unknown constant 'nope'"):
+            range_of_term(term, algebra)
 
 
 def range_of_set(terms, algebra):
