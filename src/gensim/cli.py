@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from itertools import chain, repeat
 
 from . import automata
 from .algebra import Algebra, AlgebraError, parse_algebra, self_pair, validate_pair
@@ -80,6 +81,7 @@ def _query(args):
 _quote = json.encoder.encode_basestring_ascii
 
 
+@functools.lru_cache(maxsize=256)
 def _template(keys: tuple, depth: int) -> str:
     """The ``%`` template of a dict with ``keys`` at ``depth``: each key
     quoted once, one ``%s`` per value."""
@@ -101,36 +103,30 @@ def render_json(payload) -> str:
     Each value's text is memoized per call and per depth by ``id``: the
     payload keeps every value alive for the call, so one id names one
     value, and a dict that a report shares (one per distinct verdict of a
-    matrix) is encoded once per depth.  Each dict shape, its tuple of keys
-    at one depth, gets one ``%`` template.  A container looks up the texts
-    of all its values at once and encodes values only on a miss.
+    matrix) is encoded once per depth.  A dict fills the ``%`` template of
+    its keys and depth; a list of dicts of one shape (a matrix's cells)
+    fills their template, joined once per item, from the flat tuple of
+    their value texts.  Texts are looked up a container at a time; on a
+    miss each distinct value is encoded once, then all are looked up.
     """
-    memos: list[dict[int, str]] = [{}]  # memos[depth]: id(value) -> text
-    templates: dict[tuple[tuple, int], str] = {}
+    memos: list[dict[int, str]] = []  # memos[depth]: id(value) -> text
 
     def texts(values, depth: int) -> tuple:
-        if depth == len(memos):
+        while len(memos) <= depth:
             memos.append({})
         memo = memos[depth]
+        ids = [*map(id, values)]
         try:
-            return tuple(map(memo.__getitem__, map(id, values)))
+            return tuple(map(memo.__getitem__, ids))
         except KeyError:
             pass
-        out = []
-        for v in values:
-            text = memo.get(id(v))
-            if text is None:
-                if isinstance(v, dict):
-                    keys = tuple(v)
-                    template = templates.get((keys, depth))
-                    if template is None:
-                        template = templates[keys, depth] = _template(keys, depth)
-                    text = template % texts(v.values(), depth + 1)
-                else:
-                    text = encode(v, depth)
-                memo[id(v)] = text
-            out.append(text)
-        return tuple(out)
+        for key, v in dict(zip(ids, values)).items():
+            if key not in memo:
+                memo[key] = (
+                    _template(tuple(v), depth) % texts(v.values(), depth + 1)
+                    if isinstance(v, dict) else encode(v, depth)
+                )
+        return tuple(map(memo.__getitem__, ids))
 
     def encode(obj, depth: int) -> str:
         if isinstance(obj, str):
@@ -147,8 +143,16 @@ def render_json(payload) -> str:
             if not obj:
                 return "[]"
             inner = "\n" + "  " * (depth + 1)
-            return ("[" + inner + ("," + inner).join(texts(obj, depth + 1))
-                    + "\n" + "  " * depth + "]")
+            ends = ("[" + inner, "\n" + "  " * depth + "]")  # body.join(ends) copies once
+            # Dicts have distinct keys, so their keys chained equal the first
+            # one's repeated only when each dict has those keys, in order.
+            if all(map(isinstance, obj, repeat(dict))) and (
+                [*chain.from_iterable(obj)] == [*obj[0]] * len(obj)
+            ):
+                items = ("," + inner).join(repeat(_template(tuple(obj[0]), depth + 1), len(obj)))
+                values = [*chain.from_iterable(map(dict.values, obj))]
+                return items.join(ends) % texts(values, depth + 2)
+            return ("," + inner).join(texts(obj, depth + 1)).join(ends)
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     try:

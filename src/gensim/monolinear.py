@@ -21,7 +21,6 @@ from itertools import product
 
 from .algebra import Algebra, AlgebraPair, self_pair
 from .closure import Profile, least_witness_closure, side_lifts
-from .linear import _range_lift
 from .record import Frozen
 from .terms import App, Const, Term, Var, app_key, render_term, witness_key
 
@@ -49,19 +48,13 @@ def ground_value_terms(algebra: Algebra) -> list[tuple[str, Term]]:
     return [(value, term) for value, _, term in paired_ground_values(self_pair(algebra))]
 
 
-def _plug_table(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...]):
-    """Plug a table into ``sym`` at ``position``, fillers elsewhere."""
+def _plug(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...], collect):
+    """Plug a table (``collect=tuple``) or a range (``frozenset``) into
+    ``sym`` at ``position``, fillers elsewhere."""
     table = algebra.tables[sym]
     before, after = fillers[:position], fillers[position:]
-    return lambda tables: tuple(table[before + (x,) + after] for x in tables[0])
-
-
-def _plug_range(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...]):
-    """Plug a range into ``sym`` at ``position``, fillers elsewhere."""
-    lift = _range_lift(algebra, sym)
-    sets = [frozenset({value}) for value in fillers]
-    before, after = sets[:position], sets[position:]
-    return lambda ranges: lift(before + [ranges[0]] + after)
+    image = {x: table[before + (x,) + after] for x in algebra.carrier}.__getitem__
+    return lambda args: collect(map(image, args[0]))
 
 
 def _plug_app(sym: str, position: int, filler_terms: tuple[Term, ...]):
@@ -69,12 +62,13 @@ def _plug_app(sym: str, position: int, filler_terms: tuple[Term, ...]):
     return lambda witnesses: App(sym, before + witnesses + after)
 
 
-def _plug_rules(pair: AlgebraPair, plug) -> list:
+def _plug_rules(pair: AlgebraPair, collect) -> list:
     """One unary rule per (operation, position, tuple of paired ground
-    fillers for the other positions); ``plug`` lifts one side."""
+    fillers for the other positions), lifting what ``collect`` builds."""
     sig = pair.left.signature
     ground_keys: list = []
     grounds = [(*p, k) for p, k in zip(paired_ground_values(pair, ground_keys), ground_keys)]
+    plug = partial(_plug, collect=collect)
     rules = []
     for sym, arity in sig.operations:
         for fillers in product(grounds, repeat=arity - 1):
@@ -94,7 +88,7 @@ def paired_clone(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
     sig = pair.left.signature
     seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
     return least_witness_closure(
-        seeds, _plug_rules(pair, _plug_range), lambda t: witness_key(t, sig), cap
+        seeds, _plug_rules(pair, frozenset), lambda t: witness_key(t, sig), cap
     )
 
 
@@ -105,7 +99,7 @@ def polynomial_clone(algebra: Algebra, cap: int | None = None) -> list[UnaryPoly
     sig = algebra.signature
     seeds = [(algebra.carrier, algebra.carrier, Var(1))]
     tables = least_witness_closure(
-        seeds, _plug_rules(self_pair(algebra), _plug_table), lambda t: witness_key(t, sig), cap
+        seeds, _plug_rules(self_pair(algebra), tuple), lambda t: witness_key(t, sig), cap
     )
     return [UnaryPolynomial(p.left, p.witness) for p in tables]
 

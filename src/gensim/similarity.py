@@ -9,7 +9,7 @@ applies to b itself.  ``a ~~ b`` is the conjunction of both directions.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, validate_pair
 from . import automata
@@ -58,20 +58,20 @@ class Engine:
     An engine holds its pair's term classes as rows (left range, right
     range, witness): distinct range pairs in witness order, each with its
     minimal witness.  Row i is bit i: ``_left[a]`` holds the rows with
-    ``a`` on the left and ``_right[b]`` those with ``b`` on the right, so
-    the rows of Gen(a,b) are ``_left[a] & _right[b]`` and its first row in
-    witness order is the lowest set bit.
+    ``a`` on the left and ``_right[b]`` those with ``b`` on the right (a
+    key per carrier element), so the rows of Gen(a,b) are ``_left[a] &
+    _right[b]`` and its first row in witness order is the lowest set bit.
     """
 
     def __init__(self, pair: AlgebraPair, label: str, rows):
         self.pair = pair
         self.label = label
         self._classes = rows
-        left_rows: dict = {}
+        left_rows: dict = {e: [] for e in pair.left.carrier}
         right_rows: dict = {e: [] for e in pair.right.carrier}
         for i, (left, right, _) in enumerate(rows):
             for e in left:
-                left_rows.setdefault(e, []).append(i)
+                left_rows[e].append(i)
             for e in right:
                 right_rows[e].append(i)
         self._left = {e: _mask(ids) for e, ids in left_rows.items()}
@@ -84,10 +84,6 @@ class Engine:
     def _first(self, mask: int) -> Term:
         return self._classes[(mask & -mask).bit_length() - 1][2]
 
-    def _gen(self, a: str, b: str) -> int:
-        """The rows of Gen(a,b)."""
-        return self._left.get(a, 0) & self._right[b]
-
     def competitors(self, a: str, b: str) -> list[str]:
         """The admissible competitors b' of (a, b), in right-carrier order:
         every right element except b, and except a when a names one."""
@@ -99,33 +95,34 @@ class Engine:
         self.pair.left.require_element(a)
         self.pair.right.require_element(b)
         self.pair.right.require_element(b_prime)
-        rest = self._gen(a, b) & ~self._right[b_prime]
+        rest = self._left[a] & self._right[b] & ~self._right[b_prime]
         return (False, self._first(rest)) if rest else (True, None)
 
     def verdict(self, a: str, b: str) -> Verdict:
-        """The shared verdict of a <~ b; the caller checks the names.  It
-        fails at the first admissible competitor b' whose Gen(a,b')
-        strictly contains Gen(a,b), with the first row of the difference:
-        one verdict per (b', row), memoized per (a, Gen(a,b)), since for a
-        fixed ``a`` the competitors of different b differ only in b, which
-        never strictly contains its own set.
-        """
-        mask = self._gen(a, b)
-        key = (a, mask)
-        found = self._verdicts.get(key)
-        if found is None:
-            found = self._holds
-            left = self._left.get(a, 0)
-            for b_prime in self.competitors(a, b):
-                other = left & self._right[b_prime]
-                if other != mask and mask & ~other == 0:
-                    term = self._first(other & ~mask)
-                    cert = Certificate(DOMINATING_ELEMENT, term, b_prime)
-                    found = self._failing.setdefault(
-                        (b_prime, id(term)), Verdict(False, cert, self.label)
-                    )
-                    break
-            self._verdicts[key] = found
+        """The shared verdict of a <~ b, memoized per ``a`` and Gen(a,b):
+        for a fixed ``a`` the competitors of different b differ only in b,
+        which never strictly contains its own set.  It fails at the first
+        competitor b' whose Gen(a,b') strictly contains Gen(a,b), with the
+        first row of the difference.  An unknown name misses the row dicts
+        and raises ``AlgebraError``."""
+        try:
+            left = self._left[a]
+            mask = left & self._right[b]
+            return self._verdicts[a][mask]
+        except KeyError:
+            self.pair.left.require_element(a)
+            self.pair.right.require_element(b)
+        found = self._holds
+        for b_prime in self.competitors(a, b):
+            other = left & self._right[b_prime]
+            if other != mask and mask & ~other == 0:
+                term = self._first(other & ~mask)
+                cert = Certificate(DOMINATING_ELEMENT, term, b_prime)
+                found = self._failing.setdefault(
+                    (b_prime, id(term)), Verdict(False, cert, self.label)
+                )
+                break
+        self._verdicts.setdefault(a, {})[mask] = found
         return found
 
     def approx_failure(self, failing: Verdict) -> Verdict:
@@ -220,10 +217,7 @@ def decide_leq(
     an evidence term in Gen(a, b') but not in Gen(a, b).  Verdicts are
     shared, immutable objects: an engine hands out one per outcome.
     """
-    engine = engine or build_engine(pair, config)
-    pair.left.require_element(a)
-    pair.right.require_element(b)
-    return engine.verdict(a, b)
+    return (engine or build_engine(pair, config)).verdict(a, b)
 
 
 def decide_approx(
@@ -277,60 +271,44 @@ def _missing_partner(matrix: SimilarityMatrix, both_sides: bool) -> Verdict:
 
 class SimilarityMatrix(Record):
     """``leq``, ``geq`` and ``approx`` map (a, b) to the Verdict of a <~ b,
-    of b <~ a (on the swapped pair) and of a ~~ b."""
+    of b <~ a (on the swapped pair) and of a ~~ b; all three hold the
+    cells in one order, row by row."""
 
     __slots__ = ("pair", "rows", "cols", "leq", "geq", "approx")
 
     def to_dict(self) -> dict:
-        """The report; cells that repeat a verdict share one dict, found
-        per verdict object and built once per content, so the JSON writer
-        encodes each distinct verdict once."""
-        by_id: dict = {}
+        """The report, its cells built in one pass over the three maps.
+        Equal verdicts share one dict, built once per verdict object, so
+        the JSON writer encodes each distinct verdict once."""
+        maps = (self.leq, self.geq, self.approx)
+        ids = [list(map(id, m.values())) for m in maps]
+        dicts = dict(zip(chain(*ids), chain(*[m.values() for m in maps])))
         by_text: dict = {}
-
-        def verdict_dict(verdict: Verdict) -> dict:
-            out = by_id.get(id(verdict))
-            if out is None:
-                out = verdict.to_dict()
-                out = by_id[id(verdict)] = by_text.setdefault(repr(out), out)
-            return out
-
-        cells = [
-            {
-                "a": a,
-                "b": b,
-                "leq": verdict_dict(self.leq[(a, b)]),
-                "geq": verdict_dict(self.geq[(a, b)]),
-                "approx": verdict_dict(self.approx[(a, b)]),
-            }
-            for a in self.rows
-            for b in self.cols
-        ]
+        for key, verdict in dicts.items():
+            out = verdict.to_dict()
+            dicts[key] = by_text.setdefault(repr(out), out)
+        leq, geq, approx = [map(dicts.__getitem__, column) for column in ids]
         return {
             "left": self.pair.left.name,
             "right": self.pair.right.name,
             "rows": list(self.rows),
             "cols": list(self.cols),
-            "cells": cells,
+            "cells": [
+                {"a": a, "b": b, "leq": x, "geq": y, "approx": z}
+                for (a, b), x, y, z in zip(self.leq, leq, geq, approx)
+            ],
         }
 
     def render_text(self) -> str:
         width = max([3] + [len(e) for e in self.rows + self.cols]) + 1
-        header = " " * width + "".join(b.rjust(width) for b in self.cols)
-        lines = [header]
-        for a in self.rows:
-            cells = []
-            for b in self.cols:
-                if self.approx[(a, b)].holds:
-                    mark = "~~"
-                elif self.leq[(a, b)].holds:
-                    mark = "<~"
-                elif self.geq[(a, b)].holds:
-                    mark = ">~"
-                else:
-                    mark = "--"
-                cells.append(mark.rjust(width))
-            lines.append(a.rjust(width) + "".join(cells))
+        marks = [
+            ("~~" if x.holds else "<~" if y.holds else ">~" if z.holds else "--").rjust(width)
+            for x, y, z in zip(self.approx.values(), self.leq.values(), self.geq.values())
+        ]
+        n = len(self.cols)
+        lines = [" " * width + "".join(b.rjust(width) for b in self.cols)]
+        for i, a in enumerate(self.rows):
+            lines.append(a.rjust(width) + "".join(marks[i * n:i * n + n]))
         return "\n".join(lines) + "\n"
 
 
@@ -342,14 +320,12 @@ def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> S
     for a in pair.left.carrier:
         for b in pair.right.carrier:
             key = (a, b)
-            v_leq = leq[key] = decide_leq(pair, a, b, config, engine)
-            v_geq = geq[key] = decide_leq(swapped, b, a, config, reverse)
-            if not v_leq.holds:
-                approx[key] = engine.approx_failure(v_leq)
-            elif not v_geq.holds:
-                approx[key] = reverse.approx_failure(v_geq)
-            else:
-                approx[key] = v_leq
+            x = leq[key] = decide_leq(pair, a, b, config, engine)
+            y = geq[key] = decide_leq(swapped, b, a, config, reverse)
+            approx[key] = (
+                engine.approx_failure(x) if not x.holds
+                else reverse.approx_failure(y) if not y.holds else x
+            )
     return SimilarityMatrix(
         pair, pair.left.carrier, pair.right.carrier, leq, geq, approx
     )

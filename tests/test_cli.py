@@ -440,6 +440,19 @@ def test_examples_all_pass(capsys, schema):
     validate(schema, out)
 
 
+@pytest.mark.parametrize("command", ["check", "charset"])
+@pytest.mark.parametrize("flag,algebra", [("--a", "ChainA"), ("--b", "ChainB")])
+def test_unknown_element_exits_2(capsys, command, flag, algebra):
+    names = {"--a": "1", "--b": "2", flag: "nosuch"}
+    code, out, err = run(
+        capsys,
+        command, "--left", fixture_path("chain4_a.alg"),
+        "--right", fixture_path("chain4_b.alg"), "--a", names["--a"], "--b", names["--b"],
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: element 'nosuch' not in carrier of '{algebra}'\n"
+
+
 def test_fragment_notice_on_stderr(capsys):
     code, _, err = run(
         capsys,

@@ -242,3 +242,35 @@ def test_same_shape_dicts_with_an_unsupported_value_raise():
             cli.render_json([*rows, {"a": bad, "b": [2]}])
     assert_matches_dumps(rows)
 
+
+
+def test_runs_of_same_shape_dicts():
+    """A list of dicts that all have one tuple of keys is written with one
+    template fill; every way a list can come close to that must still
+    read as ``json.dumps`` writes it."""
+    shared = {"holds": True, "fragment": "exact"}
+    row = {"a": "x", "b": shared}
+    seen = ["seen"]
+    cases = [
+        # values that miss the memo, all of them or some
+        [{"a": i, "b": str(i), "c": [i, None]} for i in range(5)],
+        [[[seen]], [{"k": seen}, {"k": ["new"]}, {"k": seen}]],
+        # one dict object repeated inside the run and also outside the list
+        {"cells": [row, {"a": "y", "b": shared}, row], "row": row, "more": [[row]]},
+        # two shapes that alternate
+        [{"a": 1, "b": 2}, {"c": 3}, {"a": 4, "b": 5}, {"c": 6}],
+        # the same keys in another order, or split over several dicts
+        [{"a": 1, "b": 2}, {"b": 3, "a": 4}],
+        [{"a": 1, "b": 2}, {"a": 3}, {"b": 4}, {"a": 5, "b": 6}],
+        [{"a": 1}, {"a": 2, "b": 3}],
+        # items that iterate like the keys but are not dicts
+        [{"a": 1}, ["a"]],
+        [{"a": 1}, "a"],
+        # keys containing template markers
+        [{"%": "%s", "%s": "%%", "a%sb": "%(x)s"} for _ in range(3)],
+        # runs of {}
+        [{}, {}, {}],
+        {"x": [{}], "y": [{}, {}], "z": [[{}, {}]], "w": [{}, {"a": 1}]},
+    ]
+    for payload in cases:
+        assert_matches_dumps(payload)

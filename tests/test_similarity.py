@@ -51,6 +51,30 @@ def test_subset_rejects_unknown_element(chain5_pair, fragment, slot):
         engine.subset(*names)
 
 
+@pytest.mark.parametrize("fragment", ["auto", "unary", "linear", "monolinear", "general"])
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_decisions_reject_unknown_element(chain4_pair, fragment, side):
+    """The name check lives in ``Engine.verdict``'s row lookups: an
+    unknown name raises whether or not the engine's memo is warm."""
+    config = QueryConfig(fragment=fragment)
+    names = {"a": "1", "b": "2", side: "nosuch"}
+    algebra = chain4_pair.left if side == "a" else chain4_pair.right
+    message = f"element 'nosuch' not in carrier of {algebra.name!r}"
+    engine, reverse = build_engines(chain4_pair, config)
+    decide_leq(chain4_pair, "1", "2", engine=engine)  # warm the memo of "1"
+    decisions = [
+        lambda: decide_leq(chain4_pair, names["a"], names["b"], config),
+        lambda: decide_leq(chain4_pair, names["a"], names["b"], engine=engine),
+        lambda: decide_approx(chain4_pair, names["a"], names["b"], config),
+        lambda: decide_approx(chain4_pair, names["a"], names["b"], None, engine, reverse),
+        lambda: find_characteristic_set(chain4_pair, names["a"], names["b"], config=config),
+    ]
+    for decide in decisions:
+        with pytest.raises(AlgebraError) as caught:
+            decide()
+        assert str(caught.value) == message
+
+
 def test_build_engine_auto(chain5_pair, powerset3):
     # auto, unary and linear all build the linear engine
     for fragment in ("auto", "unary", "linear"):
