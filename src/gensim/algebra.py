@@ -218,6 +218,9 @@ def scan_lines(text: str) -> Iterator[tuple[int, str]]:
 
 
 _ROW_RE = re.compile(r"^\(?\s*(?P<args>[^()]*?)\s*\)?\s*->\s*(?P<out>\S+)$")
+# What no name in ``.alg`` or ``.map`` text may hold; an operation symbol
+# may not hold ``/`` either.
+_NAME_BREAKS = re.compile(r"[\s#,()]")
 
 
 def parse_algebra(text: str) -> Algebra:
@@ -234,7 +237,8 @@ def parse_algebra(text: str) -> Algebra:
 
     for lineno, line in scan_lines(text):
         head = line.split(None, 1)[0]
-        if current_op is not None and head != "end":
+        # A row may start with an element named ``end``.
+        if current_op is not None and line != "end":
             sym, arity = current_op
             m = _ROW_RE.match(line)
             if not m:
@@ -343,7 +347,12 @@ def parse_algebra(text: str) -> Algebra:
 
 
 def render_algebra(algebra: Algebra) -> str:
-    """Render back to ``.alg`` text; parse(render(a)) equals a."""
+    """Render back to ``.alg`` text; parse(render(a)) equals a.  Raises
+    ``AlgebraError`` for a name that the text cannot hold."""
+    symbols = algebra.signature.op_symbols
+    for name in (algebra.name, *algebra.carrier, *symbols):
+        if not name or _NAME_BREAKS.search(name) or "/" in name and name in symbols:
+            raise AlgebraError(f"cannot write the name {name!r} in the .alg format")
     out = [f"algebra {algebra.name}", "elements " + " ".join(algebra.carrier)]
     const_syms = algebra.signature.constant_symbols
     if not const_syms:

@@ -66,11 +66,11 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
     components of ``arity`` profiles to a left component (``lift_left``),
     their right ones likewise, their witnesses to a witness (``build``),
     and their keys to a key, or to None when that cannot be below
-    ``bound`` (``compose(keys, bound)``, ``terms.app_key``); it must agree
-    with ``key``, the seeds' key.  Candidates are popped in key order, so
-    each profile's first witness is its minimal one; equal keys must mean
-    identical terms.  The two lifts may be one object only when every
-    seed's sides are equal (a self pair).  Each accepted key is appended
+    ``bound`` (``compose(keys, bound)``); ``terms.app_key`` spells both
+    from one description, and ``key``, the seeds' key, folds the same
+    composer.  Candidates are popped in key order, so each profile's first
+    witness is its minimal one.  The two lifts may be one object only when
+    every seed's sides are equal (a self pair).  Each accepted key is appended
     to ``keys`` when it is a list.  Raises ``SaturationCapError`` when more
     than ``cap`` profiles are accepted.
     """

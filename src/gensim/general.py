@@ -13,12 +13,11 @@ oracle (``tests/oracles.py``) before it is relied on.
 
 from __future__ import annotations
 
-from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraError, AlgebraPair
 from .closure import DEFAULT_CAP, Profile, SaturationCapError, least_witness_closure, side_lifts
-from .terms import App, Const, Var, app_key, witness_key
+from .terms import Const, Var, app_key, witness_key
 from .verdict import EXACT, exact_for_vars
 
 
@@ -72,7 +71,7 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP) -> list
         seeds.append(((li,) * len(left_assignments), (ri,) * len(right_assignments), Const(c)))
     rules = [
         (arity, *side_lifts(pair, lambda algebra: _function_lift(algebra, sym)),
-         partial(App, sym), app_key(sym, sig))
+         *app_key(sym, sig))
         for sym, arity in sig.operations
     ]
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)

@@ -14,35 +14,12 @@ from itertools import product
 
 from .algebra import Algebra, AlgebraPair
 from .closure import Profile, least_witness_closure, side_lifts
-from .terms import (
-    App,
-    Const,
-    Var,
-    app_key,
-    shift_variables,
-    term_variables,
-    witness_key,
-)
+from .terms import Const, Var, app_key, witness_key
 
 
 def _range_lift(algebra: Algebra, sym: str):
     table = algebra.tables[sym]
     return lambda sets: frozenset(map(table.__getitem__, product(*sets)))
-
-
-def _linear_app(sym: str):
-    def build(witnesses):
-        # Each witness is canonical and linear, so shifting them onto
-        # disjoint variables, left to right, keeps the result canonical.
-        # An argument is shifted by the variable count of those before it.
-        args = [witnesses[0]]
-        offset = 0
-        for before, witness in zip(witnesses, witnesses[1:]):
-            offset += len(term_variables(before))
-            args.append(shift_variables(witness, offset) if offset else witness)
-        return App(sym, tuple(args))
-
-    return build
 
 
 def reachable_profiles(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
@@ -58,7 +35,7 @@ def reachable_profiles(pair: AlgebraPair, cap: int | None = None) -> list[Profil
     seeds += [(frozenset({c}), frozenset({c}), Const(c)) for c in sig.constant_symbols]
     rules = [
         (arity, *side_lifts(pair, lambda algebra: _range_lift(algebra, sym)),
-         _linear_app(sym), app_key(sym, sig, linear=True))
+         *app_key(sym, sig, linear=True))
         for sym, arity in sig.operations
     ]
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)

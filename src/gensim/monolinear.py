@@ -22,7 +22,7 @@ from itertools import product
 from .algebra import Algebra, AlgebraPair, self_pair
 from .closure import Profile, least_witness_closure, side_lifts
 from .record import Frozen
-from .terms import App, Const, Term, Var, app_key, render_term, witness_key
+from .terms import Const, Term, Var, app_key, render_term, witness_key
 
 
 class UnaryPolynomial(Frozen):
@@ -36,7 +36,7 @@ def paired_ground_values(pair: AlgebraPair, keys: list | None = None) -> list[Pr
     seeds = [(c, c, Const(c)) for c in sig.constant_symbols]
     rules = [
         (arity, *side_lifts(pair, lambda algebra: algebra.tables[sym].__getitem__),
-         partial(App, sym), app_key(sym, sig))
+         *app_key(sym, sig))
         for sym, arity in sig.operations
     ]
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), keys=keys)
@@ -57,27 +57,21 @@ def _plug(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...], c
     return lambda args: collect(map(image, args[0]))
 
 
-def _plug_app(sym: str, position: int, filler_terms: tuple[Term, ...]):
-    before, after = filler_terms[:position], filler_terms[position:]
-    return lambda witnesses: App(sym, before + witnesses + after)
-
-
 def _plug_rules(pair: AlgebraPair, collect) -> list:
     """One unary rule per (operation, position, tuple of paired ground
     fillers for the other positions), lifting what ``collect`` builds."""
     sig = pair.left.signature
     ground_keys: list = []
-    grounds = [(*p, k) for p, k in zip(paired_ground_values(pair, ground_keys), ground_keys)]
+    grounds = [(*p[:2], (p.witness, k)) for p, k in zip(paired_ground_values(pair, ground_keys), ground_keys)]
     plug = partial(_plug, collect=collect)
     rules = []
     for sym, arity in sig.operations:
         for fillers in product(grounds, repeat=arity - 1):
-            lefts, rights, terms, keys = zip(*fillers) if fillers else ((),) * 4
+            lefts, rights, terms = zip(*fillers) if fillers else ((),) * 3
             for pos in range(arity):
                 left = plug(pair.left, sym, pos, lefts)
                 right = left if pair.right is pair.left else plug(pair.right, sym, pos, rights)
-                compose = app_key(sym, sig, keys[:pos], keys[pos:])
-                rules.append((1, left, right, _plug_app(sym, pos, terms), compose))
+                rules.append((1, left, right, *app_key(sym, sig, terms[:pos], terms[pos:])))
     return rules
 
 

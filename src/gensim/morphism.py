@@ -19,6 +19,8 @@ from .algebra import (
     AlgebraPair,
     Signature,
     SignatureMismatchError,
+    _NAME_BREAKS,
+    _ROW_RE,
     scan_lines,
     validate_pair,
 )
@@ -78,19 +80,22 @@ def parse_map(text: str, algebras: Mapping[str, Algebra]) -> ElementMap:
     """Parse the ``.map`` format against already-loaded algebras.
 
     Header: ``map <name> : <source> -> <target>``; then one ``a -> c`` line
-    per source element.
+    per source element, read as a one-argument table row of the ``.alg``
+    format.
     """
     name = source = target = None
     table: dict[str, str] = {}
     for lineno, line in scan_lines(text):
-        if line.startswith("map "):
+        row = _ROW_RE.match(line)
+        a = row.group("args") if row else ""
+        # Header and rows share the table-row grammar: a header's left of the
+        # arrow holds spaces, a row's one name.
+        if line.startswith("map ") and (not row or _NAME_BREAKS.search(a)):
             if name is not None:
                 raise AlgebraParseError("duplicate 'map' header", lineno)
-            head, _, rest = line[4:].partition(":")
-            name = head.strip()
-            src_name, arrow, tgt_name = rest.partition("->")
-            src_name, tgt_name = src_name.strip(), tgt_name.strip()
-            if not name or not arrow or not src_name or not tgt_name:
+            name, colon, src_name = map(str.strip, a[4:].partition(":"))
+            tgt_name = row and row.group("out")
+            if not name or not colon or not src_name or not tgt_name:
                 raise AlgebraParseError(
                     "expected 'map <name> : <source> -> <target>'", lineno
                 )
@@ -100,15 +105,13 @@ def parse_map(text: str, algebras: Mapping[str, Algebra]) -> ElementMap:
                 raise AlgebraParseError(f"unknown target algebra {tgt_name!r}", lineno)
             source, target = algebras[src_name], algebras[tgt_name]
             continue
-        lhs, arrow, rhs = line.partition("->")
-        if not arrow:
+        if not a or _NAME_BREAKS.search(a) or "(" in line or ")" in line:
             raise AlgebraParseError(f"malformed map row {line!r}", lineno)
         if name is None:
             raise AlgebraParseError("map row before 'map' header", lineno)
-        a, c = lhs.strip(), rhs.strip()
         if a in table:
             raise AlgebraParseError(f"duplicate image for {a!r}", lineno)
-        table[a] = c
+        table[a] = row.group("out")
     if name is None:
         raise AlgebraParseError("missing 'map' header")
     return ElementMap(name, source, target, table)

@@ -10,6 +10,7 @@ applies to b itself.  ``a ~~ b`` is the conjunction of both directions.
 from __future__ import annotations
 
 from itertools import chain, combinations
+from typing import Iterator
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, validate_pair
 from . import automata
@@ -84,10 +85,11 @@ class Engine:
     def _first(self, mask: int) -> Term:
         return self._classes[(mask & -mask).bit_length() - 1][2]
 
-    def competitors(self, a: str, b: str) -> list[str]:
+    def competitors(self, a: str, b: str) -> Iterator[str]:
         """The admissible competitors b' of (a, b), in right-carrier order:
-        every right element except b, and except a when a names one."""
-        return [e for e in self.pair.right.carrier if e != b and e != a]
+        every right element except b, and except a when a names one.
+        Lazy, so that a failing scan stops at its dominating element."""
+        return (e for e in self.pair.right.carrier if e != b and e != a)
 
     def subset(self, a: str, b: str, b_prime: str) -> tuple[bool, Term | None]:
         """Decide Gen(a,b) subset-of Gen(a,b'); on failure, return a

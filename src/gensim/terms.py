@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import islice, product
+from itertools import accumulate, islice, product
 from typing import Iterator, Union
 
 from .algebra import Algebra, AlgebraError, Signature, VARIABLE_RE
@@ -298,46 +298,42 @@ def witness_key(term: Term, signature: Signature):
     """Witness tie-break order: depth, size, then spelling with variables
     ordered last.  Used to pick minimal certificate terms.
 
-    One iterative preorder walk: the depth is the deepest leaf's level and
-    the size is the length of the spelling.
+    A fold of ``app_key``'s composer from one key per variable or constant.
     """
-    op_rank, const_rank = _symbol_ranks(signature)
-    spelling: list[tuple[int, int]] = []
-    depth = 0
-    stack = [(term, 0)]
-    while stack:
-        t, level = stack.pop()
-        # Descend along first arguments; later siblings wait on the stack.
-        while isinstance(t, App):
-            spelling.append((0, op_rank.get(t.op, len(op_rank))))
-            level += 1
-            args = t.args
-            if len(args) > 1:
-                stack += [(a, level) for a in args[:0:-1]]
-            t = args[0]
-        if level > depth:
-            depth = level
-        if isinstance(t, Var):
-            spelling.append((2, t.index))
-        else:
-            spelling.append((1, const_rank.get(t.name, len(const_rank))))
-    return (depth, len(spelling), tuple(spelling))
+    const_rank = _symbol_ranks(signature)[1]
+
+    def leaf(t: Term):
+        return (0, 1, ((2, t.index) if isinstance(t, Var) else (1, const_rank.get(t.name, len(const_rank))),))
+
+    return _fold(term, leaf, lambda op, keys: app_key(op, signature)[1](keys))
 
 
 def app_key(sym: str, signature: Signature, before=(), after=(), linear: bool = False):
-    """Compose the ``witness_key`` of ``App(sym, before + args + after)``
-    from the keys of its arguments: depth ``1 + max``, size ``1 + sum``,
-    and the spellings concatenated after the operation's own entry.  With
-    ``linear``, each argument's variables shift past those of the arguments
-    before it, as in ``linear._linear_app``.
+    """A rule's ``(build, compose)`` from one description: ``sym`` applied
+    to its arguments between the ground fillers ``before`` and ``after``,
+    each a ``(term, key)`` pair; with ``linear``, each argument's variables
+    shift past those of the arguments before it, keeping terms canonical.
 
-    ``compose(keys, bound)`` takes the keys of ``args``, and returns None
-    instead when the depth and size alone already exceed ``bound``'s.
+    ``build(args)`` makes the term from the arguments' witnesses, and
+    ``compose(keys, bound)`` its ``witness_key`` from their keys: depth
+    ``1 + max``, size ``1 + sum``, and the spellings after the operation's
+    own entry; or None when the depth and size already exceed ``bound``'s.
     """
-    head = ((0, _symbol_ranks(signature)[0][sym]),)
+    op_rank = _symbol_ranks(signature)[0]
+    head = ((0, op_rank.get(sym, len(op_rank))),)
+    (terms_before, keys_before), (terms_after, keys_after) = [
+        tuple(zip(*fillers)) or ((), ()) for fillers in (before, after)
+    ]
+
+    def build(args):
+        args = terms_before + args + terms_after
+        if linear and len(args) > 1:
+            offsets = accumulate([len(term_variables(a)) for a in args[:-1]], initial=0)
+            args = tuple([shift_variables(a, k) if k else a for a, k in zip(args, offsets)])
+        return App(sym, args)
 
     def compose(keys, bound=None):
-        keys = before + tuple(keys) + after if before or after else keys
+        keys = keys_before + tuple(keys) + keys_after if before or after else keys
         depth, size = 1 + max([k[0] for k in keys]), 1 + sum([k[1] for k in keys])
         if bound is not None and (depth, size) > bound[:2]:
             return None
@@ -351,7 +347,7 @@ def app_key(sym: str, signature: Signature, before=(), after=(), linear: bool = 
                 offset += sum([tag == 2 for tag, _ in tail])
         return (depth, size, spelling)
 
-    return compose
+    return build, compose
 
 
 # witness_key's spelling tags (operation 0, constant 1, variable 2) moved to

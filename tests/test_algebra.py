@@ -1,4 +1,8 @@
+import re
+from itertools import product
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gensim.algebra import (
     Algebra,
@@ -12,6 +16,8 @@ from gensim.algebra import (
     self_pair,
     validate_pair,
 )
+from gensim.morphism import ElementMap, parse_map
+from oracles import render_map
 
 
 def two_chain(name="A"):
@@ -226,3 +232,92 @@ def test_constants_keywords_are_not_element_names(keyword):
     assert exc.value.line == 2
     with pytest.raises(AlgebraError, match="reserved"):
         make_algebra("A", [keyword, "b"], {"f": {keyword: "b", "b": "b"}})
+
+
+def test_element_named_end_in_a_unary_table():
+    # Only a whole line "end" closes a block, as in a binary table.
+    algebra = parse_algebra(
+        "algebra U\nelements end q\nconstants none\nop f/1\n  end -> q\n  q -> end\nend\n"
+    )
+    assert algebra.tables["f"] == {("end",): "q", ("q",): "end"}
+    assert parse_algebra(render_algebra(algebra)) == algebra
+
+
+@pytest.mark.parametrize("algebra,name", [
+    (make_algebra("", ["x"]), ""),
+    (make_algebra("A B", ["x"]), "A B"),
+    (make_algebra("A", ["a#b", "c"], {"f": {"a#b": "c", "c": "c"}}), "a#b"),
+    (make_algebra("A", ["a,b"]), "a,b"),
+    (make_algebra("A", ["(a)"]), "(a)"),
+    (make_algebra("A", ["a\tb"]), "a\tb"),
+    (make_algebra("A", ["x"], {"f/g": {"x": "x"}}), "f/g"),
+    (make_algebra("A", ["x"], {"": {"x": "x"}}), ""),
+])
+def test_render_refuses_names_it_cannot_write(algebra, name):
+    with pytest.raises(AlgebraError) as exc:
+        render_algebra(algebra)
+    assert str(exc.value) == f"cannot write the name {name!r} in the .alg format"
+
+
+def test_render_writes_a_slash_in_an_element_but_not_in_an_operation_symbol():
+    algebra = make_algebra("A/B", ["a/b", "c"], {"f": {"a/b": "c", "c": "a/b"}})
+    assert parse_algebra(render_algebra(algebra)) == algebra
+
+
+# Names are made of the arrow, a colon and the words of the .alg and .map
+# grammars; about one in ten also holds a character that the .alg text
+# cannot hold in a name, or is empty.
+NAME_WORDS = ["a", "b", "->", ":", "end", "op", "elements", "constants", "algebra", "map", "none", "all"]
+NAME_BREAKS = [" ", "\t", "#", ",", "(", ")", "/"]
+
+
+@st.composite
+def names(draw):
+    pieces = draw(st.lists(st.sampled_from(NAME_WORDS), min_size=1, max_size=3))
+    spoil = draw(st.integers(0, 19))
+    if spoil == 19:
+        return ""
+    if spoil == 18:
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(st.sampled_from(NAME_BREAKS)))
+    return "".join(pieces)
+
+
+@st.composite
+def named_algebras(draw):
+    carrier = draw(st.lists(names(), min_size=1, max_size=3, unique=True))
+    arities = dict(zip(
+        draw(st.lists(names(), max_size=2, unique=True)),
+        draw(st.lists(st.integers(1, 2), min_size=2, max_size=2)),
+    ))
+    tables = {
+        sym: {tup: draw(st.sampled_from(carrier)) for tup in product(carrier, repeat=arity)}
+        for sym, arity in arities.items()
+    }
+    constants = draw(st.lists(st.sampled_from(carrier), unique=True) | st.just("all"))
+    try:
+        return make_algebra(draw(names()), carrier, tables, constants, arities)
+    except AlgebraError:
+        assume(False)
+
+
+def writable(algebra):
+    """No name is empty or holds whitespace, ``#``, ``,`` or a parenthesis,
+    and no operation symbol holds ``/``."""
+    breaks = re.compile(r"[\s#,()]")
+    names = [algebra.name, *algebra.carrier, *algebra.signature.op_symbols]
+    return all(name and not breaks.search(name) for name in names) and not any(
+        "/" in sym for sym in algebra.signature.op_symbols
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(named_algebras())
+def test_render_round_trips_or_refuses_adversarial_names(algebra):
+    if not writable(algebra):
+        with pytest.raises(AlgebraError, match="cannot write"):
+            render_algebra(algebra)
+        return
+    assert parse_algebra(render_algebra(algebra)) == algebra
+    identity = ElementMap("id", algebra, algebra, {e: e for e in algebra.carrier})
+    again = parse_map(render_map(identity), {algebra.name: algebra})
+    assert again.table == identity.table

@@ -104,6 +104,15 @@ def test_repeated_constant_exits_2(capsys, tmp_path):
     assert err == "error: line 3: duplicate constant name\n"
 
 
+def test_element_named_end_in_a_unary_table(capsys, tmp_path):
+    # Only a whole line "end" closes an op block.
+    path = tmp_path / "end.alg"
+    path.write_text("algebra U\nelements end q\nconstants none\nop f/1\nend -> q\nq -> end\nend\n")
+    code, out, err = run(capsys, "matrix", "--left", str(path))
+    assert (code, err) == (0, "")
+    assert out.split("\n")[0].split() == ["end", "q"]
+
+
 def test_map_between_constant_orders(capsys, tmp_path):
     # One algebra declared with its constants in two orders: the identity
     # map between the copies is a homomorphism.

@@ -320,7 +320,7 @@ def test_semi_naive_lifts_each_combination_once():
     sig = make_algebra("S", ["x"], {"s": {("x", "x"): "x"}}).signature
     items = least_witness_closure(
         [(1, 1, Const("x"))],
-        [(2, lift(seen_left), lift(seen_right), lambda witnesses: App("s", witnesses), app_key("s", sig))],
+        [(2, lift(seen_left), lift(seen_right), *app_key("s", sig))],
         lambda t: witness_key(t, sig),
     )
     assert [left for left, _, _ in items] == [1, 2, 3]

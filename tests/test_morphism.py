@@ -58,6 +58,18 @@ def test_parse_map_errors(merge_src, merge_tgt):
         parse_map("map F : MergeSrc -> MergeTgt\n  a -> c\n", algebras)
 
 
+def test_map_rows_use_the_table_row_grammar():
+    # A row is split at the arrow before its image, as a unary table row.
+    algebra = make_algebra("A->B", ["a->b", "map"], {"f": {"a->b": "map", "map": "a->b"}})
+    emap = parse_map("map F : A->B -> A->B\n  a->b -> map\n  map -> a->b\n", {"A->B": algebra})
+    assert emap.table == {"a->b": "map", "map": "a->b"}
+    from gensim.algebra import AlgebraParseError
+
+    for row in ("a->b, map -> map", "(a->b) -> map", "a->b) -> map", "-> map"):
+        with pytest.raises(AlgebraParseError, match=r"^line 3: malformed map row"):
+            parse_map(f"map F : A->B -> A->B\n  map -> map\n  {row}\n", {"A->B": algebra})
+
+
 def test_map_rejects_moved_constant():
     algebra = make_algebra(
         "K", ["x", "y"], {"f": {"x": "y", "y": "y"}}, constants=["x"]

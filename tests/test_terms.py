@@ -1,4 +1,5 @@
 import copy
+import operator
 from itertools import product
 
 import pytest
@@ -11,6 +12,7 @@ from gensim.terms import (
     EnumerationCapError,
     TermError,
     Var,
+    app_key,
     classify_fragment,
     enumerate_terms,
     enumeration_key,
@@ -308,6 +310,51 @@ def test_enumeration_key_matches_recursive_definition():
     signature = Signature((("f", 1), ("g", 2), ("h", 3)), ("a", "b"))
     for term in enumerate_terms(signature, 3, 3, "general", max_size=6):
         assert enumeration_key(term, signature) == recursive_enumeration_key(term, signature)
+
+
+SIG_RULES = Signature((("f", 1), ("g", 2), ("h", 3)), ("a", "b"))
+# Canonical linear terms holding 0, 1, 2 and 3 variables.
+LINEAR_ARGS = [
+    Const("a"),
+    App("f", (Const("b"),)),
+    Var(1),
+    App("g", (Var(1), Const("a"))),
+    App("g", (Var(1), Var(2))),
+    App("h", (Var(1), App("f", (Var(2),)), Var(3))),
+]
+PLAIN_ARGS = [Var(1), Const("b"), App("g", (Var(1), Var(1))), App("f", (Var(2),))]
+GROUND_FILLERS = [Const("a"), App("g", (Const("b"), App("f", (Const("a"),))))]
+
+
+def rule_cases():
+    """(kind, argument position, rule, argument tuples) for plain, linear
+    and filler rules."""
+    for sym, arity in SIG_RULES.operations:
+        yield "plain", 0, app_key(sym, SIG_RULES), list(product(PLAIN_ARGS, repeat=arity))
+    for sym, arity in (("g", 2), ("h", 3)):
+        yield "linear", 0, app_key(sym, SIG_RULES, linear=True), list(product(LINEAR_ARGS, repeat=arity))
+    fillers = [(t, witness_key(t, SIG_RULES)) for t in GROUND_FILLERS]
+    for sym, arity in (("g", 2), ("h", 3)):
+        for filled in product(fillers, repeat=arity - 1):
+            for pos in range(arity):
+                rule = app_key(sym, SIG_RULES, filled[:pos], filled[pos:])
+                yield "filler", pos, rule, [(t,) for t in PLAIN_ARGS + LINEAR_ARGS]
+
+
+def test_rule_terms_and_keys_come_from_one_description():
+    bounds = [(depth, size, ()) for depth in range(1, 6) for size in (2, 4, 7, 12, 30)]
+    for kind, pos, (build, compose), arg_tuples in rule_cases():
+        for args in arg_tuples:
+            keys = [witness_key(w, SIG_RULES) for w in args]
+            term, key = build(args), compose(keys)
+            assert key == witness_key(term, SIG_RULES), (kind, args)
+            for bound in bounds:
+                assert compose(keys, bound) == (None if key[:2] > bound[:2] else key)
+            if kind == "linear":
+                assert term == canonicalize(term) and classify_fragment(term) != "general"
+            else:
+                # The term holds its arguments' witnesses, not copies.
+                assert all(map(operator.is_, term.args[pos:pos + len(args)], args))
 
 
 def test_deep_terms_render_and_key():
