@@ -223,6 +223,13 @@ _ROW_RE = re.compile(r"^\(?\s*(?P<args>[^()]*?)\s*\)?\s*->\s*(?P<out>\S+)$")
 _NAME_BREAKS = re.compile(r"[\s#,()]")
 
 
+def _check_names(names: Iterable[str], line: int | None = None, symbol: bool = False) -> None:
+    """The one name rule of ``.alg`` text, for reading and for writing."""
+    for name in names:
+        if not name or _NAME_BREAKS.search(name) or symbol and "/" in name:
+            raise AlgebraParseError(f"cannot write the name {name!r} in the .alg format", line)
+
+
 def parse_algebra(text: str) -> Algebra:
     """Parse the line-oriented ``.alg`` format into a validated Algebra."""
     name: str | None = None
@@ -269,6 +276,7 @@ def parse_algebra(text: str) -> Algebra:
                 raise AlgebraParseError("duplicate 'algebra' header", lineno)
             if len(parts) != 2:
                 raise AlgebraParseError("expected 'algebra <name>'", lineno)
+            _check_names(parts[1:], lineno)
             name = parts[1]
         elif head == "elements":
             if carrier:
@@ -277,6 +285,7 @@ def parse_algebra(text: str) -> Algebra:
                 raise AlgebraParseError("'elements' needs at least one name", lineno)
             if len(set(parts[1:])) != len(parts[1:]):
                 raise AlgebraParseError("duplicate element name", lineno)
+            _check_names(parts[1:], lineno)
             for keyword in CONSTANTS_KEYWORDS:
                 if keyword in parts[1:]:
                     raise AlgebraParseError(
@@ -295,6 +304,7 @@ def parse_algebra(text: str) -> Algebra:
             if len(parts) != 2 or "/" not in parts[1]:
                 raise AlgebraParseError("expected 'op <sym>/<arity>'", lineno)
             sym, _, arity_text = parts[1].partition("/")
+            _check_names([sym], lineno, symbol=True)
             try:
                 arity = int(arity_text)
             except ValueError:
@@ -349,10 +359,8 @@ def parse_algebra(text: str) -> Algebra:
 def render_algebra(algebra: Algebra) -> str:
     """Render back to ``.alg`` text; parse(render(a)) equals a.  Raises
     ``AlgebraError`` for a name that the text cannot hold."""
-    symbols = algebra.signature.op_symbols
-    for name in (algebra.name, *algebra.carrier, *symbols):
-        if not name or _NAME_BREAKS.search(name) or "/" in name and name in symbols:
-            raise AlgebraError(f"cannot write the name {name!r} in the .alg format")
+    _check_names((algebra.name, *algebra.carrier))
+    _check_names(algebra.signature.op_symbols, symbol=True)
     out = [f"algebra {algebra.name}", "elements " + " ".join(algebra.carrier)]
     const_syms = algebra.signature.constant_symbols
     if not const_syms:

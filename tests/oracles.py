@@ -3,9 +3,10 @@ enumerate the terms within bounds and evaluate each one, per assignment
 (``eval_term``).  Also the helpers that only tests use: the set-lifted
 range of a term, the inverse of
 ``automata.word_to_term``, variable renaming to first-occurrence order,
-the ``.map`` text of an element map and a random isomorphic copy of an
-algebra.  ``reference_closure`` is the closure loop of one product per
-arity, the reference for ``closure.least_witness_closure``'s kernels."""
+the ``.map`` text of an element map, a random isomorphic copy of an
+algebra and the range-pair check of the isomorphism lemma.
+``reference_closure`` is the closure loop of one product per arity, the
+reference for ``closure.least_witness_closure``'s kernels."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from itertools import count, product
 from gensim.algebra import Algebra, AlgebraError, AlgebraPair
 from gensim.automata import NonUnaryError
 from gensim.closure import Profile, SaturationCapError
-from gensim.linear import _range_lift
+from gensim.linear import _range_lift, reachable_profiles
 from gensim.morphism import ElementMap
 from gensim.terms import (
     GENERAL,
@@ -150,6 +151,23 @@ def relabeled_copy(rng: random.Random, algebra: Algebra, prefix: str = "r_") -> 
     }
     copy = Algebra(f"{prefix}{algebra.name}", carrier, algebra.signature, tables)
     return ElementMap(f"relabel_{algebra.name}", algebra, copy, rename)
+
+
+def lemma_violations(emap: ElementMap, cap: int | None = None) -> list[str]:
+    """The source elements a that some range pair of (A, B) holds on the
+    left without F(a) on the right, or the other way round.
+
+    Each range pair holds the ranges of one term in A and in B, so for an
+    isomorphism there is none unless the linear closure is at fault.  Term
+    by term, this is exact on unary signatures (ground terms included) and
+    covers the linear fragment elsewhere.
+    """
+    rows = reachable_profiles(AlgebraPair(emap.source, emap.target), cap)
+    return [
+        a
+        for a in emap.source.carrier
+        if any((a in left) != (emap(a) in right) for left, right, _ in rows)
+    ]
 
 
 def render_map(emap: ElementMap) -> str:

@@ -16,6 +16,7 @@ from gensim.algebra import (
     self_pair,
     validate_pair,
 )
+from gensim.corpus import fixture_text, powerset_algebra
 from gensim.morphism import ElementMap, parse_map
 from oracles import render_map
 
@@ -259,6 +260,23 @@ def test_render_refuses_names_it_cannot_write(algebra, name):
     assert str(exc.value) == f"cannot write the name {name!r} in the .alg format"
 
 
+@pytest.mark.parametrize("text, line, name", [
+    ("algebra A\nelements a (b\nconstants none\nop f/1\n  a -> a\n  (b -> a\nend\n", 2, "(b"),
+    ("algebra A\nelements a a,b\nconstants none\n", 2, "a,b"),
+    ("algebra A\nconstants none\nelements a b)\n", 3, "b)"),
+    ("algebra A(1)\nelements a\nconstants none\n", 1, "A(1)"),
+    ("algebra A\nelements a\nconstants none\nop f(/1\n  a -> a\nend\n", 4, "f("),
+    ("algebra A\nelements a\nconstants none\nop g,h/1\n  a -> a\nend\n", 4, "g,h"),
+    ("algebra A\nelements a\nconstants none\nop /1\n  a -> a\nend\n", 4, ""),
+], ids=["element-paren", "element-comma", "element-close", "algebra", "op-paren", "op-comma",
+        "op-empty"])
+def test_parse_refuses_the_names_render_refuses(text, line, name):
+    with pytest.raises(AlgebraParseError) as exc:
+        parse_algebra(text)
+    assert str(exc.value) == f"line {line}: cannot write the name {name!r} in the .alg format"
+    assert exc.value.line == line
+
+
 def test_render_writes_a_slash_in_an_element_but_not_in_an_operation_symbol():
     algebra = make_algebra("A/B", ["a/b", "c"], {"f": {"a/b": "c", "c": "a/b"}})
     assert parse_algebra(render_algebra(algebra)) == algebra
@@ -321,3 +339,54 @@ def test_render_round_trips_or_refuses_adversarial_names(algebra):
     identity = ElementMap("id", algebra, algebra, {e: e for e in algebra.carrier})
     again = parse_map(render_map(identity), {algebra.name: algebra})
     assert again.table == identity.table
+
+
+# Whole-file mutations of .alg texts: the fixtures and one binary algebra.
+ALG_TEXTS = [
+    fixture_text(name)
+    for name in ("chain5.alg", "chain4_a.alg", "nat_sink7.alg", "triple_a.alg", "unary_fg.alg",
+                 "merge_src.alg")
+] + [render_algebra(powerset_algebra(("1", "2")))]
+INSERTED_LINES = [
+    "end", "op f/1", "op g/2", "constants all", "constants none", "constants a", "algebra B",
+    "elements a b", "a -> b", "(a, b) -> a", "a, b -> a", "(a -> b", "a ->", "-> a",
+    "elements a a,b", "elements x (y", "elements p q)", "op f(/1", "op g,h/2", "op )/1",
+    "algebra A,B",
+]
+
+
+@st.composite
+def mutated_alg_texts(draw):
+    lines = draw(st.sampled_from(ALG_TEXTS)).splitlines()
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(
+            st.sampled_from(["delete", "duplicate", "swap", "truncate", "insert", "spoil"])
+        )
+        i = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if kind == "insert":
+            lines.insert(i, draw(st.sampled_from(INSERTED_LINES)))
+        elif not lines:
+            continue
+        elif kind == "delete":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "truncate":
+            lines[i] = lines[i][: draw(st.integers(0, len(lines[i])))]
+        else:  # one character that no name may hold, put anywhere in the line
+            j = draw(st.integers(0, len(lines[i])))
+            lines[i] = lines[i][:j] + draw(st.sampled_from(",()")) + lines[i][j:]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=1000, deadline=None)
+@given(mutated_alg_texts())
+def test_mutated_alg_files_are_refused_or_round_trip(text):
+    try:
+        algebra = parse_algebra(text)
+    except AlgebraError:
+        return
+    assert parse_algebra(render_algebra(algebra)) == algebra

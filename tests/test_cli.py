@@ -376,7 +376,7 @@ def test_morphism_verifications(capsys, schema):
     assert "--map2" in err
 
 
-def test_iso_lemma_reads_the_cap(capsys, tmp_path):
+def test_iso_lemma_reads_no_engine_option(capsys, tmp_path, schema):
     identity = tmp_path / "id.map"
     identity.write_text(
         "map id : Chain5 -> Chain5\n" + "".join(f"{e} -> {e}\n" for e in "abcde")
@@ -385,12 +385,18 @@ def test_iso_lemma_reads_the_cap(capsys, tmp_path):
         "morphism", "--map", str(identity), "--algebras", fixture_path("chain5.alg"),
         "--verify", "iso-lemma",
     )
-    code, _, err = run(capsys, *base, "--cap", "1")
-    assert code == 2
-    assert "error:" in err and "cap of 1 " in err
-    code, out, _ = run(capsys, *base)
+    expected = "id: generalization sets certified equal (isomorphism)\n"
+    for options in ((), ("--cap", "1")):
+        code, out, _ = run(capsys, *base, *options)
+        assert code == 0
+        assert out == expected
+    code, out, _ = run(capsys, *base, "--cap", "1", "--format", "json")
     assert code == 0
-    assert out == "id: generalization sets certified equal (linear-profile-renaming)\n"
+    validate(schema, out)
+    report = json.loads(out)
+    assert (report["method"], report["certified"], report["violations"]) == (
+        "isomorphism", True, []
+    )
 
 
 def test_reflexivity(capsys, schema):

@@ -1,7 +1,8 @@
 """Metamorphic relations of the similarity matrix.
 
 Declaring the operations in another order, swapping the two algebras and
-renaming the elements each keep the verdicts.  None of the relations needs
+renaming the elements each keep the verdicts, and so does putting an
+isomorphic copy in place of one side.  None of the relations needs
 an oracle, so they run on cross pairs beyond the brute-force oracles'
 reach.  Operation order changes the ranks inside witness keys, so it may
 change an evidence term, but never a holds bit or a dominating element;
@@ -13,9 +14,9 @@ from itertools import product
 
 import pytest
 
-from gensim.algebra import Algebra, Signature, make_algebra, validate_pair
-from gensim.morphism import random_monounary_algebra
-from gensim.similarity import QueryConfig, similarity_matrix
+from gensim.algebra import Algebra, Signature, make_algebra, self_pair, validate_pair
+from gensim.morphism import check_g_functor, random_monounary_algebra
+from gensim.similarity import QueryConfig, decide_leq, similarity_matrix
 from oracles import relabeled_copy
 from test_similarity import assert_evidence, with_constants
 
@@ -124,3 +125,40 @@ def test_renaming_keeps_every_holds_bit(seed, n, n_ops):
 
     assert holds_bits(before, lambda cell: (left_map(cell[0]), right_map(cell[1]))) == holds_bits(after)
     assert_matrix_evidence(after)
+
+
+def test_the_self_pair_leaves_out_b_prime_equal_to_a_by_name():
+    # The pinned exception: e0 <~ e2 holds in A because the competitor
+    # e0 = a is left out by name, while its copy r_2 = F(e0) competes
+    # against r_1 = F(e2) in the cross pair.
+    a = random_monounary_algebra(random.Random(0), 4, 2, name="A")
+    emap = relabeled_copy(random.Random(0), a)
+    assert emap.table == {"e0": "r_2", "e1": "r_0", "e2": "r_1", "e3": "r_3"}
+    assert decide_leq(self_pair(a), "e0", "e2").holds
+    verdict = decide_leq(validate_pair(a, emap.target), "e0", "r_1")
+    assert not verdict.holds
+    assert verdict.certificate.element == "r_2" == emap("e0")
+    assert_evidence(verdict, "e0", "r_1", a, emap.target)
+
+
+@pytest.mark.parametrize(
+    "seed,n,n_ops", [(seed, n, k) for seed in range(3) for n, k in ((40, 1), (12, 2))]
+)
+def test_an_isomorphic_copy_keeps_every_holds_bit(seed, n, n_ops):
+    a = random_monounary_algebra(random.Random(seed), n, n_ops, "A")
+    emap = relabeled_copy(random.Random(seed), a)
+    assert check_g_functor(emap).holds
+    # C is named apart from A (e0..) and from F(A) (r_0..).
+    rng = random.Random(seed + 100)
+    c = relabeled_copy(rng, random_monounary_algebra(rng, n, n_ops, "C"), "c_").target
+    before = similarity_matrix(validate_pair(a, c))
+    after = similarity_matrix(validate_pair(emap.target, c))
+    for (x, b), verdict in before.leq.items():
+        cell = (emap(x), b)
+        assert [r[cell].holds for r in (after.leq, after.geq, after.approx)] == [
+            verdict.holds, before.geq[(x, b)].holds, before.approx[(x, b)].holds
+        ]
+        if not verdict.holds:
+            # Terms range alike over A and F(A): the certificate carries over.
+            assert_evidence(verdict, emap(x), b, emap.target, c)
+            assert_evidence(after.leq[cell], emap(x), b, emap.target, c)
