@@ -8,7 +8,7 @@ deterministic and reports are byte-stable.
 from __future__ import annotations
 
 import re
-from itertools import chain, product
+from itertools import chain, product, repeat
 from typing import Iterable, Iterator, Mapping
 
 from .record import Frozen
@@ -230,6 +230,38 @@ def _check_names(names: Iterable[str], line: int | None = None, symbol: bool = F
             raise AlgebraParseError(f"cannot write the name {name!r} in the .alg format", line)
 
 
+def _op_table(sym: str, arity: int, numbers: list, lines: list, elements: set) -> dict:
+    """The table of one op block's rows: checked in bulk, and row by row
+    only to word the first bad row's error."""
+    matches = list(map(_ROW_RE.match, lines))
+    if None not in matches:
+        args = list(map(str.split, map(re.Match.group, matches, repeat("args")), repeat(",")))
+        outs = list(map(re.Match.group, matches, repeat("out")))
+        if set(map(len, args)) <= {arity}:
+            args = list(map(str.strip, chain.from_iterable(args)))
+            table = dict(zip(zip(*[iter(args)] * arity), outs))
+            if len(table) == len(lines) and elements.issuperset(args + outs):
+                return table
+    table = {}
+    for lineno, line in zip(numbers, lines):
+        m = _ROW_RE.match(line)
+        if not m:
+            raise AlgebraParseError(f"malformed table row {line!r}", lineno)
+        args = tuple(map(str.strip, m["args"].split(","))) if m["args"] else ()
+        call = f"{sym}({', '.join(args)})"
+        if len(args) != arity:
+            raise AlgebraParseError(f"{sym!r} expects {arity} argument(s), row has {len(args)}", lineno)
+        for a in args:
+            if a not in elements:
+                raise AlgebraParseError(f"unknown element {a!r} in row", lineno)
+        if m["out"] not in elements:
+            raise AlgebraParseError(f"out-of-carrier output {m['out']!r} for {call}", lineno)
+        if args in table:
+            raise AlgebraParseError(f"duplicate table row for {call}", lineno)
+        table[args] = m["out"]
+    return table
+
+
 def parse_algebra(text: str) -> Algebra:
     """Parse the line-oriented ``.alg`` format into a validated Algebra."""
     name: str | None = None
@@ -240,37 +272,18 @@ def parse_algebra(text: str) -> Algebra:
     constants_line: tuple[int, list[str]] | None = None
     sig_ops: list[tuple[str, int]] = []
     tables: dict[str, dict[tuple[str, ...], str]] = {}
-    current_op: tuple[str, int] | None = None
+    # The open op block: its line, symbol, arity, and its rows' line
+    # numbers and texts, checked together when it closes.
+    block: tuple[int, str, int, list, list] | None = None
 
     for lineno, line in scan_lines(text):
-        head = line.split(None, 1)[0]
         # A row may start with an element named ``end``.
-        if current_op is not None and line != "end":
-            sym, arity = current_op
-            m = _ROW_RE.match(line)
-            if not m:
-                raise AlgebraParseError(f"malformed table row {line!r}", lineno)
-            args_text = m.group("args")
-            args = tuple(map(str.strip, args_text.split(","))) if args_text else ()
-            if len(args) != arity:
-                raise AlgebraParseError(
-                    f"{sym!r} expects {arity} argument(s), row has {len(args)}", lineno
-                )
-            for a in args:
-                if a not in elements:
-                    raise AlgebraParseError(f"unknown element {a!r} in row", lineno)
-            out = m.group("out")
-            if out not in elements:
-                raise AlgebraParseError(
-                    f"out-of-carrier output {out!r} for {sym}({', '.join(args)})", lineno
-                )
-            if args in tables[sym]:
-                raise AlgebraParseError(
-                    f"duplicate table row for {sym}({', '.join(args)})", lineno
-                )
-            tables[sym][args] = out
+        if block is not None and line != "end":
+            block[3].append(lineno)
+            block[4].append(line)
             continue
         parts = line.split()
+        head = parts[0]
         if head == "algebra":
             if name is not None:
                 raise AlgebraParseError("duplicate 'algebra' header", lineno)
@@ -318,25 +331,25 @@ def parse_algebra(text: str) -> Algebra:
             if not carrier:
                 raise AlgebraParseError("'op' before 'elements'", lineno)
             sig_ops.append((sym, arity))
-            tables[sym] = {}
-            current_op = (sym, arity)
+            block = (lineno, sym, arity, [], [])
         elif head == "end":
-            if current_op is None:
+            if block is None:
                 raise AlgebraParseError("'end' without an open op block", lineno)
-            sym, arity = current_op
+            sym, arity = block[1:3]
+            table = tables[sym] = _op_table(*block[1:], elements)
             # n ** arity distinct rows are all of them; a scan words the error.
-            rows = tables[sym]
-            if len(rows) != len(carrier) ** arity:
-                missing = next(t for t in product(carrier, repeat=arity) if t not in rows)
+            if len(table) != len(carrier) ** arity:
+                missing = next(t for t in product(carrier, repeat=arity) if t not in table)
                 raise AlgebraParseError(
                     f"missing table row for {sym}({', '.join(missing)})", lineno
                 )
-            current_op = None
+            block = None
         else:
             raise AlgebraParseError(f"unknown directive {head!r}", lineno)
 
-    if current_op is not None:
-        raise AlgebraParseError(f"op block {current_op[0]!r} not closed with 'end'")
+    if block is not None:
+        _op_table(*block[1:], elements)  # a bad row's error comes first
+        raise AlgebraParseError(f"op block {block[1]!r} not closed with 'end'", block[0])
     if name is None:
         raise AlgebraParseError("missing 'algebra <name>' header")
     if not carrier:

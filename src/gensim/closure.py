@@ -6,20 +6,20 @@ function or a value).  The loop is semi-naive (Bancilhon & Ramakrishnan,
 1986): an accepted item lifts only the combinations that use it, each once.
 It is Knuth's (1977) generalization of Dijkstra's algorithm: a term's key
 exceeds its arguments' keys, so a profile's first pop is final, and a
-candidate is pushed only when it beats its pending key.  Keys are composed
-from the arguments' stored keys, and witnesses built only when accepted.
-Components are interned as ints, and a lift is memoized per side on the
-tuple of argument ids; a self pair's one lift for both sides is not.
-
-Unary and binary rules run on unrolled kernels, higher arities on a loop
-over ``product``.  A candidate's depth and size (``1 + max``, ``1 + sum``)
-are checked against its pending key before its key is composed.
+candidate is pushed only when it beats its pending key, which its depth and
+size are checked against first.  Keys are composed from the arguments'
+keys, and witnesses built only when accepted.  Components are interned as
+ints, and a lift is memoized per side on its argument ids (a self pair's
+one lift for both sides is not).  A binary rule lifts the 2n - 1
+combinations of the newest of n items as one batch: ids read by ``map``
+from one memo dict per first argument, misses lifted, accepted profiles
+dropped in one pass.  Higher arities loop over ``product``.
 """
-
 from __future__ import annotations
 
 from heapq import heappop, heappush
-from itertools import chain, count, product, repeat
+from itertools import chain, compress, count, product, repeat
+from operator import is_, is_not
 from typing import NamedTuple
 
 from .algebra import AlgebraError, AlgebraPair
@@ -91,6 +91,20 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
                 memo[arg_ids] = i
         return i
 
+    def lifted_pairs(lift, memo, column) -> list:
+        """The ids of the newest id in ``column`` lifted with each id, then
+        of each older id with the newest, memoized as ``memo[a][b]``."""
+        newest, older = column[-1], len(column) - 1
+        out = list(map(memo.setdefault(newest, {}).get, column))
+        out += map(dict.get, map(memo.__getitem__, column[:older]), repeat(newest))
+        for i in compress(count(), map(is_, out, repeat(None))):
+            a, b = (newest, column[i]) if i <= older else (column[i - older - 1], newest)
+            # Rows share ids: an earlier miss may have lifted this one.
+            out[i] = memo[a].get(b)
+            if out[i] is None:
+                out[i] = memo[a][b] = intern(lift((values[a], values[b])))
+        return out
+
     heap: list = []
     tick = count()
     pending: dict = {}  # profile ids -> least key pushed, or _ACCEPTED
@@ -105,6 +119,7 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
                 heappush(heap, (k, next(tick), candidate, build, args))
 
     rows: list = []  # per accepted item: left id, right id, key, witness
+    columns: tuple = ([], [])  # the rows' left ids and right ids
     items: list[Profile] = []
     for left, right, witness in seeds:
         profile, k = (intern(left), intern(right)), key(witness)
@@ -127,6 +142,8 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
             raise SaturationCapError(cap)
         newest = (*profile, k, witness)
         rows.append(newest)
+        columns[0].append(profile[0])
+        columns[1].append(profile[1])
         for (arity, lift_left, lift_right, build, compose), (memo_left, memo_right) in zip(rules, memos):
             if arity == 1:
                 # The newest item is the one combination.
@@ -141,23 +158,29 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
                         right = lifted(lift_right, profile[1:], memo_right)
                 offer((left, right), (k[0] + 1, k[1] + 1), (k,), build, compose, (witness,))
             elif arity == 2:
-                # The newest row first with any row second, then an older
-                # row first with the newest second (ids, key, witness).
-                for (la, ra, ka, wa), (lb, rb, kb, wb) in chain(
-                    zip(repeat(newest), rows), zip(rows[:-1], repeat(newest))
-                ):
-                    if memo_right is None:
-                        left = right = intern(lift_left((values[la], values[lb])))
-                    else:
-                        left = memo_left.get((la, lb))
-                        if left is None:
-                            left = lifted(lift_left, (la, lb), memo_left)
-                        right = memo_right.get((ra, rb))
-                        if right is None:
-                            right = lifted(lift_right, (ra, rb), memo_right)
-                    if pending.get((left, right)) is not _ACCEPTED:
-                        depth_size = 1 + max(ka[0], kb[0]), 1 + ka[1] + kb[1]
-                        offer((left, right), depth_size, (ka, kb), build, compose, (wa, wb))
+                # Combination i < n pairs the newest row with row i, the
+                # rest pair each older row with the newest.
+                older = len(rows) - 1
+                if memo_right is None:
+                    column = list(map(values.__getitem__, columns[0]))
+                    value = column[-1]
+                    pairs = chain(zip(repeat(value), column), zip(column[:older], repeat(value)))
+                    lefts = rights = list(map(intern, map(lift_left, pairs)))
+                else:
+                    lefts = lifted_pairs(lift_left, memo_left, columns[0])
+                    rights = lifted_pairs(lift_right, memo_right, columns[1])
+                # Rows come in key order: none is deeper than the newest.
+                depth, size = k[0] + 1, k[1] + 1
+                candidates = list(zip(lefts, rights))
+                for i in compress(count(), map(is_not, map(pending.get, candidates), repeat(_ACCEPTED))):
+                    _, _, kb, wb = rows[i] if i <= older else rows[i - older - 1]
+                    best = pending.get(candidates[i])  # a batch may offer a profile twice
+                    if best is None or (depth, size + kb[1]) <= best[:2]:
+                        composed = compose((k, kb) if i <= older else (kb, k), best)
+                        if composed is not None and (best is None or composed < best):
+                            pending[candidates[i]] = composed
+                            args = (witness, wb) if i <= older else (wb, witness)
+                            heappush(heap, (composed, next(tick), candidates[i], build, args))
             else:
                 for combo in _combinations(rows, arity):
                     left_ids, right_ids, arg_keys, args = zip(*combo)

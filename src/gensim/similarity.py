@@ -286,8 +286,9 @@ class SimilarityMatrix(Record):
         ids = [list(map(id, m.values())) for m in maps]
         dicts = dict(zip(chain(*ids), chain(*[m.values() for m in maps])))
         by_text: dict = {}
+        texts: dict = {}
         for key, verdict in dicts.items():
-            out = verdict.to_dict()
+            out = verdict.to_dict(texts)
             dicts[key] = by_text.setdefault(repr(out), out)
         leq, geq, approx = [map(dicts.__getitem__, column) for column in ids]
         return {

@@ -37,10 +37,14 @@ class Certificate(Frozen):
     ):
         super().__init__(kind, term, element, direction)
 
-    def to_dict(self) -> dict:
+    def to_dict(self, texts: dict | None = None) -> dict:
+        """``texts`` maps a term's ``id`` to its text within one report."""
         out: dict = {"kind": self.kind}
         if self.term is not None:
-            out["term"] = render_term(self.term)
+            if texts is None:
+                texts = {}
+            i = id(self.term)
+            out["term"] = texts.get(i) or texts.setdefault(i, render_term(self.term))
         if self.element is not None:
             out["element"] = self.element
         if self.direction is not None:
@@ -51,8 +55,8 @@ class Certificate(Frozen):
 class Verdict(Frozen):
     __slots__ = ("holds", "certificate", "fragment_label")
 
-    def to_dict(self) -> dict:
+    def to_dict(self, texts: dict | None = None) -> dict:
         out: dict = {"holds": self.holds, "fragment": self.fragment_label}
         if self.certificate is not None:
-            out["certificate"] = self.certificate.to_dict()
+            out["certificate"] = self.certificate.to_dict(texts)
         return out

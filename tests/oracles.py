@@ -6,7 +6,9 @@ range of a term, the inverse of
 the ``.map`` text of an element map, a random isomorphic copy of an
 algebra and the range-pair check of the isomorphism lemma.
 ``reference_closure`` is the closure loop of one product per arity, the
-reference for ``closure.least_witness_closure``'s kernels."""
+reference for ``closure.least_witness_closure``'s kernels, and
+``reference_parse_algebra`` the ``.alg`` reader that checks each table row
+as it reads it, the reference for ``algebra.parse_algebra``'s bulk check."""
 
 from __future__ import annotations
 
@@ -14,7 +16,17 @@ import random
 from heapq import heappop, heappush
 from itertools import count, product
 
-from gensim.algebra import Algebra, AlgebraError, AlgebraPair
+from gensim.algebra import (
+    _ROW_RE,
+    CONSTANTS_KEYWORDS,
+    Algebra,
+    AlgebraError,
+    AlgebraPair,
+    AlgebraParseError,
+    Signature,
+    _check_names,
+    scan_lines,
+)
 from gensim.automata import NonUnaryError
 from gensim.closure import Profile, SaturationCapError
 from gensim.linear import _range_lift, reachable_profiles
@@ -254,3 +266,125 @@ def _combinations(columns, arity: int):
             product(*[column[:-1] for _ in range(j)], column[-1:], *[column] * (arity - 1 - j))
             for column in columns
         ])
+
+
+def reference_parse_algebra(text: str) -> Algebra:
+    """``algebra.parse_algebra`` with each table row checked as it is read:
+    the same algebra, or the same refusal with the same line."""
+    name: str | None = None
+    carrier: tuple[str, ...] = ()
+    elements: set[str] = set()
+    constants_line: tuple[int, list[str]] | None = None
+    sig_ops: list[tuple[str, int]] = []
+    tables: dict[str, dict[tuple[str, ...], str]] = {}
+    current_op: tuple[str, int, int] | None = None  # symbol, arity, line
+
+    for lineno, line in scan_lines(text):
+        head = line.split(None, 1)[0]
+        # A row may start with an element named ``end``.
+        if current_op is not None and line != "end":
+            sym, arity, _ = current_op
+            m = _ROW_RE.match(line)
+            if not m:
+                raise AlgebraParseError(f"malformed table row {line!r}", lineno)
+            args_text = m.group("args")
+            args = tuple(map(str.strip, args_text.split(","))) if args_text else ()
+            if len(args) != arity:
+                raise AlgebraParseError(
+                    f"{sym!r} expects {arity} argument(s), row has {len(args)}", lineno
+                )
+            for a in args:
+                if a not in elements:
+                    raise AlgebraParseError(f"unknown element {a!r} in row", lineno)
+            out = m.group("out")
+            if out not in elements:
+                raise AlgebraParseError(
+                    f"out-of-carrier output {out!r} for {sym}({', '.join(args)})", lineno
+                )
+            if args in tables[sym]:
+                raise AlgebraParseError(
+                    f"duplicate table row for {sym}({', '.join(args)})", lineno
+                )
+            tables[sym][args] = out
+            continue
+        parts = line.split()
+        if head == "algebra":
+            if name is not None:
+                raise AlgebraParseError("duplicate 'algebra' header", lineno)
+            if len(parts) != 2:
+                raise AlgebraParseError("expected 'algebra <name>'", lineno)
+            _check_names(parts[1:], lineno)
+            name = parts[1]
+        elif head == "elements":
+            if carrier:
+                raise AlgebraParseError("duplicate 'elements' line", lineno)
+            if not parts[1:]:
+                raise AlgebraParseError("'elements' needs at least one name", lineno)
+            if len(set(parts[1:])) != len(parts[1:]):
+                raise AlgebraParseError("duplicate element name", lineno)
+            _check_names(parts[1:], lineno)
+            for keyword in CONSTANTS_KEYWORDS:
+                if keyword in parts[1:]:
+                    raise AlgebraParseError(
+                        f"element name {keyword!r} is reserved (a 'constants' keyword)",
+                        lineno,
+                    )
+            carrier = tuple(parts[1:])
+            elements = set(carrier)
+        elif head == "constants":
+            if constants_line is not None:
+                raise AlgebraParseError("duplicate 'constants' line", lineno)
+            if len(set(parts[1:])) != len(parts[1:]):
+                raise AlgebraParseError("duplicate constant name", lineno)
+            constants_line = (lineno, parts[1:])
+        elif head == "op":
+            if len(parts) != 2 or "/" not in parts[1]:
+                raise AlgebraParseError("expected 'op <sym>/<arity>'", lineno)
+            sym, _, arity_text = parts[1].partition("/")
+            _check_names([sym], lineno, symbol=True)
+            try:
+                arity = int(arity_text)
+            except ValueError:
+                raise AlgebraParseError(f"bad arity {arity_text!r}", lineno) from None
+            if arity < 1:
+                raise AlgebraParseError(
+                    f"operation {sym!r} has arity {arity}; must be >= 1", lineno
+                )
+            if sym in tables:
+                raise AlgebraParseError(f"duplicate operation {sym!r}", lineno)
+            if not carrier:
+                raise AlgebraParseError("'op' before 'elements'", lineno)
+            sig_ops.append((sym, arity))
+            tables[sym] = {}
+            current_op = (sym, arity, lineno)
+        elif head == "end":
+            if current_op is None:
+                raise AlgebraParseError("'end' without an open op block", lineno)
+            sym, arity, _ = current_op
+            for tup in product(carrier, repeat=arity):
+                if tup not in tables[sym]:
+                    raise AlgebraParseError(
+                        f"missing table row for {sym}({', '.join(tup)})", lineno
+                    )
+            current_op = None
+        else:
+            raise AlgebraParseError(f"unknown directive {head!r}", lineno)
+
+    if current_op is not None:
+        sym, _, lineno = current_op
+        raise AlgebraParseError(f"op block {sym!r} not closed with 'end'", lineno)
+    if name is None:
+        raise AlgebraParseError("missing 'algebra <name>' header")
+    if not carrier:
+        raise AlgebraParseError("missing 'elements' line")
+    if constants_line is None:
+        raise AlgebraParseError("missing 'constants' line")
+    lineno, constants = constants_line
+    if constants == ["none"]:
+        constants = []
+    elif constants == ["all"]:
+        constants = carrier
+    for c in constants:
+        if c not in carrier:
+            raise AlgebraParseError(f"unknown constant element {c!r}", lineno)
+    return Algebra(name, carrier, Signature(tuple(sig_ops), tuple(constants)), tables)

@@ -1,3 +1,4 @@
+import random
 import re
 from itertools import product
 
@@ -16,9 +17,9 @@ from gensim.algebra import (
     self_pair,
     validate_pair,
 )
-from gensim.corpus import fixture_text, powerset_algebra
+from gensim.corpus import fixture_text, powerset_algebra, truncated_multiplication_algebra
 from gensim.morphism import ElementMap, parse_map
-from oracles import render_map
+from oracles import reference_parse_algebra, render_map
 
 
 def two_chain(name="A"):
@@ -382,11 +383,84 @@ def mutated_alg_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+def parse_outcome(parse, text):
+    """The parsed algebra, or the refusal's type, message and line."""
+    try:
+        return parse(text)
+    except AlgebraError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(mutated_alg_texts())
 def test_mutated_alg_files_are_refused_or_round_trip(text):
-    try:
-        algebra = parse_algebra(text)
-    except AlgebraError:
-        return
-    assert parse_algebra(render_algebra(algebra)) == algebra
+    outcome = parse_outcome(parse_algebra, text)
+    assert outcome == parse_outcome(reference_parse_algebra, text)
+    if isinstance(outcome, Algebra):
+        assert parse_algebra(render_algebra(outcome)) == outcome
+
+
+def mutate_row(rng, text):
+    """One table row of ``text`` deleted, duplicated, cut to one argument,
+    stripped of its last argument or spoiled by a ``,``, ``(`` or ``)``."""
+    lines = text.splitlines()
+    rows = [i for i, line in enumerate(lines) if "->" in line]
+    i = rng.choice(rows)
+    kind = rng.choice(["delete", "duplicate", "one argument", "drop argument", "spoil"])
+    if kind == "delete":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(rng.randrange(rows[0], rows[-1] + 2), lines[i])
+    elif kind == "one argument":
+        args, _, out = lines[i].partition("->")
+        lines[i] = f"  {args.strip(' ()').split(',')[0]} -> {out.strip()}"
+    elif kind == "drop argument":
+        args, _, out = lines[i].partition("->")
+        lines[i] = f"  ({', '.join(args.strip(' ()').split(',')[:-1])}) -> {out.strip()}"
+    else:
+        j = rng.randrange(len(lines[i]) + 1)
+        lines[i] = lines[i][:j] + rng.choice(",()") + lines[i][j:]
+    return "\n".join(lines) + "\n"
+
+
+ROW_MUTANTS = [
+    mutate_row(random.Random(seed), text)
+    for seed in range(60)
+    for text in ALG_TEXTS + [render_algebra(truncated_multiplication_algebra(3))]
+]
+
+
+def test_mutated_table_rows_parse_as_the_row_by_row_reader_does():
+    outcomes = [parse_outcome(parse_algebra, text) for text in ROW_MUTANTS]
+    assert outcomes == [parse_outcome(reference_parse_algebra, text) for text in ROW_MUTANTS]
+    # Both kinds of outcome occur: accepted texts and refused rows.
+    assert any(isinstance(outcome, Algebra) for outcome in outcomes)
+    assert any("duplicate table row" in outcome[1] for outcome in outcomes if isinstance(outcome, tuple))
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # An unclosed block words its first bad row's error first.
+    ("op f/1\n  end -> b\n  b -> c\n", 6, "out-of-carrier output 'c' for f(b)"),
+    ("op f/1\n  end -> b\n  b -> end\n", 4, "op block 'f' not closed with 'end'"),
+    ("op f/1\n  end -> b\n  end -> end\nend\n", 6, "duplicate table row for f(end)"),
+    ("op g/2\n  end -> b\nend\n", 5, "'g' expects 2 argument(s), row has 1"),
+    ("op g/2\n  (end, b, b) -> b\nend\n", 5, "'g' expects 2 argument(s), row has 3"),
+    ("op f/1\n  end, -> b\nend\n", 5, "'f' expects 1 argument(s), row has 2"),
+    ("op f/1\n  end -> b\n  (b)) -> b\nend\n", 6, "malformed table row '(b)) -> b'"),
+    ("op f/1\n  end -> b\n  b -> b\n end \n", None, None),
+    ("op g/2\n  (end, end) -> b\n  (end, b) -> end\n  (b, end) -> b\n  (b, b) -> b\nend\n",
+     None, None),
+    ("op g/2\n  (end, end) -> b\n  (end, b) -> end\n  (b, b) -> b\nend\n",
+     8, "missing table row for g(b, end)"),
+], ids=["unclosed-bad-row", "unclosed", "duplicate", "arity-1", "arity-3", "comma",
+        "parentheses", "end-unary", "end-binary", "missing"])
+def test_table_rows_are_refused_on_their_line(rows, line, message):
+    """Rows that start with an element named 'end' are rows, not the end
+    of their block; each refusal names its line."""
+    text = "algebra A\nelements end b\nconstants none\n" + rows
+    outcome = parse_outcome(parse_algebra, text)
+    assert outcome == parse_outcome(reference_parse_algebra, text)
+    if message is None:
+        assert isinstance(outcome, Algebra)
+    else:
+        assert outcome == (AlgebraParseError, f"line {line}: {message}", line)

@@ -16,7 +16,7 @@ from itertools import product
 
 import pytest
 
-from gensim import general, linear, monolinear
+from gensim import closure, general, linear, monolinear
 from gensim.algebra import AlgebraPair, make_algebra, self_pair, validate_pair
 from gensim.closure import SaturationCapError, least_witness_closure
 from gensim.corpus import load_fixture, powerset_algebra, truncated_multiplication_algebra
@@ -34,6 +34,7 @@ from gensim.terms import (
     term_variables,
     witness_key,
 )
+import oracles
 from oracles import canonicalize, reference_closure
 from test_similarity import with_constants
 
@@ -183,6 +184,7 @@ def _fixture_pairs():
 
 
 P3, M3 = powerset_algebra(tuple("123")), meet_algebra(tuple("123"))
+P4, M4 = powerset_algebra(tuple("1234")), meet_algebra(tuple("1234"))
 T3 = truncated_multiplication_algebra(3)
 # Table clones of random cross pairs grow fast with the carrier (over
 # 10,000 table pairs at n = 8), so the cross pair is smaller.
@@ -403,6 +405,8 @@ LIFT_PAIRS = [
     ("P3/M3", AlgebraPair(P3, M3)),
     ("bin4", MONOLINEAR_PAIRS[-2][1]),
     ("bin4 A/B", MONOLINEAR_PAIRS[-1][1]),
+    # Rows share ids on both sides: the benchmark's largest linear closure.
+    ("P4/M4", AlgebraPair(P4, M4)),
 ]
 
 
@@ -514,7 +518,9 @@ def _kernel_cases():
             validate_pair(left, right),
             ("linear", "monolinear") + general * (size == 3),
         ))
-    cases.append(("P3/M3", AlgebraPair(P3, M3), ("linear", "monolinear", "general1")))
+    # The benchmark's two heaviest closures.
+    cases.append(("P3/M3", AlgebraPair(P3, M3), ("linear", "monolinear", "general1", "general2")))
+    cases.append(("P4/M4", AlgebraPair(P4, M4), ("linear",)))
     ternary = random_algebra(5, 3, (1, 3), "A")
     cases.append(("ternary", self_pair(ternary), ("linear", "monolinear", "general1", "clone")))
     cases.append((
@@ -571,3 +577,28 @@ def test_kernels_match_the_reference_loop(label, pair, engines, closure_args):
             capped = _outcome(least_witness_closure, seeds, rules, key, low)
             assert capped == (None, keys[:low + 1])
             assert capped == _outcome(reference_closure, seeds, rules, key, low)
+
+
+
+def _recording_push(keys):
+    def push(heap, entry):
+        keys.append(entry[0])
+        heapq.heappush(heap, entry)
+
+    return push
+
+
+@pytest.mark.parametrize("label,engine", [("P4/M4", "linear"), ("P3/M3", "general2")])
+def test_kernels_push_what_the_reference_pushes(label, engine, closure_args, monkeypatch):
+    """A candidate is pushed only when it beats the key pending at that
+    moment, also when one batch offers a profile twice: the same keys are
+    pushed in the same order as by the reference loop."""
+    pair = next(pair for name, pair, _ in KERNEL_CASES if name == label)
+    KERNEL_ENGINES[engine](pair)
+    pushed = {closure: [], oracles: []}
+    for module, keys in pushed.items():
+        monkeypatch.setattr(module, "heappush", _recording_push(keys))
+    for seeds, rules, key, cap in closure_args:
+        least_witness_closure(seeds, rules, key, cap)
+        reference_closure(seeds, rules, key, cap)
+        assert pushed[closure] == pushed[oracles]

@@ -14,10 +14,11 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gensim import cli
+from gensim import cli, verdict
 from gensim.algebra import Algebra, Signature, render_algebra, self_pair, validate_pair
 from gensim.morphism import random_monounary_algebra
 from gensim.similarity import QueryConfig, similarity_matrix
+from gensim.terms import render_term
 from oracles import relabeled_copy, render_map
 
 FIXTURES = [
@@ -150,6 +151,24 @@ def test_random_one_op_matrices(seed):
         # one dict per distinct verdict, shared by the cells that repeat it
         verdicts = [cell[k] for cell in payload["cells"] for k in ("leq", "geq", "approx")]
         assert len({id(v) for v in verdicts}) == len({json.dumps(v) for v in verdicts})
+
+
+def test_matrix_report_renders_each_evidence_term_once(monkeypatch):
+    # A failing <~ verdict and its ~~ restatement share one term.
+    rendered = []
+    monkeypatch.setattr(verdict, "render_term", lambda term: rendered.append(term) or render_term(term))
+    left = random_monounary_algebra(random.Random(0), 40, 1)
+    right = random_monounary_algebra(random.Random(100), 40, 1)
+    matrix = similarity_matrix(validate_pair(left, right))
+    matrix.to_dict()
+    terms = {
+        id(v.certificate.term)
+        for verdicts in (matrix.leq, matrix.geq, matrix.approx)
+        for v in verdicts.values()
+        if not v.holds
+    }
+    assert len(rendered) == len(terms) > 0
+    assert {id(term) for term in rendered} == terms
 
 
 def with_constants(algebra, constants):
