@@ -322,10 +322,10 @@ def parse_algebra(text: str) -> Algebra:
                 arity = int(arity_text)
             except ValueError:
                 raise AlgebraParseError(f"bad arity {arity_text!r}", lineno) from None
-            if arity < 1:
-                raise AlgebraParseError(
-                    f"operation {sym!r} has arity {arity}; must be >= 1", lineno
-                )
+            try:  # the arity and the symbol, checked as Signature does
+                Signature(((sym, arity),))
+            except AlgebraError as exc:
+                raise AlgebraParseError(str(exc), lineno) from None
             if sym in tables:
                 raise AlgebraParseError(f"duplicate operation {sym!r}", lineno)
             if not carrier:
@@ -364,8 +364,10 @@ def parse_algebra(text: str) -> Algebra:
     for c in constants:
         if c not in carrier:
             raise AlgebraParseError(f"unknown constant element {c!r}", lineno)
-
-    sig = Signature(tuple(sig_ops), tuple(constants))
+    try:  # each op line passed, so a clash is a constant's
+        sig = Signature(tuple(sig_ops), tuple(constants))
+    except AlgebraError as exc:
+        raise AlgebraParseError(str(exc), lineno) from None
     return Algebra(name, carrier, sig, tables)
 
 
@@ -409,19 +411,15 @@ def validate_pair(left: Algebra, right: Algebra) -> AlgebraPair:
                     f"operation {sym!r} has arity {left_ops[sym]} vs {right_ops[sym]}"
                 )
         raise SignatureMismatchError("operation declaration order differs")
-    # Declaration order may differ: each direction ranks the constants in
-    # the order of its own left algebra.
+    # Declaration order may differ: a pair ranks the constants in its left
+    # algebra's order in both directions, as one closure serves both.
     if set(left.signature.constant_symbols) != set(right.signature.constant_symbols):
         raise SignatureMismatchError(
             f"constant symbols differ: {left.signature.constant_symbols} "
             f"vs {right.signature.constant_symbols}"
         )
-    # Constant symbols denote themselves; each must exist in both carriers.
-    for c in left.signature.constant_symbols:
-        if c not in right.carrier:
-            raise SignatureMismatchError(f"constant {c!r} absent from {right.name!r}")
-        if c not in left.carrier:
-            raise SignatureMismatchError(f"constant {c!r} absent from {left.name!r}")
+    # Constant symbols denote themselves: each algebra holds its own, so
+    # equal sets put each constant in both carriers.
     return AlgebraPair(left, right)
 
 

@@ -250,7 +250,7 @@ def cmd_charset(args) -> int:
 
 def cmd_clone(args) -> int:
     algebra = _load_algebra(args.algebra)
-    clone = polynomial_clone(algebra, args.cap)
+    clone = polynomial_clone(algebra, QueryConfig(cap=args.cap).cap)
     _emit(
         args,
         lambda: {

@@ -170,22 +170,14 @@ def check_g_functor(emap: ElementMap, config: QueryConfig | None = None) -> Verd
     """Must every a be g-similar to its image?  Certificate names a failing a."""
     pair = validate_pair(emap.source, emap.target)
     engine, reverse = build_engines(pair, config)
-    label = None
     for a in emap.source.carrier:
         verdict = decide_approx(pair, a, emap(a), config, engine, reverse)
-        label = verdict.fragment_label
         if not verdict.holds:
+            cert = verdict.certificate
             return Verdict(
-                False,
-                Certificate(
-                    FAILING_ELEMENT,
-                    element=a,
-                    term=verdict.certificate.term,
-                    direction=verdict.certificate.direction,
-                ),
-                label,
+                False, Certificate(FAILING_ELEMENT, cert.term, a, cert.direction), engine.label
             )
-    return Verdict(True, None, label)
+    return Verdict(True, None, engine.label)
 
 
 class SecondIsomorphismReport(Record):

@@ -193,17 +193,19 @@ def build_engine(pair: AlgebraPair, config: QueryConfig | None = None) -> Engine
 
 
 def build_engines(pair: AlgebraPair, config: QueryConfig | None = None) -> tuple[Engine, Engine]:
-    """The engines of the pair and of its swap."""
+    """The engines of the pair and of its swap, from one closure."""
     engine = build_engine(pair, config)
-    return engine, _reverse_engine(pair, engine, config)
+    return engine, _reverse_engine(engine)
 
 
-def _reverse_engine(pair: AlgebraPair, engine: Engine, config: QueryConfig | None) -> Engine:
-    """The engine of the swapped pair, given ``engine`` of ``pair``: a self
-    pair's engine is its own reverse, so it is built once."""
+def _reverse_engine(engine: Engine) -> Engine:
+    """The engine of the swapped pair: ``engine``'s rows with their sides
+    swapped, as both directions read one family of term classes.  A self
+    pair's engine is its own reverse."""
+    pair = engine.pair
     if pair.left is pair.right:
         return engine
-    return build_engine(pair.swapped(), config)
+    return Engine(pair.swapped(), engine.label, [(r, l, w) for l, r, w in engine._classes])
 
 
 def decide_leq(
@@ -230,13 +232,13 @@ def decide_approx(
     engine: Engine | None = None,
     reverse_engine: Engine | None = None,
 ) -> Verdict:
-    """g-similarity: both directed maximality checks.  The reverse engine
-    is built only when the forward check holds."""
+    """g-similarity: both directed maximality checks.  The reverse engine,
+    the transpose of ``engine``, is made only when the forward check holds."""
     engine = engine or build_engine(pair, config)
     forward = decide_leq(pair, a, b, config, engine)
     if not forward.holds:
         return engine.approx_failure(forward)
-    reverse_engine = reverse_engine or _reverse_engine(pair, engine, config)
+    reverse_engine = reverse_engine or _reverse_engine(engine)
     backward = decide_leq(pair.swapped(), b, a, config, reverse_engine)
     if not backward.holds:
         return reverse_engine.approx_failure(backward)

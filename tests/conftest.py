@@ -77,3 +77,25 @@ def chain5_pair(chain5):
 @pytest.fixture(scope="session")
 def chain4_pair(chain4_a, chain4_b):
     return validate_pair(chain4_a, chain4_b)
+
+
+@pytest.fixture
+def engine_builds(monkeypatch):
+    """The pairs of the closures run (``similarity.build_engine`` calls) and
+    of the ``Engine`` objects made, transposed reverse engines included."""
+    from gensim import similarity
+
+    closures, engines = [], []
+    build, init = similarity.build_engine, similarity.Engine.__init__
+
+    def counted_build(pair, config=None):
+        closures.append(pair)
+        return build(pair, config)
+
+    def counted_init(self, pair, label, rows):
+        engines.append(pair)
+        init(self, pair, label, rows)
+
+    monkeypatch.setattr(similarity, "build_engine", counted_build)
+    monkeypatch.setattr(similarity.Engine, "__init__", counted_init)
+    return closures, engines

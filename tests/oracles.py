@@ -19,6 +19,7 @@ from itertools import count, product
 from gensim.algebra import (
     _ROW_RE,
     CONSTANTS_KEYWORDS,
+    VARIABLE_RE,
     Algebra,
     AlgebraError,
     AlgebraPair,
@@ -350,6 +351,10 @@ def reference_parse_algebra(text: str) -> Algebra:
                 raise AlgebraParseError(
                     f"operation {sym!r} has arity {arity}; must be >= 1", lineno
                 )
+            if VARIABLE_RE.match(sym):
+                raise AlgebraParseError(
+                    f"operation symbol {sym!r} clashes with variable names", lineno
+                )
             if sym in tables:
                 raise AlgebraParseError(f"duplicate operation {sym!r}", lineno)
             if not carrier:
@@ -387,4 +392,11 @@ def reference_parse_algebra(text: str) -> Algebra:
     for c in constants:
         if c not in carrier:
             raise AlgebraParseError(f"unknown constant element {c!r}", lineno)
+    for c in constants:
+        if c in tables:
+            raise AlgebraParseError(
+                f"constant symbol {c!r} clashes with an operation symbol", lineno
+            )
+        if VARIABLE_RE.match(c):
+            raise AlgebraParseError(f"constant symbol {c!r} clashes with variable names", lineno)
     return Algebra(name, carrier, Signature(tuple(sig_ops), tuple(constants)), tables)

@@ -91,12 +91,23 @@ def test_parse_unknown_directive():
     # a 'constants' line is resolved after the loop, keeping its own line
     ("algebra A\nconstants c\nelements a b\nop f/1\n  a -> b\n  b -> a\nend\n", 2,
      "unknown constant element 'c'"),
-], ids=["arity-below-0", "arity-0", "elements-twice", "constants-twice", "constants-unknown"])
+    # symbol clashes, refused on their own line, not by Signature at the end
+    ("algebra A\nelements a b\nconstants none\nop z1/1\n  a -> b\n  b -> a\nend\n", 4,
+     "operation symbol 'z1' clashes with variable names"),
+    ("algebra A\nelements f b\nconstants f\nop f/1\n  f -> b\n  b -> f\nend\n", 3,
+     "constant symbol 'f' clashes with an operation symbol"),
+    ("algebra A\nconstants z1\nelements z1 b\nop f/1\n  z1 -> b\n  b -> z1\nend\n", 2,
+     "constant symbol 'z1' clashes with variable names"),
+], ids=[
+    "arity-below-0", "arity-0", "elements-twice", "constants-twice", "constants-unknown",
+    "op-variable", "constant-op", "constant-variable",
+])
 def test_parse_header_faults_name_their_line(text, line, message):
-    with pytest.raises(AlgebraParseError) as exc:
-        parse_algebra(text)
-    assert str(exc.value) == f"line {line}: {message}"
-    assert exc.value.line == line
+    for parse in (parse_algebra, reference_parse_algebra):
+        with pytest.raises(AlgebraParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"line {line}: {message}"
+        assert exc.value.line == line
 
 
 @pytest.mark.parametrize("constants", ["all", "none", "b a"])

@@ -157,6 +157,23 @@ def test_cap_bounds_linear_and_clone(capsys, argv):
     assert "error:" in err and "cap of 1 " in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("clone", "--algebra", fixture_path("chain5.alg")),
+    ("check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b"),
+])
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_cap_below_1_is_refused_before_any_closure(monkeypatch, capsys, argv, cap):
+    from gensim import linear, monolinear
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a closure ran")
+
+    for module in (linear, monolinear):
+        monkeypatch.setattr(module, "least_witness_closure", refuse)
+    code, out, err = run(capsys, *argv, "--cap", cap)
+    assert (code, out, err) == (2, "", "error: bounds must be positive\n")
+
+
 def test_general_max_vars_beyond_cap_exits_2(capsys):
     # 5^7 assignments exceed the cap: refused before any is listed
     code, _, err = run(
@@ -183,7 +200,7 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     assert "unrecognized arguments" in err or "invalid choice" in err
 
 
-@pytest.mark.parametrize("argv, builds", [
+@pytest.mark.parametrize("argv, engines", [
     (("matrix", "--left", fixture_path("chain5.alg")), 1),
     (("matrix", "--left", fixture_path("chain4_a.alg"),
       "--right", fixture_path("chain4_b.alg")), 2),
@@ -192,20 +209,16 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
     (("check", "--left", fixture_path("chain4_a.alg"), "--right", fixture_path("chain4_b.alg"),
       "--a", "0", "--b", "1", "--relation", "approx"), 2),
 ])
-def test_self_pair_builds_one_engine(monkeypatch, capsys, argv, builds):
-    from gensim import similarity
-
+def test_self_pair_builds_one_engine(engine_builds, capsys, argv, engines):
+    """One closure per pair: a cross pair's second engine is the first
+    one's transpose, and a self pair's engine serves both directions."""
+    closures, made = engine_builds
     plain = run(capsys, *argv)
-    built = []
-    build_engine = similarity.build_engine
-
-    def counted(pair, config=None):
-        built.append(pair)
-        return build_engine(pair, config)
-
-    monkeypatch.setattr(similarity, "build_engine", counted)
+    closures.clear()
+    made.clear()
     assert run(capsys, *argv) == plain
-    assert len(built) == builds
+    assert len(closures) == 1
+    assert len(made) == engines
 
 
 def test_unary_ground_term_dominates(capsys, tmp_path):

@@ -24,7 +24,15 @@ from gensim.general import saturate_profiles
 from gensim.linear import reachable_profiles
 from gensim.monolinear import paired_clone, paired_ground_values, polynomial_clone
 from gensim.morphism import random_monounary_algebra
-from gensim.similarity import Engine, GeneralEngine, LinearEngine, MonolinearEngine
+from gensim.similarity import (
+    Engine,
+    GeneralEngine,
+    LinearEngine,
+    MonolinearEngine,
+    QueryConfig,
+    build_engine,
+    build_engines,
+)
 from gensim.terms import (
     App,
     Const,
@@ -36,6 +44,7 @@ from gensim.terms import (
 )
 import oracles
 from oracles import canonicalize, reference_closure
+from test_decision import UNARY_FIXTURES
 from test_similarity import with_constants
 
 
@@ -460,14 +469,80 @@ def test_swapped_pair_transposes_rows_when_constant_orders_agree(engine):
 
 @pytest.mark.parametrize("engine", sorted(ENGINE_ROWS))
 def test_swapped_pair_keeps_the_row_set_when_constant_orders_differ(engine):
-    """Each direction ranks the constants in its left algebra's order, so
-    the swapped pair's rows may come in another order with other
-    witnesses; only the set of rows is the same."""
+    """A closure ranks the constants in its left algebra's order, so the
+    swapped pair's rows may come in another order with other witnesses;
+    only the set of rows is the same."""
     rows = ENGINE_ROWS[engine]
     for pair in constant_pairs(engine, ("e3", "e0"), ("e0", "e3")):
         forward = [(p.right, p.left) for p in rows(pair)]
         backward = [(p.left, p.right) for p in rows(pair.swapped())]
         assert len(backward) == len(forward) and set(backward) == set(forward)
+
+
+TRANSPOSE_CONFIGS = {
+    "linear": QueryConfig("linear"),
+    "monolinear": QueryConfig("monolinear"),
+    "general K=1": QueryConfig("general", max_vars=1),
+}
+
+
+def transpose_pairs(engine, left_order, right_order):
+    """Every pair of bundled fixtures with one signature, then seeded cross
+    pairs whose algebras declare the constants ``e<i>`` for i in the given
+    orders: 1-, 2- and 3-op n = 8 monounary ones and the ``random_binary``
+    ones.  The general engine's K = 1 function pairs outgrow a test there,
+    so it takes 3-op n = 4 and the kernel cases' 3-element binary pair
+    (index 3 read as 2)."""
+    fixtures = [load_fixture(name) for name in UNARY_FIXTURES]
+    for left in fixtures:
+        yield from (validate_pair(left, r) for r in fixtures if r.signature == left.signature)
+    general = engine.startswith("general")
+    pairs = []
+    for ops in (1, 2, 3):
+        size = 4 if general and ops == 3 else 8
+        pairs += [
+            (random_monounary_algebra(random.Random(seed), size, ops, name="A"),
+             random_monounary_algebra(random.Random(seed + 100), size, ops, name="B"))
+            for seed in range(2)
+        ]
+    if general:
+        pairs.append((random_algebra(2, 3, (2, 1), "A"), random_algebra(102, 3, (2, 1), "B")))
+    else:
+        pairs += [(random_binary(seed, "A"), random_binary(seed + 100, "B")) for seed in range(2)]
+    for left, right in pairs:
+        last = len(left.carrier) - 1
+        yield validate_pair(
+            with_constants(left, [f"e{min(i, last)}" for i in left_order]),
+            with_constants(right, [f"e{min(i, last)}" for i in right_order]),
+        )
+
+
+@pytest.mark.parametrize("constants", [(), (3, 0)], ids=["no constants", "e3 e0"])
+@pytest.mark.parametrize("engine", sorted(TRANSPOSE_CONFIGS))
+def test_the_reverse_engine_is_the_rebuilt_swapped_engine(engine, constants):
+    """One closure serves both directions: when the constant orders agree,
+    the forward engine transposed has the classes, in order, and the label
+    of the engine that a second closure builds for the swapped pair."""
+    config = TRANSPOSE_CONFIGS[engine]
+    for pair in transpose_pairs(engine, constants, constants):
+        forward, reverse = build_engines(pair, config)
+        rebuilt = build_engine(pair.swapped(), config)
+        assert reverse.pair == pair.swapped()
+        assert reverse.classes() == rebuilt.classes()
+        assert reverse.label == rebuilt.label == forward.label
+
+
+@pytest.mark.parametrize("engine", sorted(TRANSPOSE_CONFIGS))
+def test_the_reverse_engine_keeps_the_rebuilt_class_set_when_constant_orders_differ(engine):
+    """The reverse engine ranks the constants in the pair's left order, so
+    its witnesses may differ from a rebuilt swapped engine's, but never its
+    term classes."""
+    config = TRANSPOSE_CONFIGS[engine]
+    for pair in transpose_pairs(engine, (3, 0), (0, 3)):
+        reverse = build_engines(pair, config)[1]
+        rebuilt = build_engine(pair.swapped(), config)
+        ranges, want = ([(left, right) for left, right, _ in e.classes()] for e in (reverse, rebuilt))
+        assert len(ranges) == len(want) and set(ranges) == set(want)
 
 
 def random_algebra(seed, size, arities, name, constants=("e0",)):

@@ -6,7 +6,9 @@ isomorphic copy in place of one side.  None of the relations needs
 an oracle, so they run on cross pairs beyond the brute-force oracles'
 reach.  Operation order changes the ranks inside witness keys, so it may
 change an evidence term, but never a holds bit or a dominating element;
-every evidence term must still pass the range oracle.
+every evidence term must still pass the range oracle.  Swapping two
+algebras that declare their constants in different orders changes the
+constant ranks in the same way.
 """
 
 import random
@@ -45,6 +47,9 @@ def mixed_pair(seed):
 
 # (seed, n, operations): 2- and 3-op cross pairs at n = 12, 1-op at n = 40.
 CROSS = [(seed, n, n_ops) for seed in range(3) for n, n_ops in ((12, 2), (12, 3), (40, 1))]
+# 2-op cross pairs at the paper's scale, where one closure serves both directions.
+PAPER_SCALE = [(seed, 16, 2) for seed in range(3)]
+SWAPPED = [(0, 12, 2), (1, 12, 2), (0, 40, 1)]
 
 
 def reversed_operations(algebra):
@@ -79,8 +84,9 @@ def outcomes(matrix):
 @pytest.mark.parametrize("fragment", ["auto", "monolinear"])
 @pytest.mark.parametrize(
     "pair",
-    [cross_pair(*case) for case in CROSS] + [mixed_pair(seed) for seed in range(3)],
-    ids=[f"seed{s}-n{n}-ops{k}" for s, n, k in CROSS] + [f"mixed-seed{s}" for s in range(3)],
+    [cross_pair(*case) for case in CROSS + PAPER_SCALE] + [mixed_pair(seed) for seed in range(3)],
+    ids=[f"seed{s}-n{n}-ops{k}" for s, n, k in CROSS + PAPER_SCALE]
+    + [f"mixed-seed{s}" for s in range(3)],
 )
 def test_operation_order_keeps_bits_and_dominating_elements(pair, fragment):
     config = QueryConfig(fragment)
@@ -93,7 +99,7 @@ def test_operation_order_keeps_bits_and_dominating_elements(pair, fragment):
 
 @pytest.mark.parametrize("fragment", ["auto", "monolinear"])
 @pytest.mark.parametrize("constants", [(), ("e3", "e0")], ids=["no-constants", "constants"])
-@pytest.mark.parametrize("seed,n,n_ops", [(0, 12, 2), (1, 12, 2), (0, 40, 1)])
+@pytest.mark.parametrize("seed,n,n_ops", SWAPPED + PAPER_SCALE)
 def test_swapped_pair_leq_is_the_geq_transposed(seed, n, n_ops, constants, fragment):
     # The constants come in the same order on both sides.
     pair = cross_pair(seed, n, n_ops)
@@ -102,6 +108,35 @@ def test_swapped_pair_leq_is_the_geq_transposed(seed, n, n_ops, constants, fragm
     forward, backward = similarity_matrix(pair, config), similarity_matrix(pair.swapped(), config)
     assert {(b, a): v for (a, b), v in forward.geq.items()} == backward.leq
     assert {(b, a): v for (a, b), v in backward.geq.items()} == forward.leq
+
+
+def brief(verdict):
+    return verdict.holds, verdict.certificate and verdict.certificate.element
+
+
+@pytest.mark.parametrize("fragment", ["auto", "monolinear"])
+@pytest.mark.parametrize(
+    "pair",
+    [cross_pair(*case) for case in SWAPPED] + [mixed_pair(seed) for seed in range(2)],
+    ids=[f"seed{s}-n{n}-ops{k}" for s, n, k in SWAPPED] + [f"mixed-seed{s}" for s in range(2)],
+)
+def test_swap_keeps_bits_and_dominating_elements_when_constant_orders_differ(pair, fragment):
+    # A pair ranks the constants in its left algebra's order in both
+    # directions, so the two pairs may pick other evidence terms.
+    pair = validate_pair(
+        with_constants(pair.left, ("e3", "e0")), with_constants(pair.right, ("e0", "e3"))
+    )
+    config = QueryConfig(fragment)
+    forward, backward = similarity_matrix(pair, config), similarity_matrix(pair.swapped(), config)
+    for ours, theirs in ((forward.geq, backward.leq), (forward.leq, backward.geq)):
+        assert {(b, a): brief(v) for (a, b), v in ours.items()} == {
+            cell: brief(v) for cell, v in theirs.items()
+        }
+    assert {(b, a): v.holds for (a, b), v in forward.approx.items()} == {
+        cell: v.holds for cell, v in backward.approx.items()
+    }
+    assert_matrix_evidence(forward)
+    assert_matrix_evidence(backward)
 
 
 @pytest.mark.parametrize("seed,n,n_ops", CROSS)

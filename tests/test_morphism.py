@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from gensim import linear, similarity
+from gensim import linear
 from gensim.algebra import make_algebra, validate_pair
 from gensim.corpus import load_fixture
 from gensim.morphism import (
@@ -231,7 +231,7 @@ def g_functor_by_element(emap, config):
 
 
 @pytest.mark.parametrize("fragment", ["auto", "monolinear"])
-def test_g_functor_builds_two_engines(monkeypatch, merge_map, fragment):
+def test_g_functor_builds_two_engines(engine_builds, merge_map, fragment):
     config = QueryConfig(fragment=fragment)
     algebra = random_monounary_algebra(random.Random(0), 40, 1)
     maps = [merge_map, relabeled_copy(random.Random(1), algebra)]
@@ -239,21 +239,16 @@ def test_g_functor_builds_two_engines(monkeypatch, merge_map, fragment):
         rng = random.Random(seed)
         table = {e: rng.choice(algebra.carrier) for e in algebra.carrier}
         maps.append(ElementMap(f"m{seed}", algebra, algebra, table))
-    # One engine per direction; a self map's pair needs one in all.
-    builds = []
-    build_engine = similarity.build_engine
-
-    def counted(pair, config=None):
-        builds.append(pair)
-        return build_engine(pair, config)
-
+    # One closure per pair, and one engine per direction: the reverse is
+    # the transpose; a self map's pair needs one engine in all.
+    closures, engines = engine_builds
     for emap in maps:
         failing, expected = g_functor_by_element(emap, config)
-        builds.clear()
-        monkeypatch.setattr(similarity, "build_engine", counted)
+        closures.clear()
+        engines.clear()
         verdict = check_g_functor(emap, config)
-        monkeypatch.undo()
-        assert len(builds) == (1 if emap.source is emap.target else 2)
+        assert len(closures) == 1
+        assert len(engines) == (1 if emap.source is emap.target else 2)
         assert verdict.holds == expected.holds
         assert verdict.fragment_label == expected.fragment_label
         if failing is not None:

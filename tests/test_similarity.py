@@ -11,7 +11,7 @@ from gensim.algebra import (
     validate_pair,
 )
 from gensim.corpus import powerset_algebra
-from gensim.morphism import random_monounary_algebra
+from gensim.morphism import check_second_isomorphism, random_monounary_algebra
 from gensim.similarity import (
     Engine,
     GeneralEngine,
@@ -31,6 +31,7 @@ from gensim.similarity import (
 )
 from gensim.terms import range_of_term, render_term
 from gensim.verdict import Certificate, Verdict
+from oracles import relabeled_copy
 from test_decision import fixture_pairs, meet3, random_pair
 
 
@@ -189,51 +190,62 @@ def test_algebra_level_relations_match_per_cell_decisions():
 
 
 def test_decide_approx_builds_the_reverse_engine_only_when_forward_holds(
-    monkeypatch, chain5, chain4_a, chain4_b
+    engine_builds, chain5, chain4_a, chain4_b
 ):
-    from gensim import similarity
-
     cross = validate_pair(chain4_a, chain4_b)
     forward = similarity_matrix(cross).leq
     fails = next(cell for cell, verdict in forward.items() if not verdict.holds)
     holds = next(cell for cell, verdict in forward.items() if verdict.holds)
-    built = []
+    closures, engines = engine_builds
 
-    def counted(pair, config=None):
-        built.append(pair)
-        return build_engine(pair, config)
+    def made(pair, a, b):
+        """The pairs of the closures and of the engines one decision makes."""
+        closures.clear()
+        engines.clear()
+        decide_approx(pair, a, b)
+        return [(p.left, p.right) for p in closures], [(p.left, p.right) for p in engines]
 
-    monkeypatch.setattr(similarity, "build_engine", counted)
     # chain5: c ~~ d holds, a <~ b holds but b <~ a fails, b <~ a fails.
     for a, b in (("c", "d"), ("a", "b"), ("b", "a")):
-        built.clear()
-        decide_approx(self_pair(chain5), a, b)
-        assert [(p.left, p.right) for p in built] == [(chain5, chain5)]
-    built.clear()
-    decide_approx(cross, *fails)
-    assert [(p.left, p.right) for p in built] == [(chain4_a, chain4_b)]
-    built.clear()
-    decide_approx(cross, *holds)
-    assert [(p.left, p.right) for p in built] == [(chain4_a, chain4_b), (chain4_b, chain4_a)]
+        assert made(self_pair(chain5), a, b) == ([(chain5, chain5)], [(chain5, chain5)])
+    one = [(chain4_a, chain4_b)]
+    assert made(cross, *fails) == (one, one)
+    # The reverse engine is the forward one's transpose, not a second closure.
+    assert made(cross, *holds) == (one, one + [(chain4_b, chain4_a)])
 
 
 @pytest.mark.parametrize("driver", [decide_algebra_approx, decide_algebra_leq, check_reflexive])
 def test_drivers_build_one_engine_per_distinct_direction(
-    monkeypatch, driver, chain5, chain4_a, chain4_b
+    engine_builds, driver, chain5, chain4_a, chain4_b
 ):
-    from gensim import similarity
-
-    built = []
-
-    def counted(pair, config=None):
-        built.append(pair)
-        return build_engine(pair, config)
-
-    monkeypatch.setattr(similarity, "build_engine", counted)
-    for pair, builds in ((self_pair(chain5), 1), (validate_pair(chain4_a, chain4_b), 2)):
-        built.clear()
+    closures, engines = engine_builds
+    for pair, directions in ((self_pair(chain5), 1), (validate_pair(chain4_a, chain4_b), 2)):
+        closures.clear()
+        engines.clear()
         driver(pair)
-        assert len(built) == builds
+        assert len(closures) == 1
+        assert len(engines) == directions
+
+
+def test_sit_and_triple_transitivity_run_one_closure_per_pair(
+    engine_builds, chain4_a, chain4_b, chain5
+):
+    closures, engines = engine_builds
+    f_map = relabeled_copy(random.Random(0), chain4_a, "f_")
+    g_map = relabeled_copy(random.Random(1), chain4_b, "g_")
+    closures.clear()
+    check_second_isomorphism(f_map, g_map)
+    assert [(p.left, p.right) for p in closures] == [
+        (chain4_a, chain4_b), (f_map.target, g_map.target)
+    ]
+    closures.clear()
+    check_transitive((chain4_a, chain4_b, chain5))
+    assert [(p.left, p.right) for p in closures] == [
+        (chain4_a, chain4_b), (chain4_b, chain5), (chain4_a, chain5)
+    ]
+    closures.clear()
+    check_transitive(chain5)
+    assert len(closures) == 1
 
 
 def test_matrix_text_render(chain5_pair):
