@@ -13,6 +13,7 @@ oracle (``tests/oracles.py``) before it is relied on.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraError, AlgebraPair
@@ -27,52 +28,86 @@ def exactness_label(pair: AlgebraPair, k: int) -> str:
     return exact_for_vars(k)
 
 
-def _function_lift(algebra: Algebra, sym: str):
-    """Lift ``sym`` pointwise over value-index tuples."""
-    index = algebra.index
-    table = {
-        tuple(index(x) for x in tup): index(out)
-        for tup, out in algebra.tables[sym].items()
-    }
-    return lambda functions: tuple(map(table.__getitem__, zip(*functions)))
+def _function_lift(algebra: Algebra, sym: str, arity: int):
+    """Lift ``sym`` pointwise over profile sides, ``bytes`` over n <= 256
+    elements: a unary ``sym`` is a ``translate``, a binary one for n <= 48
+    translates the row indices f * n + g, in the byte lanes of one big int
+    per part of 256 // n rows (past 10 parts a lookup per assignment wins).
+    Other lifts look up each assignment's index tuple; over n > 256 a side
+    is a tuple."""
+    n, index = len(algebra.carrier), algebra.index
+    table = {tuple(map(index, tup)): index(out) for tup, out in algebra.tables[sym].items()}
+    if n > 256 or arity > 2 or arity == 2 and n > 48:
+        collect = bytes if n <= 256 else tuple
+        return lambda functions: collect(map(table.__getitem__, zip(*functions)))
+    if arity == 1:
+        image = bytes(table[x,] for x in range(n)) + bytes(256 - n)
+        return lambda functions: functions[0].translate(image)
+    # Rows x in [start, start + 256 // n): (x - start) * n + y < 256, so no
+    # lane carries; f's lanes outside the part are masked off.
+    parts = []
+    for start in range(0, n, 256 // n):
+        inside = range(start, min(start + 256 // n, n))
+        rows = bytes(table[x, y] for x in inside for y in range(n))
+        parts.append((bytes(x - start if x in inside else 0 for x in range(256)),
+                      bytes(255 * (x in inside) for x in range(256)), rows + bytes(256 - len(rows))))
+
+    number = partial(int.from_bytes, byteorder="little")
+    # An accepted side meets 2n - 1 lifts: read it once.
+    read = cache(number)
+    if len(parts) == 1:
+        flat = parts[0][2]
+        return lambda functions: (read(functions[0]) * n + read(functions[1])).to_bytes(
+            len(functions[0]), "little").translate(flat)
+
+    @cache
+    def split(f):
+        return [(number(f.translate(shift)) * n, number(f.translate(mask)), rows)
+                for shift, mask, rows in parts]
+
+    def lift(functions):
+        f, g = functions
+        g, size = read(g), len(f)
+        out = 0
+        for f_rows, mask, rows in split(f):
+            out |= mask & number((f_rows + g).to_bytes(size, "little").translate(rows))
+        return out.to_bytes(size, "little")
+
+    return lift
 
 
 def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP) -> list[Profile]:
     """Least closed set of K-variable function pairs, minimal witnesses.
 
     Each side of a profile holds one value index per assignment over A^K
-    (left) or B^K (right).
+    (left) or B^K (right): ``bytes``, or a tuple over more than 256
+    elements.
 
     The theoretical profile space is doubly exponential, so feasibility is
     enforced as a runtime cap on the number of accepted profiles rather
     than a priori.  A K for which |A|^K or |B|^K exceeds the cap is
-    refused before the assignments are listed.
+    refused before its assignments are listed.
     """
     if k < 1:
         raise AlgebraError("K must be >= 1")
-    left_alg, right_alg = pair.left, pair.right
-    for algebra in (left_alg, right_alg):
-        if len(algebra.carrier) ** k > cap:
+    sig = pair.left.signature
+    sides = []
+    for algebra in (pair.left, pair.right):
+        n = len(algebra.carrier)
+        if n ** k > cap:
             raise SaturationCapError(cap, (
-                f"K = {k} needs {len(algebra.carrier)}^{k} assignments over "
-                f"{algebra.name!r}, more than the cap of {cap}; "
-                "lower K (--max-vars) or raise --cap"
+                f"K = {k} needs {n}^{k} assignments over {algebra.name!r}, "
+                f"more than the cap of {cap}; lower K (--max-vars) or raise --cap"
             ))
-    sig = left_alg.signature
-    left_assignments = list(product(range(len(left_alg.carrier)), repeat=k))
-    right_assignments = list(product(range(len(right_alg.carrier)), repeat=k))
-
-    # zip(*assignments) lists the K projections.
-    projections = zip(zip(*left_assignments), zip(*right_assignments))
-    seeds = [(left, right, Var(i + 1)) for i, (left, right) in enumerate(projections)]
-    for c in sig.constant_symbols:
-        li = left_alg.index(c)
-        ri = right_alg.index(c)
-        seeds.append(((li,) * len(left_assignments), (ri,) * len(right_assignments), Const(c)))
+        collect = bytes if n <= 256 else tuple
+        # zip(*assignments) lists the K projections.
+        sides.append([collect(p) for p in zip(*product(range(n), repeat=k))] + [
+            collect((algebra.index(c),) * n ** k) for c in sig.constant_symbols])
+    witnesses = [Var(i + 1) for i in range(k)] + [Const(c) for c in sig.constant_symbols]
+    seeds = list(zip(*sides, witnesses))
     rules = [
-        (arity, *side_lifts(pair, lambda algebra: _function_lift(algebra, sym)),
+        (arity, *side_lifts(pair, lambda algebra: _function_lift(algebra, sym, arity)),
          *app_key(sym, sig))
         for sym, arity in sig.operations
     ]
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)
-

@@ -62,21 +62,23 @@ class Engine:
     ``a`` on the left and ``_right[b]`` those with ``b`` on the right (a
     key per carrier element), so the rows of Gen(a,b) are ``_left[a] &
     _right[b]`` and its first row in witness order is the lowest set bit.
+    ``masks``, when given, are ``(_left, _right)`` of ``rows``.
     """
 
-    def __init__(self, pair: AlgebraPair, label: str, rows):
+    def __init__(self, pair: AlgebraPair, label: str, rows, masks: tuple | None = None):
         self.pair = pair
         self.label = label
         self._classes = rows
-        left_rows: dict = {e: [] for e in pair.left.carrier}
-        right_rows: dict = {e: [] for e in pair.right.carrier}
-        for i, (left, right, _) in enumerate(rows):
-            for e in left:
-                left_rows[e].append(i)
-            for e in right:
-                right_rows[e].append(i)
-        self._left = {e: _mask(ids) for e, ids in left_rows.items()}
-        self._right = {e: _mask(ids) for e, ids in right_rows.items()}
+        if masks is None:
+            left_rows: dict = {e: [] for e in pair.left.carrier}
+            right_rows: dict = {e: [] for e in pair.right.carrier}
+            for i, (left, right, _) in enumerate(rows):
+                for e in left:
+                    left_rows[e].append(i)
+                for e in right:
+                    right_rows[e].append(i)
+            masks = ({e: _mask(ids) for e, ids in side.items()} for side in (left_rows, right_rows))
+        self._left, self._right = masks
         self._holds = Verdict(True, None, label)
         self._verdicts: dict = {}
         self._failing: dict = {}
@@ -200,12 +202,13 @@ def build_engines(pair: AlgebraPair, config: QueryConfig | None = None) -> tuple
 
 def _reverse_engine(engine: Engine) -> Engine:
     """The engine of the swapped pair: ``engine``'s rows with their sides
-    swapped, as both directions read one family of term classes.  A self
-    pair's engine is its own reverse."""
+    swapped, as both directions read one family of term classes, and its
+    row masks swapped.  A self pair's engine is its own reverse."""
     pair = engine.pair
     if pair.left is pair.right:
         return engine
-    return Engine(pair.swapped(), engine.label, [(r, l, w) for l, r, w in engine._classes])
+    rows = [(r, l, w) for l, r, w in engine._classes]
+    return Engine(pair.swapped(), engine.label, rows, (engine._right, engine._left))
 
 
 def decide_leq(

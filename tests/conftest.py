@@ -92,9 +92,9 @@ def engine_builds(monkeypatch):
         closures.append(pair)
         return build(pair, config)
 
-    def counted_init(self, pair, label, rows):
+    def counted_init(self, pair, label, rows, masks=None):
         engines.append(pair)
-        init(self, pair, label, rows)
+        init(self, pair, label, rows, masks)
 
     monkeypatch.setattr(similarity, "build_engine", counted_build)
     monkeypatch.setattr(similarity.Engine, "__init__", counted_init)

@@ -6,9 +6,13 @@ range of a term, the inverse of
 the ``.map`` text of an element map, a random isomorphic copy of an
 algebra and the range-pair check of the isomorphism lemma.
 ``reference_closure`` is the closure loop of one product per arity, the
-reference for ``closure.least_witness_closure``'s kernels, and
-``reference_parse_algebra`` the ``.alg`` reader that checks each table row
-as it reads it, the reference for ``algebra.parse_algebra``'s bulk check."""
+reference for ``closure.least_witness_closure``'s kernels;
+``reference_function_lift`` the general engine's lift as one table lookup
+per assignment, the reference for ``general._function_lift``'s byte
+kernels; ``reference_general`` the general closure on tuples through
+both; and ``reference_parse_algebra`` the ``.alg`` reader that checks each
+table row as it reads it, the reference for ``algebra.parse_algebra``'s
+bulk check."""
 
 from __future__ import annotations
 
@@ -29,7 +33,7 @@ from gensim.algebra import (
     scan_lines,
 )
 from gensim.automata import NonUnaryError
-from gensim.closure import Profile, SaturationCapError
+from gensim.closure import Profile, SaturationCapError, side_lifts
 from gensim.linear import _range_lift, reachable_profiles
 from gensim.morphism import ElementMap
 from gensim.terms import (
@@ -40,8 +44,10 @@ from gensim.terms import (
     TermError,
     Var,
     _fold,
+    app_key,
     enumerate_terms,
     range_of_term,
+    witness_key,
 )
 
 
@@ -267,6 +273,38 @@ def _combinations(columns, arity: int):
             product(*[column[:-1] for _ in range(j)], column[-1:], *[column] * (arity - 1 - j))
             for column in columns
         ])
+
+
+def reference_function_lift(algebra: Algebra, sym: str):
+    """Lift ``sym`` pointwise over value-index tuples: one tuple-keyed
+    lookup per assignment."""
+    index = algebra.index
+    table = {
+        tuple(index(x) for x in tup): index(out)
+        for tup, out in algebra.tables[sym].items()
+    }
+    return lambda functions: tuple(map(table.__getitem__, zip(*functions)))
+
+
+def reference_general(pair: AlgebraPair, k: int, cap: int | None = None, keys=None) -> list[Profile]:
+    """``general.saturate_profiles`` with each side a tuple of value
+    indices, lifted by ``reference_function_lift`` in ``reference_closure``."""
+    if cap is not None and max(len(pair.left.carrier), len(pair.right.carrier)) ** k > cap:
+        raise SaturationCapError(cap)  # more assignments than profiles allowed
+    sig = pair.left.signature
+    left, right = (list(product(range(len(a.carrier)), repeat=k)) for a in (pair.left, pair.right))
+    # zip(*assignments) lists the K projections.
+    seeds = [(l, r, Var(i + 1)) for i, (l, r) in enumerate(zip(zip(*left), zip(*right)))]
+    seeds += [
+        ((pair.left.index(c),) * len(left), (pair.right.index(c),) * len(right), Const(c))
+        for c in sig.constant_symbols
+    ]
+    rules = [
+        (arity, *side_lifts(pair, lambda algebra: reference_function_lift(algebra, sym)),
+         *app_key(sym, sig))
+        for sym, arity in sig.operations
+    ]
+    return reference_closure(seeds, rules, lambda t: witness_key(t, sig), cap, keys)
 
 
 def reference_parse_algebra(text: str) -> Algebra:

@@ -6,7 +6,9 @@ acceptance and keeps those that use the new item.  Both must accept the
 same profiles, with the same witnesses, in the same order.  The table rows
 of the naive monolinear closure are also the oracle for the monolinear
 engine's dominators, and the raw function-pair rows of the general
-closure the oracle for the general engine's.
+closure the oracle for the general engine's.  The general closure's byte
+sides must read as the tuple sides of the reference lift, on every
+general pair of these tests and of ``test_general.py``.
 """
 
 import contextlib
@@ -18,7 +20,7 @@ import pytest
 
 from gensim import closure, general, linear, monolinear
 from gensim.algebra import AlgebraPair, make_algebra, self_pair, validate_pair
-from gensim.closure import SaturationCapError, least_witness_closure
+from gensim.closure import DEFAULT_CAP, SaturationCapError, least_witness_closure
 from gensim.corpus import load_fixture, powerset_algebra, truncated_multiplication_algebra
 from gensim.general import saturate_profiles
 from gensim.linear import reachable_profiles
@@ -43,7 +45,7 @@ from gensim.terms import (
     witness_key,
 )
 import oracles
-from oracles import canonicalize, reference_closure
+from oracles import canonicalize, reference_closure, reference_general
 from test_decision import UNARY_FIXTURES
 from test_similarity import with_constants
 
@@ -677,3 +679,138 @@ def test_kernels_push_what_the_reference_pushes(label, engine, closure_args, mon
         least_witness_closure(seeds, rules, key, cap)
         reference_closure(seeds, rules, key, cap)
         assert pushed[closure] == pushed[oracles]
+
+
+def difference_algebra(n, name="D", constants=()):
+    """x - y mod n on e0..e(n-1), not commutative: its K = 1 terms in z1
+    denote the n maps x -> a * x, so its closures stay small."""
+    carrier = [f"e{i}" for i in range(n)]
+    table = {(x, y): carrier[(i - j) % n] for i, x in enumerate(carrier) for j, y in enumerate(carrier)}
+    return make_algebra(name, carrier, {"s": table}, constants=constants)
+
+
+def swap_min_algebra(n, constants=()):
+    """min on the chain e0 < ... < e(n-1), and f swapping e0 and e1."""
+    carrier = [f"e{i}" for i in range(n)]
+    tables = {
+        "m": {(x, y): min(x, y, key=carrier.index) for x in carrier for y in carrier},
+        "f": {x: {"e0": "e1", "e1": "e0"}.get(x, x) for x in carrier},
+    }
+    return make_algebra(f"SwapMin{n}", carrier, tables, constants=constants)
+
+
+# The lift paths by carrier size n: byte lanes in one part (n <= 16) and
+# in parts of table rows (16 < n <= 48), and tuple sides over n > 256;
+# ternary operations look each assignment up.
+NAIVE_GENERAL_CASES = [
+    ("difference 19", self_pair(difference_algebra(19)), 1),
+    ("difference 4/18", validate_pair(difference_algebra(4), difference_algebra(18, "E")), 1),
+    ("difference 5 e1", self_pair(difference_algebra(5, constants=["e1"])), 1),
+    ("swap-min 17 e3", self_pair(swap_min_algebra(17, ["e3"])), 1),
+    ("ternary", self_pair(random_algebra(5, 3, (1, 3), "A")), 1),
+    ("ternary 2 K=2", self_pair(random_algebra(6, 2, (3,), "A")), 2),
+    ("swap-min 257", self_pair(swap_min_algebra(257)), 1),
+    ("swap-min 257 e3", self_pair(swap_min_algebra(257, ["e3"])), 1),
+]
+
+
+@pytest.mark.parametrize("label,pair,k", NAIVE_GENERAL_CASES, ids=[c[0] for c in NAIVE_GENERAL_CASES])
+def test_general_lift_paths_match_naive(label, pair, k):
+    """Sides are ``bytes`` over at most 256 elements and tuples above,
+    and read as names they are the naive closure's functions."""
+    names_l, names_r = pair.left.carrier, pair.right.carrier
+    profiles = saturate_profiles(pair, k)
+    for p in profiles:
+        assert type(p.left) is (bytes if len(names_l) <= 256 else tuple)
+        assert type(p.right) is (bytes if len(names_r) <= 256 else tuple)
+    named = [
+        ((tuple(names_l[i] for i in p.left), tuple(names_r[i] for i in p.right)), p.witness)
+        for p in profiles
+    ]
+    assert named == naive_general(pair, k)
+
+
+def _general_closures():
+    """Every general closure these tests and ``test_general.py`` run, as
+    (label, pair, K, cap), each once."""
+    import test_general
+
+    cases = [(f"{label} K=2", pair, 2, DEFAULT_CAP) for label, pair in PAIRS]
+    for label, pair, engines in KERNEL_CASES:
+        cases += [
+            (f"{label} {engine}", pair, int(engine[7]), 200 if "cap" in engine else DEFAULT_CAP)
+            for engine in engines if engine.startswith("general")
+        ]
+    for orders in ((("e3", "e0"), ("e3", "e0")), (("e3", "e0"), ("e0", "e3"))):
+        cases += [
+            (f"constants {'/'.join(orders[1])} {i}", pair, 1, DEFAULT_CAP)
+            for i, pair in enumerate(constant_pairs("general", *orders))
+        ]
+    for orders in (((), ()), ((3, 0), (3, 0)), ((3, 0), (0, 3))):
+        cases += [
+            (f"transpose {orders} {i}", pair, 1, DEFAULT_CAP)
+            for i, pair in enumerate(transpose_pairs("general K=1", *orders))
+        ]
+    for table, k, cap in (("0110", 2, DEFAULT_CAP), ("0110", 2, 2), ("0111", 2, DEFAULT_CAP),
+                          ("0111", 4, DEFAULT_CAP), ("1000", 2, 4), ("1000", 2, 16)):
+        cases.append((f"two-element {table} K={k} cap {cap}",
+                      self_pair(test_general.two_elem(table)), k, cap))
+    cases += [(label, pair, k, DEFAULT_CAP) for label, pair, k in NAIVE_GENERAL_CASES]
+    unique: dict = {}
+    for case in cases:
+        unique.setdefault((id(case[1]), case[2], case[3]), case)
+    return list(unique.values())
+
+
+GENERAL_CLOSURES = _general_closures()
+
+
+@pytest.mark.parametrize("label,pair,k,cap", GENERAL_CLOSURES, ids=[c[0] for c in GENERAL_CLOSURES])
+def test_byte_sides_match_the_reference_general_closure(label, pair, k, cap, monkeypatch):
+    """The byte kernels change no outcome: read as tuples, the sides come
+    with the same witnesses and keys, in the same order, as those of the
+    tuple sides lifted one assignment at a time by the reference loop,
+    and the cap is hit at the same accepted count."""
+    def outcome(closure, keys):
+        try:
+            return [(tuple(p.left), tuple(p.right), p.witness) for p in closure()], keys
+        except SaturationCapError:
+            return None, keys
+
+    keys: list = []
+    monkeypatch.setattr(general, "least_witness_closure", lambda *args: least_witness_closure(*args, keys))
+    got = outcome(lambda: saturate_profiles(pair, k, cap), keys)
+    want_keys: list = []
+    assert got == outcome(lambda: reference_general(pair, k, cap, want_keys), want_keys)
+
+
+def _cross_engines():
+    """Every cross pair these tests build, with each engine config that
+    builds it in reasonable time."""
+    general = {id(pair) for _, pair in PAIRS} | {
+        id(pair) for _, pair, engines in KERNEL_CASES if "general1" in engines
+    }
+    pairs = {id(pair): pair for _, pair in MONOLINEAR_PAIRS}
+    pairs.update((id(pair), pair) for _, pair, _ in KERNEL_CASES)
+    for pair in pairs.values():
+        if pair.left is not pair.right:
+            yield "linear", pair
+            yield "monolinear", pair
+            if id(pair) in general:
+                yield "general K=1", pair
+    for engine in TRANSPOSE_CONFIGS:
+        for orders in (((), ()), ((3, 0), (0, 3))):
+            yield from ((engine, pair) for pair in transpose_pairs(engine, *orders))
+
+
+@pytest.mark.parametrize("engine", sorted(TRANSPOSE_CONFIGS))
+def test_the_reverse_engine_transposes_the_row_masks(engine):
+    """The reverse engine takes the forward engine's row masks, swapped:
+    they are the masks rebuilt from its rows."""
+    cases = [pair for name, pair in _cross_engines() if name == engine]
+    assert cases
+    for pair in cases:
+        forward, reverse = build_engines(pair, TRANSPOSE_CONFIGS[engine])
+        rebuilt = Engine(pair.swapped(), reverse.label, reverse.classes())
+        assert (reverse._left, reverse._right) == (forward._right, forward._left)
+        assert (reverse._left, reverse._right) == (rebuilt._left, rebuilt._right)

@@ -1,10 +1,15 @@
+import random
+from functools import lru_cache
+from itertools import product
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gensim.algebra import make_algebra, self_pair
-from gensim.general import SaturationCapError, exactness_label, saturate_profiles
+from gensim.general import SaturationCapError, _function_lift, exactness_label, saturate_profiles
 from gensim.similarity import GeneralEngine
 from gensim.terms import parse_term, range_of_term, render_term, term_variables
-from oracles import brute_force_gen, brute_force_subset
+from oracles import brute_force_gen, brute_force_subset, reference_function_lift
 
 
 def two_elem(table, name="T"):
@@ -100,3 +105,47 @@ def test_unary_signature_reduces_to_linear(unary_fg):
         frozenset(unary_fg.carrier[i] for i in set(p.left)) for p in profiles
     }
     assert general_keys == {p.left for p in linear}
+
+
+@lru_cache(maxsize=None)
+def checked_lifts(n, arity, seed):
+    """A random ``arity``-ary table on e0..e(n-1), and its lift and
+    reference lift, checked to agree on the functions that list every row
+    of the table: as ``bytes`` up to 256 elements, as a tuple above."""
+    rng = random.Random(seed)
+    carrier = [f"e{i}" for i in range(n)]
+    table = {args: rng.choice(carrier) for args in product(carrier, repeat=arity)}
+    algebra = make_algebra(f"R{n}", carrier, {"o": table})
+    lifts = _function_lift(algebra, "o", arity), reference_function_lift(algebra, "o")
+    assert_lifts_agree(*lifts, n, zip(*product(range(n), repeat=arity)))
+    return lifts
+
+
+def assert_lifts_agree(lift, reference, n, functions):
+    collect = bytes if n <= 256 else tuple
+    functions = list(map(tuple, functions))
+    got = lift(tuple(map(collect, functions)))
+    assert type(got) is collect
+    assert tuple(got) == reference(tuple(functions))
+
+
+# Each kernel and its bounds: unary ``translate``, binary byte lanes in
+# one part (n <= 16) and in parts of 256 // n table rows (16 < n <= 48,
+# the last part full at n = 32 and partial at n = 26), a lookup per
+# assignment into bytes (n <= 256, and every ternary operation) and into
+# tuples (n > 256).
+KERNEL_SIZES = [(n, 1) for n in (2, 16, 17, 255, 256, 257)]
+KERNEL_SIZES += [(n, 2) for n in (2, 16, 17, 26, 32, 48, 49, 255, 256, 257)]
+KERNEL_SIZES += [(n, 3) for n in (2, 16, 17)]
+
+
+@pytest.mark.parametrize("n,arity", KERNEL_SIZES, ids=[f"n={n} arity {a}" for n, a in KERNEL_SIZES])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_kernels_match_the_reference_lift(n, arity, data):
+    """On random tables and random functions, each lift gives the
+    reference lift's values."""
+    lifts = checked_lifts(n, arity, data.draw(st.integers(0, 2), label="table"))
+    size = data.draw(st.integers(1, 300), label="assignments")
+    values = st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
+    assert_lifts_agree(*lifts, n, [data.draw(values, label=f"function {i}") for i in range(arity)])
