@@ -8,7 +8,9 @@ deterministic and reports are byte-stable.
 from __future__ import annotations
 
 import re
-from itertools import chain, product, repeat
+from functools import cache
+from itertools import chain, product
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 from .record import Frozen
@@ -208,19 +210,28 @@ def make_algebra(
     return Algebra(name, carrier, sig, norm_tables)
 
 
+def _cut(text: str) -> list[str]:
+    """Each line of ``text``, its ``#`` comment cut and its ends stripped."""
+    return [raw.partition("#")[0].strip() for raw in text.splitlines()]
+
+
 def scan_lines(text: str) -> Iterator[tuple[int, str]]:
-    """The (line number, text) of each non-blank line of a ``.alg`` or
-    ``.map`` file, its ``#`` comment cut and its ends stripped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.partition("#")[0].strip()
-        if line:
-            yield lineno, line
+    """The (line number, text) of each non-blank ``_cut`` line."""
+    return filter(itemgetter(1), enumerate(_cut(text), 1))
 
 
 _ROW_RE = re.compile(r"^\(?\s*(?P<args>[^()]*?)\s*\)?\s*->\s*(?P<out>\S+)$")
 # What no name in ``.alg`` or ``.map`` text may hold; an operation symbol
 # may not hold ``/`` either.
 _NAME_BREAKS = re.compile(r"[\s#,()]")
+
+
+@cache
+def _row_pattern(arity: int) -> re.Pattern:
+    """A row as ``render_algebra`` writes it, a group per name: names hold
+    no space, so it never backtracks, and reads rows as ``_ROW_RE``."""
+    args = ", ".join([r"([^\s(),]+)"] * arity)
+    return re.compile((args if arity == 1 else rf"\({args}\)") + r" -> (\S+)")
 
 
 def _check_names(names: Iterable[str], line: int | None = None, symbol: bool = False) -> None:
@@ -230,20 +241,18 @@ def _check_names(names: Iterable[str], line: int | None = None, symbol: bool = F
             raise AlgebraParseError(f"cannot write the name {name!r} in the .alg format", line)
 
 
-def _op_table(sym: str, arity: int, numbers: list, lines: list, elements: set) -> dict:
-    """The table of one op block's rows: checked in bulk, and row by row
-    only to word the first bad row's error."""
-    matches = list(map(_ROW_RE.match, lines))
+def _op_table(sym: str, arity: int, block: list, first: int, elements: set) -> dict:
+    """The table of an op block's lines, from line ``first``: read in bulk,
+    or by ``_ROW_RE`` row by row, to word an error or read odd rows."""
+    rows = list(filter(None, block))
+    matches = list(map(_row_pattern(arity).fullmatch, rows))
     if None not in matches:
-        args = list(map(str.split, map(re.Match.group, matches, repeat("args")), repeat(",")))
-        outs = list(map(re.Match.group, matches, repeat("out")))
-        if set(map(len, args)) <= {arity}:
-            args = list(map(str.strip, chain.from_iterable(args)))
-            table = dict(zip(zip(*[iter(args)] * arity), outs))
-            if len(table) == len(lines) and elements.issuperset(args + outs):
-                return table
+        rows = list(map(re.Match.groups, matches))
+        table = dict(zip(map(itemgetter(slice(-1)), rows), map(itemgetter(-1), rows)))
+        if len(table) == len(rows) and elements.issuperset(chain.from_iterable(rows)):
+            return table
     table = {}
-    for lineno, line in zip(numbers, lines):
+    for lineno, line in filter(itemgetter(1), enumerate(block, first)):
         m = _ROW_RE.match(line)
         if not m:
             raise AlgebraParseError(f"malformed table row {line!r}", lineno)
@@ -272,15 +281,12 @@ def parse_algebra(text: str) -> Algebra:
     constants_line: tuple[int, list[str]] | None = None
     sig_ops: list[tuple[str, int]] = []
     tables: dict[str, dict[tuple[str, ...], str]] = {}
-    # The open op block: its line, symbol, arity, and its rows' line
-    # numbers and texts, checked together when it closes.
-    block: tuple[int, str, int, list, list] | None = None
-
-    for lineno, line in scan_lines(text):
-        # A row may start with an element named ``end``.
-        if block is not None and line != "end":
-            block[3].append(lineno)
-            block[4].append(line)
+    lines = _cut(text)
+    lineno = 0
+    while lineno < len(lines):
+        line = lines[lineno]
+        lineno += 1
+        if not line:
             continue
         parts = line.split()
         head = parts[0]
@@ -331,25 +337,25 @@ def parse_algebra(text: str) -> Algebra:
             if not carrier:
                 raise AlgebraParseError("'op' before 'elements'", lineno)
             sig_ops.append((sym, arity))
-            block = (lineno, sym, arity, [], [])
-        elif head == "end":
-            if block is None:
-                raise AlgebraParseError("'end' without an open op block", lineno)
-            sym, arity = block[1:3]
-            table = tables[sym] = _op_table(*block[1:], elements)
+            # Rows run to the first line "end"; a row may start with element end.
+            try:
+                end = lines.index("end", lineno)
+            except ValueError:  # a bad row's error comes first
+                _op_table(sym, arity, lines[lineno:], lineno + 1, elements)
+                raise AlgebraParseError(f"op block {sym!r} not closed with 'end'", lineno) from None
+            table = tables[sym] = _op_table(sym, arity, lines[lineno:end], lineno + 1, elements)
+            lineno = end + 1
             # n ** arity distinct rows are all of them; a scan words the error.
             if len(table) != len(carrier) ** arity:
                 missing = next(t for t in product(carrier, repeat=arity) if t not in table)
                 raise AlgebraParseError(
                     f"missing table row for {sym}({', '.join(missing)})", lineno
                 )
-            block = None
+        elif head == "end":
+            raise AlgebraParseError("'end' without an open op block", lineno)
         else:
             raise AlgebraParseError(f"unknown directive {head!r}", lineno)
 
-    if block is not None:
-        _op_table(*block[1:], elements)  # a bad row's error comes first
-        raise AlgebraParseError(f"op block {block[1]!r} not closed with 'end'", block[0])
     if name is None:
         raise AlgebraParseError("missing 'algebra <name>' header")
     if not carrier:

@@ -58,7 +58,7 @@ def side_lifts(pair: AlgebraPair, make) -> tuple:
     return left, left if pair.right is pair.left else make(pair.right)
 
 
-def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) -> list[Profile]:
+def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, stop=None) -> list[Profile]:
     """The least family of profiles containing ``seeds`` and closed under
     ``rules``, in acceptance order.
 
@@ -72,7 +72,8 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
     witness is its minimal one.  The two lifts may be one object only when
     every seed's sides are equal (a self pair).  Each accepted key is appended
     to ``keys`` when it is a list.  Raises ``SaturationCapError`` when more
-    than ``cap`` profiles are accepted.
+    than ``cap`` profiles are accepted.  Returns early when ``stop``, called
+    on each accepted profile's two sides, is true.
     """
     ids: dict = {}
     values: list = []
@@ -140,6 +141,8 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None) 
             keys.append(k)
         if cap is not None and len(items) > cap:
             raise SaturationCapError(cap)
+        if stop is not None and stop(values[profile[0]], values[profile[1]]):
+            return items
         newest = (*profile, k, witness)
         rows.append(newest)
         columns[0].append(profile[0])

@@ -76,7 +76,7 @@ def _function_lift(algebra: Algebra, sym: str, arity: int):
     return lift
 
 
-def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP) -> list[Profile]:
+def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP, stop=None) -> list[Profile]:
     """Least closed set of K-variable function pairs, minimal witnesses.
 
     Each side of a profile holds one value index per assignment over A^K
@@ -110,4 +110,4 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP) -> list
          *app_key(sym, sig))
         for sym, arity in sig.operations
     ]
-    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap, stop=stop)

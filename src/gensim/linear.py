@@ -22,7 +22,7 @@ def _range_lift(algebra: Algebra, sym: str):
     return lambda sets: frozenset(map(table.__getitem__, product(*sets)))
 
 
-def reachable_profiles(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
+def reachable_profiles(pair: AlgebraPair, cap: int | None = None, stop=None) -> list[Profile]:
     """Least closed family of range pairs, minimal witness per pair.
 
     Explored in witness order (depth, size, spelling with variables last),
@@ -38,4 +38,4 @@ def reachable_profiles(pair: AlgebraPair, cap: int | None = None) -> list[Profil
          *app_key(sym, sig, linear=True))
         for sym, arity in sig.operations
     ]
-    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap)
+    return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap, stop=stop)

@@ -75,14 +75,14 @@ def _plug_rules(pair: AlgebraPair, collect) -> list:
     return rules
 
 
-def paired_clone(pair: AlgebraPair, cap: int | None = None) -> list[Profile]:
+def paired_clone(pair: AlgebraPair, cap: int | None = None, stop=None) -> list[Profile]:
     """Pairs of ranges realizable by one shared monolinear term, each with
     a minimal witness.  Raises ``SaturationCapError`` when more than
     ``cap`` range pairs are accepted."""
     sig = pair.left.signature
     seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
     return least_witness_closure(
-        seeds, _plug_rules(pair, frozenset), lambda t: witness_key(t, sig), cap
+        seeds, _plug_rules(pair, frozenset), lambda t: witness_key(t, sig), cap, stop=stop
     )
 
 

@@ -87,11 +87,12 @@ class Engine:
     def _first(self, mask: int) -> Term:
         return self._classes[(mask & -mask).bit_length() - 1][2]
 
-    def competitors(self, a: str, b: str) -> Iterator[str]:
-        """The admissible competitors b' of (a, b), in right-carrier order:
-        every right element except b, and except a when a names one.
+    @staticmethod
+    def competitors(carrier, a: str, b: str) -> Iterator[str]:
+        """The admissible competitors b' of (a, b) in the right ``carrier``,
+        in order: every element except b, and except a when a names one.
         Lazy, so that a failing scan stops at its dominating element."""
-        return (e for e in self.pair.right.carrier if e != b and e != a)
+        return (e for e in carrier if e != b and e != a)
 
     def subset(self, a: str, b: str, b_prime: str) -> tuple[bool, Term | None]:
         """Decide Gen(a,b) subset-of Gen(a,b'); on failure, return a
@@ -117,7 +118,7 @@ class Engine:
             self.pair.left.require_element(a)
             self.pair.right.require_element(b)
         found = self._holds
-        for b_prime in self.competitors(a, b):
+        for b_prime in self.competitors(self.pair.right.carrier, a, b):
             other = left & self._right[b_prime]
             if other != mask and mask & ~other == 0:
                 term = self._first(other & ~mask)
@@ -153,9 +154,9 @@ class LinearEngine(Engine):
     """The linear range pairs; exact on unary signatures, where every term,
     ground terms such as ``f(c)`` included, is linear."""
 
-    def __init__(self, pair: AlgebraPair, cap: int | None = None):
+    def __init__(self, pair: AlgebraPair, cap: int | None = None, stop=None):
         label = EXACT if pair.left.signature.is_unary() else LINEAR_FRAGMENT
-        super().__init__(pair, label, reachable_profiles(pair, cap))
+        super().__init__(pair, label, reachable_profiles(pair, cap, stop))
 
 
 # The unary fragment builds LinearEngine; bench/tracing.py patches each
@@ -164,17 +165,17 @@ UnaryEngine = LinearEngine
 
 
 class MonolinearEngine(Engine):
-    def __init__(self, pair: AlgebraPair, cap: int | None = None):
-        super().__init__(pair, MONOLINEAR_FRAGMENT, paired_clone(pair, cap=cap))
+    def __init__(self, pair: AlgebraPair, cap: int | None = None, stop=None):
+        super().__init__(pair, MONOLINEAR_FRAGMENT, paired_clone(pair, cap, stop))
 
 
 class GeneralEngine(Engine):
-    def __init__(self, pair: AlgebraPair, k: int, cap: int):
+    def __init__(self, pair: AlgebraPair, k: int, cap: int, stop=None):
         left_names, right_names = pair.left.carrier, pair.right.carrier
         # The first witness of each range pair is canonical: renumbering
         # its variables keeps its ranges and gives a key no larger.
         witnesses: dict = {}
-        for p in saturate_profiles(pair, k, cap=cap):
+        for p in saturate_profiles(pair, k, cap, stop):
             left = frozenset(left_names[i] for i in set(p.left))
             right = frozenset(right_names[i] for i in set(p.right))
             witnesses.setdefault((left, right), p.witness)
@@ -182,16 +183,16 @@ class GeneralEngine(Engine):
         super().__init__(pair, exactness_label(pair, k), rows)
 
 
-def build_engine(pair: AlgebraPair, config: QueryConfig | None = None) -> Engine:
+def build_engine(pair: AlgebraPair, config: QueryConfig | None = None, stop=None) -> Engine:
     config = config or QueryConfig()
     fragment = config.fragment
     if fragment == "unary" and not pair.left.signature.is_unary():
         raise automata.NonUnaryError("the unary engine requires an all-unary signature")
     if fragment in ("auto", "unary", "linear"):
-        return LinearEngine(pair, config.cap)
+        return LinearEngine(pair, config.cap, stop)
     if fragment == "monolinear":
-        return MonolinearEngine(pair, config.cap)
-    return GeneralEngine(pair, config.max_vars, config.cap)
+        return MonolinearEngine(pair, config.cap, stop)
+    return GeneralEngine(pair, config.max_vars, config.cap, stop)
 
 
 def build_engines(pair: AlgebraPair, config: QueryConfig | None = None) -> tuple[Engine, Engine]:
@@ -211,6 +212,28 @@ def _reverse_engine(engine: Engine) -> Engine:
     return Engine(pair.swapped(), engine.label, rows, (engine._right, engine._left))
 
 
+def _one_shot(pair: AlgebraPair, a: str, b: str, config, both: bool) -> tuple[Engine, bool]:
+    """The engine of a <~ b (``both``: and b <~ a), and whether its rows
+    prove it holds: rows are final, so the closure stops once rows with a
+    left and b right leave out each competitor b' right (and a' left)."""
+    pair.left.require_element(a)
+    pair.right.require_element(b)
+    config = config or QueryConfig()
+    # The general engine's sides hold carrier indices.
+    left, right = (pair.left.index, pair.right.index) if config.fragment == "general" else (str, str)
+    x, y = left(a), right(b)
+    forward = set(map(right, Engine.competitors(pair.right.carrier, a, b)))
+    backward = set(map(left, Engine.competitors(pair.left.carrier, b, a) if both else ()))
+
+    def separated(lhs, rhs) -> bool:
+        if x in lhs and y in rhs:
+            forward.intersection_update(rhs)
+            backward.intersection_update(lhs)
+        return not (forward or backward)
+
+    return build_engine(pair, config, separated), not (forward or backward)
+
+
 def decide_leq(
     pair: AlgebraPair,
     a: str,
@@ -223,8 +246,13 @@ def decide_leq(
     On failure the certificate names a dominating element b' together with
     an evidence term in Gen(a, b') but not in Gen(a, b).  Verdicts are
     shared, immutable objects: an engine hands out one per outcome.
+    Without ``engine``, the closure stops once it separates every competitor.
     """
-    return (engine or build_engine(pair, config)).verdict(a, b)
+    if engine is None:
+        engine, settled = _one_shot(pair, a, b, config, False)
+        if settled:
+            return engine._holds
+    return engine.verdict(a, b)
 
 
 def decide_approx(
@@ -236,8 +264,13 @@ def decide_approx(
     reverse_engine: Engine | None = None,
 ) -> Verdict:
     """g-similarity: both directed maximality checks.  The reverse engine,
-    the transpose of ``engine``, is made only when the forward check holds."""
-    engine = engine or build_engine(pair, config)
+    the transpose of ``engine``, is made only when the forward check holds.
+    Without ``engine``, one closure stops once both directions' competitors
+    are separated."""
+    if engine is None:
+        engine, settled = _one_shot(pair, a, b, config, True)
+        if settled:
+            return engine._holds
     forward = decide_leq(pair, a, b, config, engine)
     if not forward.holds:
         return engine.approx_failure(forward)
@@ -356,10 +389,10 @@ def find_characteristic_set(
     """
     if max_size < 1:
         raise AlgebraError(f"max_size must be >= 1, not {max_size}")
-    engine = build_engine(pair, config)
     pair.left.require_element(a)
     pair.right.require_element(b)
-    bad = set(engine.competitors(a, b))
+    engine = build_engine(pair, config)
+    bad = set(engine.competitors(pair.right.carrier, a, b))
     # A set pins b down when the right ranges of its members, each cut to
     # ``bad``, meet in nothing.  So each distinct cut keeps one candidate,
     # its least by (size, spelling), which never loses the tie-break below.

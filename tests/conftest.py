@@ -88,9 +88,9 @@ def engine_builds(monkeypatch):
     closures, engines = [], []
     build, init = similarity.build_engine, similarity.Engine.__init__
 
-    def counted_build(pair, config=None):
+    def counted_build(pair, config=None, stop=None):
         closures.append(pair)
-        return build(pair, config)
+        return build(pair, config, stop)
 
     def counted_init(self, pair, label, rows, masks=None):
         engines.append(pair)

@@ -475,3 +475,65 @@ def test_table_rows_are_refused_on_their_line(rows, line, message):
         assert isinstance(outcome, Algebra)
     else:
         assert outcome == (AlgebraParseError, f"line {line}: {message}", line)
+
+
+# Names that hold ``->`` or its halves, and ``end``: a row of them can
+# hold several arrows, and one can look like the end of its block.
+ARROW_NAMES = ["->", "a->b", "b->c", "a", "a-", ">b", "end", "x->", "->y", "-"]
+
+
+def adversarial_alg_text(rng):
+    """One op block over ``ARROW_NAMES``: rows written as ``render_algebra``
+    writes them or spaced with tabs, doubled spaces, no spaces, commas
+    without a space or parentheses around one argument; now and then a
+    row dropped, duplicated, given an unknown name or a third argument."""
+    carrier = rng.sample(ARROW_NAMES, rng.randint(2, 4))
+    arity = rng.choice([1, 2])
+    lines = ["algebra A", "elements " + " ".join(carrier), "constants none", f"op f/{arity}"]
+    for args in product(carrier, repeat=arity):
+        if rng.random() < 0.7:  # as render_algebra writes it
+            lines.append(f"  {args[0]} -> " if arity == 1 else f"  ({', '.join(args)}) -> ")
+            lines[-1] += rng.choice(carrier)
+            continue
+        if rng.random() < 0.05:
+            args += (rng.choice(carrier),)
+        if rng.random() < 0.05:
+            args = ("nosuch",) + args[1:]
+        comma = rng.choice([", ", ",", " ,", ",\t"])
+        text = args[0] if len(args) == 1 and rng.random() < 0.6 else f"({comma.join(args)})"
+        arrow = rng.choice([" -> ", "->", "\t->\t", " ->", "->  ", "  -> "])
+        lines.append(rng.choice(["  ", "\t", ""]) + text + arrow + rng.choice(carrier))
+    if rng.random() < 0.2:
+        del lines[rng.randrange(4, len(lines))]
+    if rng.random() < 0.2:
+        lines.insert(rng.randrange(4, len(lines) + 1), lines[rng.randrange(4, len(lines))])
+    return "\n".join(lines + ["end"]) + "\n"
+
+
+ADVERSARIAL_TEXTS = [adversarial_alg_text(random.Random(seed)) for seed in range(400)]
+
+
+def test_adversarial_rows_parse_as_the_row_by_row_reader_does():
+    """The bulk reader's per-arity pattern and its fallback to ``_ROW_RE``
+    read every row as the reference reader does, one row at a time."""
+    outcomes = [parse_outcome(parse_algebra, text) for text in ADVERSARIAL_TEXTS]
+    assert outcomes == [parse_outcome(reference_parse_algebra, text) for text in ADVERSARIAL_TEXTS]
+    accepted = [text for text, outcome in zip(ADVERSARIAL_TEXTS, outcomes) if isinstance(outcome, Algebra)]
+    assert len(accepted) >= 100 and len(accepted) <= 350
+    # Accepted texts both with and without a row the pattern does not match.
+    assert any("\t" in text for text in accepted) and any("\t" not in text for text in accepted)
+
+
+@pytest.mark.parametrize("row, args, out", [
+    ("a->b->c", ("a",), "b->c"),
+    ("a -> b->c", ("a",), "b->c"),
+    ("a->b -> b->c", ("a->b",), "b->c"),
+    ("(a->b) -> a", ("a->b",), "a"),
+    ("a\t->\tb->c", ("a",), "b->c"),
+])
+def test_names_are_lazy_in_a_row(row, args, out):
+    """A row's arguments end at its first arrow that leaves one name."""
+    text = f"algebra A\nelements a a->b b->c\nconstants none\nop f/1\n  {row}\n"
+    rows = [f"  {x} -> a" for x in ("a", "a->b", "b->c") if (x,) != args]
+    algebra = parse_algebra(text + "\n".join(rows) + "\nend\n")
+    assert algebra.tables["f"][args] == out

@@ -146,6 +146,20 @@ def test_monolinear_cap_exits_2(capsys, tmp_path):
     assert "error:" in err and "cap of 100" in err
 
 
+@pytest.mark.parametrize("relation", ["leq", "approx"])
+def test_settled_query_answers_within_the_cap(capsys, relation):
+    """nat_sink7's closure has 7 rows.  Its first 6 separate every
+    competitor of 5 <~ 6 and of 6 <~ 5, so ``--cap 6`` answers 5 <~ 6 and
+    5 ~~ 6 as an uncapped run does, while 1 <~ 0, which fails, needs all
+    7 rows and still exits 2."""
+    argv = ("check", "--left", fixture_path("nat_sink7.alg"), "--relation", relation)
+    uncapped = run(capsys, *argv, "--a", "5", "--b", "6")
+    assert uncapped[0] == 0
+    assert run(capsys, *argv, "--a", "5", "--b", "6", "--cap", "6") == uncapped
+    code, out, err = run(capsys, *argv, "--a", "1", "--b", "0", "--cap", "6")
+    assert (code, out) == (2, "") and "cap of 6 " in err
+
+
 @pytest.mark.parametrize("argv", [
     ("check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b",
      "--fragment", "linear", "--cap", "1"),
@@ -208,10 +222,16 @@ def test_subcommands_reject_options_they_do_not_read(capsys, argv):
       "--relation", "approx"), 1),
     (("check", "--left", fixture_path("chain4_a.alg"), "--right", fixture_path("chain4_b.alg"),
       "--a", "0", "--b", "1", "--relation", "approx"), 2),
+    # Settled before the closure ends: 6 of nat_sink7's 7 rows, 2 of 3.
+    (("check", "--left", fixture_path("nat_sink7.alg"), "--a", "5", "--b", "6",
+      "--relation", "approx"), 1),
+    (("check", "--left", fixture_path("triple_a.alg"), "--right", fixture_path("triple_b.alg"),
+      "--a", "a", "--b", "b", "--relation", "approx"), 1),
 ])
 def test_self_pair_builds_one_engine(engine_builds, capsys, argv, engines):
     """One closure per pair: a cross pair's second engine is the first
-    one's transpose, and a self pair's engine serves both directions."""
+    one's transpose, and a self pair's engine serves both directions.  A
+    ``~~`` query settled before its closure ends makes no second engine."""
     closures, made = engine_builds
     plain = run(capsys, *argv)
     closures.clear()
@@ -470,12 +490,15 @@ def test_examples_all_pass(capsys, schema):
 
 @pytest.mark.parametrize("command", ["check", "charset"])
 @pytest.mark.parametrize("flag,algebra", [("--a", "ChainA"), ("--b", "ChainB")])
-def test_unknown_element_exits_2(capsys, command, flag, algebra):
+@pytest.mark.parametrize("cap", [(), ("--cap", "1")], ids=["uncapped", "cap-1"])
+def test_unknown_element_exits_2(capsys, command, flag, algebra, cap):
+    """Names are checked before any closure runs, so a closure past
+    ``--cap`` (this pair has 4 rows) does not hide a misnamed element."""
     names = {"--a": "1", "--b": "2", flag: "nosuch"}
     code, out, err = run(
         capsys,
         command, "--left", fixture_path("chain4_a.alg"),
-        "--right", fixture_path("chain4_b.alg"), "--a", names["--a"], "--b", names["--b"],
+        "--right", fixture_path("chain4_b.alg"), "--a", names["--a"], "--b", names["--b"], *cap,
     )
     assert (code, out) == (2, "")
     assert err == f"error: element 'nosuch' not in carrier of '{algebra}'\n"

@@ -350,9 +350,9 @@ def closure_calls(monkeypatch):
     closure composed for them, and the engine's seed key."""
     calls = []
 
-    def recording(seeds, rules, key, cap=None, keys=None):
+    def recording(seeds, rules, key, cap=None, keys=None, stop=None):
         composed = [] if keys is None else keys
-        items = least_witness_closure(seeds, rules, key, cap, composed)
+        items = least_witness_closure(seeds, rules, key, cap, composed, stop)
         calls.append((items, composed, key))
         return items
 
@@ -398,13 +398,13 @@ def lift_calls(monkeypatch):
 
         return wrapper
 
-    def recording(seeds, rules, key, cap=None, keys=None):
+    def recording(seeds, rules, key, cap=None, keys=None, stop=None):
         wrapped = []
         for arity, lift_left, lift_right, build, compose in rules:
             left = counted(lift_left, "both" if lift_left is lift_right else "left")
             right = left if lift_left is lift_right else counted(lift_right, "right")
             wrapped.append((arity, left, right, build, compose))
-        return least_witness_closure(seeds, wrapped, key, cap, keys)
+        return least_witness_closure(seeds, wrapped, key, cap, keys, stop)
 
     for module in CLOSURE_MODULES:
         monkeypatch.setattr(module, "least_witness_closure", recording)
@@ -616,10 +616,10 @@ def closure_args(monkeypatch):
     """Record the arguments of every closure the engines run."""
     calls = []
 
-    def recording(seeds, rules, key, cap=None, keys=None):
+    def recording(seeds, rules, key, cap=None, keys=None, stop=None):
         seeds = list(seeds)
         calls.append((seeds, rules, key, cap))
-        return least_witness_closure(seeds, rules, key, cap, keys)
+        return least_witness_closure(seeds, rules, key, cap, keys, stop)
 
     for module in CLOSURE_MODULES:
         monkeypatch.setattr(module, "least_witness_closure", recording)
@@ -778,7 +778,8 @@ def test_byte_sides_match_the_reference_general_closure(label, pair, k, cap, mon
             return None, keys
 
     keys: list = []
-    monkeypatch.setattr(general, "least_witness_closure", lambda *args: least_witness_closure(*args, keys))
+    monkeypatch.setattr(general, "least_witness_closure",
+                        lambda *args, stop=None: least_witness_closure(*args, keys, stop))
     got = outcome(lambda: saturate_profiles(pair, k, cap), keys)
     want_keys: list = []
     assert got == outcome(lambda: reference_general(pair, k, cap, want_keys), want_keys)
