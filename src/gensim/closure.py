@@ -12,14 +12,18 @@ keys, and witnesses built only when accepted.  Components are interned as
 ints, and a lift is memoized per side on its argument ids (a self pair's
 one lift for both sides is not).  A binary rule lifts the 2n - 1
 combinations of the newest of n items as one batch: ids read by ``map``
-from one memo dict per first argument, misses lifted, accepted profiles
-dropped in one pass.  Higher arities loop over ``product``.
+from one memo dict per first argument, misses lifted, and combinations
+whose depth and size cannot beat their profile's pending key (accepted
+profiles included) dropped in one pass.  A commutative operation's
+combinations (a, b) and (b, a) lift to one profile, so its rule lifts n
+of them.  Higher arities loop over ``product``.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from heapq import heappop, heappush
 from itertools import chain, compress, count, product, repeat
-from operator import is_, is_not
+from operator import add, is_, le
 from typing import NamedTuple
 
 from .algebra import AlgebraError, AlgebraPair
@@ -49,13 +53,48 @@ class SaturationCapError(AlgebraError):
 
 
 _ACCEPTED = object()  # the pending mark of an accepted profile
+# A pending key's depth and size as one int, depth * _SCALE + size, so a
+# batch compares them in bulk; no profile is pending at _OPEN.
+_SCALE = 1 << 32
+_OPEN = 1 << 96
 
 
-def side_lifts(pair: AlgebraPair, make) -> tuple:
+class Commutative:
+    """A binary lift whose value does not depend on the order of its two
+    arguments; a rule whose two lifts are both marked lifts each unordered
+    combination once."""
+
+    __slots__ = ("lift",)
+
+    def __init__(self, lift):
+        self.lift = lift
+
+    def __call__(self, args):
+        return self.lift(args)
+
+
+def commutative(pair: AlgebraPair, sym: str) -> bool:
+    """Whether ``sym`` is a binary operation, commutative on both sides."""
+    if pair.left.signature.arity(sym) != 2:
+        return False
+    for algebra in {id(pair.left): pair.left, id(pair.right): pair.right}.values():
+        table = algebra.tables[sym]
+        xs, ys = zip(*table)
+        if list(map(table.__getitem__, zip(ys, xs))) != list(table.values()):
+            return False
+    return True
+
+
+def side_lifts(pair: AlgebraPair, make, sym: str | None = None) -> tuple:
     """``make(algebra)`` for both sides of ``pair``; a self pair gets one
-    lift for both, so the closure lifts one side only."""
+    lift for both, so the closure lifts one side only.  When the binary
+    operation ``sym`` is commutative on both sides, both are ``Commutative``."""
     left = make(pair.left)
-    return left, left if pair.right is pair.left else make(pair.right)
+    right = left if pair.right is pair.left else make(pair.right)
+    if sym is not None and commutative(pair, sym):
+        left = Commutative(left)
+        right = left if pair.right is pair.left else Commutative(right)
+    return left, right
 
 
 def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, stop=None) -> list[Profile]:
@@ -106,9 +145,34 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 out[i] = memo[a][b] = intern(lift((values[a], values[b])))
         return out
 
+    def lifted_row(lift, memo, column) -> list:
+        """The ids of the newest id in ``column`` lifted with each id, by a
+        commutative lift: misses are lifted in one batch and memoized both
+        as ``memo[a][b]`` and ``memo[b][a]``."""
+        newest = column[-1]
+        row = memo.setdefault(newest, {})
+        out = list(map(row.get, column))
+        holes = list(compress(count(), map(is_, out, repeat(None))))
+        if not holes:
+            return out
+        # Rows share ids: each missing id is lifted once.
+        missing = list(dict.fromkeys(map(column.__getitem__, holes)))
+        value = values[newest]
+        lifted = list(map(intern, map(lift, zip(repeat(value), map(values.__getitem__, missing)))))
+        row.update(zip(missing, lifted))
+        for b, i in zip(missing, lifted):
+            memo.setdefault(b, {})[newest] = i
+        for i in holes:
+            out[i] = row[column[i]]
+        return out
+
     heap: list = []
     tick = count()
     pending: dict = {}  # profile ids -> least key pushed, or _ACCEPTED
+    # left id -> right id -> the depth and size of the profile's pending
+    # key, or -1 once accepted; never below pending's, so a bulk test on it
+    # drops only combinations that cannot beat the pending key.
+    bounds: defaultdict = defaultdict(dict)
 
     def offer(candidate, depth_size, arg_keys, build, compose, args) -> None:
         """Push a candidate whose key beats its pending one."""
@@ -117,9 +181,11 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
             k = compose(arg_keys, best)
             if k is not None and (best is None or k < best):
                 pending[candidate] = k
+                bounds[candidate[0]][candidate[1]] = k[0] * _SCALE + k[1]
                 heappush(heap, (k, next(tick), candidate, build, args))
 
     rows: list = []  # per accepted item: left id, right id, key, witness
+    sizes: list = []  # per accepted item: its key's size
     columns: tuple = ([], [])  # the rows' left ids and right ids
     items: list[Profile] = []
     for left, right, witness in seeds:
@@ -130,11 +196,16 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
     # One lift for both sides is a self pair's: its items' ids are equal on
     # both sides, so no two combinations share an id tuple to memoize.
     memos = [({}, {}) if rule[1] is not rule[2] else (None, None) for rule in rules]
+    # A rule whose two lifts are both commutative lifts each unordered
+    # combination once, through the bare lifts.
+    symmetric = [isinstance(r[1], Commutative) and isinstance(r[2], Commutative) for r in rules]
+    rules = [(r[0], r[1].lift, r[2].lift, *r[3:]) if sym else r for r, sym in zip(rules, symmetric)]
     while heap:
         k, _, profile, build, args = heappop(heap)
         if pending[profile] is _ACCEPTED:
             continue
         pending[profile] = _ACCEPTED
+        bounds[profile[0]][profile[1]] = -1
         witness = args if build is None else build(args)
         items.append(Profile(values[profile[0]], values[profile[1]], witness))
         if keys is not None:
@@ -145,9 +216,12 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
             return items
         newest = (*profile, k, witness)
         rows.append(newest)
+        sizes.append(k[1])
         columns[0].append(profile[0])
         columns[1].append(profile[1])
-        for (arity, lift_left, lift_right, build, compose), (memo_left, memo_right) in zip(rules, memos):
+        for (arity, lift_left, lift_right, build, compose), (memo_left, memo_right), symmetric_rule in zip(
+            rules, memos, symmetric
+        ):
             if arity == 1:
                 # The newest item is the one combination.
                 if memo_right is None:
@@ -167,23 +241,38 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 if memo_right is None:
                     column = list(map(values.__getitem__, columns[0]))
                     value = column[-1]
-                    pairs = chain(zip(repeat(value), column), zip(column[:older], repeat(value)))
+                    pairs = zip(repeat(value), column)
+                    if not symmetric_rule:
+                        pairs = chain(pairs, zip(column[:older], repeat(value)))
                     lefts = rights = list(map(intern, map(lift_left, pairs)))
                 else:
-                    lefts = lifted_pairs(lift_left, memo_left, columns[0])
-                    rights = lifted_pairs(lift_right, memo_right, columns[1])
+                    batch = lifted_row if symmetric_rule else lifted_pairs
+                    lefts = batch(lift_left, memo_left, columns[0])
+                    rights = batch(lift_right, memo_right, columns[1])
                 # Rows come in key order: none is deeper than the newest.
                 depth, size = k[0] + 1, k[1] + 1
-                candidates = list(zip(lefts, rights))
-                for i in compress(count(), map(is_not, map(pending.get, candidates), repeat(_ACCEPTED))):
-                    _, _, kb, wb = rows[i] if i <= older else rows[i - older - 1]
-                    best = pending.get(candidates[i])  # a batch may offer a profile twice
+                # Combination i can win only where its depth and size do
+                # not exceed the bound of its profile.
+                row_sizes = sizes if symmetric_rule else sizes + sizes[:older]
+                needs = map(add, row_sizes, repeat(depth * _SCALE + size))
+                held = map(dict.get, map(bounds.__getitem__, lefts), rights, repeat(_OPEN))
+                fresh = list(compress(count(), map(le, needs, held)))
+                if symmetric_rule:
+                    # Combination n + i lifts to combination i's profile.
+                    fresh += [i + older + 1 for i in fresh if i < older]
+                for i in fresh:
+                    j = i if i <= older else i - older - 1  # the row paired with the newest
+                    _, _, kb, wb = rows[j]
+                    c = j if symmetric_rule else i
+                    candidate = (lefts[c], rights[c])
+                    best = pending.get(candidate)  # a batch may offer a profile twice
                     if best is None or (depth, size + kb[1]) <= best[:2]:
                         composed = compose((k, kb) if i <= older else (kb, k), best)
                         if composed is not None and (best is None or composed < best):
-                            pending[candidates[i]] = composed
+                            pending[candidate] = composed
+                            bounds[candidate[0]][candidate[1]] = composed[0] * _SCALE + composed[1]
                             args = (witness, wb) if i <= older else (wb, witness)
-                            heappush(heap, (composed, next(tick), candidates[i], build, args))
+                            heappush(heap, (composed, next(tick), candidate, build, args))
             else:
                 for combo in _combinations(rows, arity):
                     left_ids, right_ids, arg_keys, args = zip(*combo)

@@ -106,7 +106,7 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP, stop=No
     witnesses = [Var(i + 1) for i in range(k)] + [Const(c) for c in sig.constant_symbols]
     seeds = list(zip(*sides, witnesses))
     rules = [
-        (arity, *side_lifts(pair, lambda algebra: _function_lift(algebra, sym, arity)),
+        (arity, *side_lifts(pair, lambda algebra: _function_lift(algebra, sym, arity), sym),
          *app_key(sym, sig))
         for sym, arity in sig.operations
     ]

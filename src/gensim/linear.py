@@ -10,16 +10,40 @@ linear, so this engine is exact for the full term language there.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, product
+from operator import itemgetter
 
 from .algebra import Algebra, AlgebraPair
 from .closure import Profile, least_witness_closure, side_lifts
 from .terms import Const, Var, app_key, witness_key
 
 
+class _Rows(dict):
+    """Each element x's row {y: x * y} of a binary table, built when first read."""
+
+    def __init__(self, algebra: Algebra, sym: str):
+        super().__init__()
+        self.table, self.carrier = algebra.tables[sym], algebra.carrier
+
+    def __missing__(self, x):
+        row = self[x] = {y: self.table[x, y] for y in self.carrier}
+        return row
+
+
 def _range_lift(algebra: Algebra, sym: str):
     table = algebra.tables[sym]
-    return lambda sets: frozenset(map(table.__getitem__, product(*sets)))
+    if algebra.signature.arity(sym) != 2:
+        return lambda sets: frozenset(map(table.__getitem__, product(*sets)))
+    # A binary lift reads the right range out of each left element's row.
+    rows = _Rows(algebra, sym)
+
+    def lift(sets):
+        left, right = sets
+        if len(right) < 2:  # itemgetter of one key returns no tuple
+            return frozenset([table[x, y] for x in left for y in right])
+        return frozenset(chain.from_iterable(map(itemgetter(*right), map(rows.__getitem__, left))))
+
+    return lift
 
 
 def reachable_profiles(pair: AlgebraPair, cap: int | None = None, stop=None) -> list[Profile]:
@@ -34,7 +58,7 @@ def reachable_profiles(pair: AlgebraPair, cap: int | None = None, stop=None) -> 
     seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
     seeds += [(frozenset({c}), frozenset({c}), Const(c)) for c in sig.constant_symbols]
     rules = [
-        (arity, *side_lifts(pair, lambda algebra: _range_lift(algebra, sym)),
+        (arity, *side_lifts(pair, lambda algebra: _range_lift(algebra, sym), sym),
          *app_key(sym, sig, linear=True))
         for sym, arity in sig.operations
     ]

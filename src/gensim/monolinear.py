@@ -35,7 +35,7 @@ def paired_ground_values(pair: AlgebraPair, keys: list | None = None) -> list[Pr
     sig = pair.left.signature
     seeds = [(c, c, Const(c)) for c in sig.constant_symbols]
     rules = [
-        (arity, *side_lifts(pair, lambda algebra: algebra.tables[sym].__getitem__),
+        (arity, *side_lifts(pair, lambda algebra: algebra.tables[sym].__getitem__, sym),
          *app_key(sym, sig))
         for sym, arity in sig.operations
     ]

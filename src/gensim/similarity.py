@@ -175,9 +175,14 @@ class GeneralEngine(Engine):
         # The first witness of each range pair is canonical: renumbering
         # its variables keeps its ranges and gives a key no larger.
         witnesses: dict = {}
+        names: tuple = ({}, {})  # each side's value indices -> their element names
         for p in saturate_profiles(pair, k, cap, stop):
-            left = frozenset(left_names[i] for i in set(p.left))
-            right = frozenset(right_names[i] for i in set(p.right))
+            left = names[0].get(p.left)
+            if left is None:
+                left = names[0][p.left] = frozenset(map(left_names.__getitem__, set(p.left)))
+            right = names[1].get(p.right)
+            if right is None:
+                right = names[1][p.right] = frozenset(map(right_names.__getitem__, set(p.right)))
             witnesses.setdefault((left, right), p.witness)
         rows = [(left, right, w) for (left, right), w in witnesses.items()]
         super().__init__(pair, exactness_label(pair, k), rows)

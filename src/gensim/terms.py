@@ -332,6 +332,9 @@ def app_key(sym: str, signature: Signature, before=(), after=(), linear: bool = 
             args = tuple([shift_variables(a, k) if k else a for a, k in zip(args, offsets)])
         return App(sym, args)
 
+    if signature.arity(sym) == 2 and not before and not after:
+        return build, _binary_compose(head, linear)
+
     def compose(keys, bound=None):
         keys = keys_before + tuple(keys) + keys_after if before or after else keys
         depth, size = 1 + max([k[0] for k in keys]), 1 + sum([k[1] for k in keys])
@@ -348,6 +351,23 @@ def app_key(sym: str, signature: Signature, before=(), after=(), linear: bool = 
         return (depth, size, spelling)
 
     return build, compose
+
+
+def _binary_compose(head: tuple, linear: bool):
+    """``app_key``'s composer for a binary operation without fillers."""
+
+    def compose(keys, bound=None):
+        (d1, s1, t1), (d2, s2, t2) = keys
+        depth, size = 1 + (d1 if d1 > d2 else d2), 1 + s1 + s2
+        if bound is not None and (depth, size) > bound[:2]:
+            return None
+        if linear:
+            offset = sum([tag == 2 for tag, _ in t1])
+            if offset:
+                t2 = tuple([(2, i + offset) if tag == 2 else (tag, i) for tag, i in t2])
+        return (depth, size, head + t1 + t2)
+
+    return compose
 
 
 # witness_key's spelling tags (operation 0, constant 1, variable 2) moved to

@@ -434,6 +434,33 @@ def test_self_pairs_lift_one_side_and_each_tuple_once(label, pair, lift_calls):
         assert len(seen) == len(set(seen))
 
 
+@pytest.mark.parametrize("engine", [reachable_profiles, lambda pair: saturate_profiles(pair, 2)])
+def test_commutative_lifts_lift_each_unordered_pair_once(engine, monkeypatch):
+    """Union (P3) and meet (M3) commute: their lifts are marked, each
+    unordered pair of arguments is lifted once, and the rows and witnesses
+    are those of the closure whose lifts are not marked."""
+    pair = AlgebraPair(P3, M3)
+    seen = []
+    marking = closure.side_lifts
+
+    def recording(pair, make, sym=None):
+        lifts = marking(pair, make, sym)
+        assert all(isinstance(lift, closure.Commutative) for lift in lifts)
+
+        def counted(lift, side):
+            return closure.Commutative(lambda args: seen.append((side, frozenset(args))) or lift.lift(args))
+
+        return counted(lifts[0], "left"), counted(lifts[1], "right")
+
+    for module in (linear, general):
+        monkeypatch.setattr(module, "side_lifts", recording)
+    marked = engine(pair)
+    assert seen and len(seen) == len(set(seen))
+    for module in (linear, general):
+        monkeypatch.setattr(module, "side_lifts", lambda pair, make, sym=None: marking(pair, make))
+    assert marked == engine(pair)
+
+
 ENGINE_ROWS = {
     "linear": reachable_profiles,
     "monolinear": paired_clone,
