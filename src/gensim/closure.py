@@ -145,26 +145,25 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 out[i] = memo[a][b] = intern(lift((values[a], values[b])))
         return out
 
-    def lifted_row(lift, memo, column) -> list:
+    def lifted_row(lift, memo, column, present: set) -> list:
         """The ids of the newest id in ``column`` lifted with each id, by a
-        commutative lift: misses are lifted in one batch and memoized both
-        as ``memo[a][b]`` and ``memo[b][a]``."""
+        commutative lift: the ids in ``column`` (``present``) that miss the
+        newest id's memo row are lifted and interned in one batch and
+        memoized both as ``memo[a][b]`` and ``memo[b][a]``, so a row's keys
+        are ids of ``column``."""
         newest = column[-1]
         row = memo.setdefault(newest, {})
-        out = list(map(row.get, column))
-        holes = list(compress(count(), map(is_, out, repeat(None))))
-        if not holes:
-            return out
-        # Rows share ids: each missing id is lifted once.
-        missing = list(dict.fromkeys(map(column.__getitem__, holes)))
-        value = values[newest]
-        lifted = list(map(intern, map(lift, zip(repeat(value), map(values.__getitem__, missing)))))
-        row.update(zip(missing, lifted))
-        for b, i in zip(missing, lifted):
-            memo.setdefault(b, {})[newest] = i
-        for i in holes:
-            out[i] = row[column[i]]
-        return out
+        if len(row) < len(present):
+            missing = list(present - row.keys())
+            lifted = list(map(lift, zip(repeat(values[newest]), map(values.__getitem__, missing))))
+            new = [value for value in dict.fromkeys(lifted) if value not in ids]
+            ids.update(zip(new, count(len(values))))
+            values.extend(new)
+            lifted = list(map(ids.__getitem__, lifted))
+            row.update(zip(missing, lifted))
+            for b, i in zip(missing, lifted):
+                memo.setdefault(b, {})[newest] = i
+        return list(map(row.__getitem__, column))
 
     heap: list = []
     tick = count()
@@ -187,6 +186,7 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
     rows: list = []  # per accepted item: left id, right id, key, witness
     sizes: list = []  # per accepted item: its key's size
     columns: tuple = ([], [])  # the rows' left ids and right ids
+    distinct: tuple = (set(), set())  # the ids in each column
     items: list[Profile] = []
     for left, right, witness in seeds:
         profile, k = (intern(left), intern(right)), key(witness)
@@ -218,6 +218,8 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
         rows.append(newest)
         sizes.append(k[1])
         columns[0].append(profile[0])
+        distinct[0].add(profile[0])
+        distinct[1].add(profile[1])
         columns[1].append(profile[1])
         for (arity, lift_left, lift_right, build, compose), (memo_left, memo_right), symmetric_rule in zip(
             rules, memos, symmetric
@@ -246,9 +248,12 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                         pairs = chain(pairs, zip(column[:older], repeat(value)))
                     lefts = rights = list(map(intern, map(lift_left, pairs)))
                 else:
-                    batch = lifted_row if symmetric_rule else lifted_pairs
-                    lefts = batch(lift_left, memo_left, columns[0])
-                    rights = batch(lift_right, memo_right, columns[1])
+                    if symmetric_rule:
+                        lefts = lifted_row(lift_left, memo_left, columns[0], distinct[0])
+                        rights = lifted_row(lift_right, memo_right, columns[1], distinct[1])
+                    else:
+                        lefts = lifted_pairs(lift_left, memo_left, columns[0])
+                        rights = lifted_pairs(lift_right, memo_right, columns[1])
                 # Rows come in key order: none is deeper than the newest.
                 depth, size = k[0] + 1, k[1] + 1
                 # Combination i can win only where its depth and size do
@@ -265,14 +270,15 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                     _, _, kb, wb = rows[j]
                     c = j if symmetric_rule else i
                     candidate = (lefts[c], rights[c])
-                    best = pending.get(candidate)  # a batch may offer a profile twice
-                    if best is None or (depth, size + kb[1]) <= best[:2]:
-                        composed = compose((k, kb) if i <= older else (kb, k), best)
-                        if composed is not None and (best is None or composed < best):
-                            pending[candidate] = composed
-                            bounds[candidate[0]][candidate[1]] = composed[0] * _SCALE + composed[1]
-                            args = (witness, wb) if i <= older else (wb, witness)
-                            heappush(heap, (composed, next(tick), candidate, build, args))
+                    # A batch may offer a profile twice: compose checks the
+                    # depth and size against the key pending now.
+                    best = pending.get(candidate)
+                    composed = compose((k, kb) if i <= older else (kb, k), best)
+                    if composed is not None and (best is None or composed < best):
+                        pending[candidate] = composed
+                        bounds[candidate[0]][candidate[1]] = composed[0] * _SCALE + composed[1]
+                        args = (witness, wb) if i <= older else (wb, witness)
+                        heappush(heap, (composed, next(tick), candidate, build, args))
             else:
                 for combo in _combinations(rows, arity):
                     left_ids, right_ids, arg_keys, args = zip(*combo)
