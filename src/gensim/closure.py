@@ -109,7 +109,9 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
     from one description, and ``key``, the seeds' key, folds the same
     composer.  Candidates are popped in key order, so each profile's first
     witness is its minimal one.  The two lifts may be one object only when
-    every seed's sides are equal (a self pair).  Each accepted key is appended
+    every seed's sides are equal (a self pair).  Both lifts of a binary rule
+    may be ``Commutative``; a commutative lift with a ``row`` attribute
+    gives ``row(a, bs)`` as the list of ``lift((a, b))``.  Each accepted key is appended
     to ``keys`` when it is a list.  Raises ``SaturationCapError`` when more
     than ``cap`` profiles are accepted.  Returns early when ``stop``, called
     on each accepted profile's two sides, is true.
@@ -155,7 +157,13 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
         row = memo.setdefault(newest, {})
         if len(row) < len(present):
             missing = list(present - row.keys())
-            lifted = list(map(lift, zip(repeat(values[newest]), map(values.__getitem__, missing))))
+            others = list(map(values.__getitem__, missing))
+            # A lift may read its first argument once for a whole row.
+            lift_row = getattr(lift, "row", None)
+            if lift_row is not None:
+                lifted = lift_row(values[newest], others)
+            else:
+                lifted = list(map(lift, zip(repeat(values[newest]), others)))
             new = [value for value in dict.fromkeys(lifted) if value not in ids]
             ids.update(zip(new, count(len(values))))
             values.extend(new)
@@ -259,9 +267,8 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 # Combination i can win only where its depth and size do
                 # not exceed the bound of its profile.
                 row_sizes = sizes if symmetric_rule else sizes + sizes[:older]
-                needs = map(add, row_sizes, repeat(depth * _SCALE + size))
                 held = map(dict.get, map(bounds.__getitem__, lefts), rights, repeat(_OPEN))
-                fresh = list(compress(count(), map(le, needs, held)))
+                fresh = list(compress(count(), map(le, map(add, row_sizes, repeat(depth * _SCALE + size)), held)))
                 if symmetric_rule:
                     # Combination n + i lifts to combination i's profile.
                     fresh += [i + older + 1 for i in fresh if i < older]

@@ -43,6 +43,24 @@ def _function_lift(algebra: Algebra, sym: str, arity: int):
     if arity == 1:
         image = bytes(table[x,] for x in range(n)) + bytes(256 - n)
         return lambda functions: functions[0].translate(image)
+    number = partial(int.from_bytes, byteorder="little")
+    # An accepted side meets 2n - 1 lifts: read it once.
+    read = cache(number)
+    if n <= 16:
+        flat = bytes(table[x, y] for x in range(n) for y in range(n)) + bytes(256 - n * n)
+
+        def lift(functions):
+            return (read(functions[0]) * n + read(functions[1])).to_bytes(
+                len(functions[0]), "little").translate(flat)
+
+        def row(f, others):
+            """``lift((f, g))`` for each g in ``others``, f read once."""
+            f_rows, size = read(f) * n, len(f)
+            return [(f_rows + read(g)).to_bytes(size, "little").translate(flat) for g in others]
+
+        lift.row = row
+        return lift
+
     # Rows x in [start, start + 256 // n): (x - start) * n + y < 256, so no
     # lane carries; f's lanes outside the part are masked off.
     parts = []
@@ -51,14 +69,6 @@ def _function_lift(algebra: Algebra, sym: str, arity: int):
         rows = bytes(table[x, y] for x in inside for y in range(n))
         parts.append((bytes(x - start if x in inside else 0 for x in range(256)),
                       bytes(255 * (x in inside) for x in range(256)), rows + bytes(256 - len(rows))))
-
-    number = partial(int.from_bytes, byteorder="little")
-    # An accepted side meets 2n - 1 lifts: read it once.
-    read = cache(number)
-    if len(parts) == 1:
-        flat = parts[0][2]
-        return lambda functions: (read(functions[0]) * n + read(functions[1])).to_bytes(
-            len(functions[0]), "little").translate(flat)
 
     @cache
     def split(f):
