@@ -167,9 +167,9 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
             new = [value for value in dict.fromkeys(lifted) if value not in ids]
             ids.update(zip(new, count(len(values))))
             values.extend(new)
-            lifted = list(map(ids.__getitem__, lifted))
-            row.update(zip(missing, lifted))
-            for b, i in zip(missing, lifted):
+            lifted_ids = list(map(ids.__getitem__, lifted))
+            row.update(zip(missing, lifted_ids))
+            for b, i in zip(missing, lifted_ids):
                 memo.setdefault(b, {})[newest] = i
         return list(map(row.__getitem__, column))
 
@@ -267,8 +267,9 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 # Combination i can win only where its depth and size do
                 # not exceed the bound of its profile.
                 row_sizes = sizes if symmetric_rule else sizes + sizes[:older]
+                needs = map(add, row_sizes, repeat(depth * _SCALE + size))
                 held = map(dict.get, map(bounds.__getitem__, lefts), rights, repeat(_OPEN))
-                fresh = list(compress(count(), map(le, map(add, row_sizes, repeat(depth * _SCALE + size)), held)))
+                fresh = list(compress(count(), map(le, needs, held)))
                 if symmetric_rule:
                     # Combination n + i lifts to combination i's profile.
                     fresh += [i + older + 1 for i in fresh if i < older]

@@ -44,7 +44,7 @@ def _function_lift(algebra: Algebra, sym: str, arity: int):
         image = bytes(table[x,] for x in range(n)) + bytes(256 - n)
         return lambda functions: functions[0].translate(image)
     number = partial(int.from_bytes, byteorder="little")
-    # An accepted side meets 2n - 1 lifts: read it once.
+    # An accepted side meets up to 2n - 1 lifts: read it once.
     read = cache(number)
     if n <= 16:
         flat = bytes(table[x, y] for x in range(n) for y in range(n)) + bytes(256 - n * n)
