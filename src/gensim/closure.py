@@ -11,23 +11,25 @@ size are checked against first.  Keys are composed from the arguments'
 keys, and witnesses built only when accepted.  Components are interned as
 ints, and a lift is memoized per side on its argument ids (a self pair's
 one lift for both sides is not).  A binary rule lifts the 2n - 1
-combinations of the newest of n items as one batch: ids read by ``map``
-from one memo dict per first argument, misses lifted, and combinations
+combinations of the newest of n items as one batch per side: the newest
+id's memo row, by first argument and then by second, read by ``map``, its
+misses lifted in bulk, and each lift written into both rows so no ordered
+pair is lifted twice.  A commutative operation's combinations (a, b) and
+(b, a) lift to one profile, so its rule reads one row of n.  Combinations
 whose depth and size cannot beat their profile's pending key (accepted
-profiles included) dropped in one pass.  A commutative operation's
-combinations (a, b) and (b, a) lift to one profile, so its rule lifts n
-of them.  Higher arities loop over ``product``.
+profiles included) are dropped in one pass.  Higher arities loop over
+``product``.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappop, heappush
 from itertools import chain, compress, count, product, repeat
-from operator import add, is_, le
+from operator import add, le
 from typing import NamedTuple
 
 from .algebra import AlgebraError, AlgebraPair
-from .terms import Term
+from .terms import Term, app_key
 
 
 class Profile(NamedTuple):
@@ -73,28 +75,23 @@ class Commutative:
         return self.lift(args)
 
 
-def commutative(pair: AlgebraPair, sym: str) -> bool:
-    """Whether ``sym`` is a binary operation, commutative on both sides."""
-    if pair.left.signature.arity(sym) != 2:
-        return False
-    for algebra in {id(pair.left): pair.left, id(pair.right): pair.right}.values():
-        table = algebra.tables[sym]
-        xs, ys = zip(*table)
-        if list(map(table.__getitem__, zip(ys, xs))) != list(table.values()):
-            return False
-    return True
-
-
-def side_lifts(pair: AlgebraPair, make, sym: str | None = None) -> tuple:
-    """``make(algebra)`` for both sides of ``pair``; a self pair gets one
-    lift for both, so the closure lifts one side only.  When the binary
-    operation ``sym`` is commutative on both sides, both are ``Commutative``."""
-    left = make(pair.left)
-    right = left if pair.right is pair.left else make(pair.right)
-    if sym is not None and commutative(pair, sym):
-        left = Commutative(left)
-        right = left if pair.right is pair.left else Commutative(right)
-    return left, right
+def operation_rules(pair: AlgebraPair, make, linear: bool = False) -> list:
+    """One closure rule per operation of ``pair``: the lifts ``make(algebra,
+    sym)`` of both sides, or one lift for both on a self pair, so the
+    closure lifts one side only; then ``terms.app_key``'s build and
+    compose.  A binary operation commutative on both sides gets
+    ``Commutative`` lifts."""
+    sig = pair.left.signature
+    algebras = [pair.left] if pair.right is pair.left else [pair.left, pair.right]
+    rules = []
+    for sym, arity in sig.operations:
+        lifts = [make(algebra, sym) for algebra in algebras]
+        if arity == 2 and all(
+            table[y, x] == z for table in [a.tables[sym] for a in algebras] for (x, y), z in table.items()
+        ):
+            lifts = list(map(Commutative, lifts))
+        rules.append((arity, lifts[0], lifts[-1], *app_key(sym, sig, linear=linear)))
+    return rules
 
 
 def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, stop=None) -> list[Profile]:
@@ -110,11 +107,17 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
     composer.  Candidates are popped in key order, so each profile's first
     witness is its minimal one.  The two lifts may be one object only when
     every seed's sides are equal (a self pair).  Both lifts of a binary rule
-    may be ``Commutative``; a commutative lift with a ``row`` attribute
-    gives ``row(a, bs)`` as the list of ``lift((a, b))``.  Each accepted key is appended
-    to ``keys`` when it is a list.  Raises ``SaturationCapError`` when more
-    than ``cap`` profiles are accepted.  Returns early when ``stop``, called
-    on each accepted profile's two sides, is true.
+    may be ``Commutative`` (``operation_rules`` marks them); a binary lift
+    with a ``row`` attribute gives ``row(a, bs)`` as the list of
+    ``lift((a, b))``.
+
+    Each accepted item lifts the combinations that use it.  A memoized
+    binary rule lifts them per side as one batch, the newest item's
+    argument first and, unless the rule is commutative, then second; each
+    other arity lifts one combination at a time.  Each accepted key is
+    appended to ``keys`` when it is a list.  Raises ``SaturationCapError``
+    when more than ``cap`` profiles are accepted.  Returns early when
+    ``stop``, called on each accepted profile's two sides, is true.
     """
     ids: dict = {}
     values: list = []
@@ -133,35 +136,26 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 memo[arg_ids] = i
         return i
 
-    def lifted_pairs(lift, memo, column) -> list:
-        """The ids of the newest id in ``column`` lifted with each id, then
-        of each older id with the newest, memoized as ``memo[a][b]``."""
-        newest, older = column[-1], len(column) - 1
-        out = list(map(memo.setdefault(newest, {}).get, column))
-        out += map(dict.get, map(memo.__getitem__, column[:older]), repeat(newest))
-        for i in compress(count(), map(is_, out, repeat(None))):
-            a, b = (newest, column[i]) if i <= older else (column[i - older - 1], newest)
-            # Rows share ids: an earlier miss may have lifted this one.
-            out[i] = memo[a].get(b)
-            if out[i] is None:
-                out[i] = memo[a][b] = intern(lift((values[a], values[b])))
-        return out
-
-    def lifted_row(lift, memo, column, present: set) -> list:
-        """The ids of the newest id in ``column`` lifted with each id, by a
-        commutative lift: the ids in ``column`` (``present``) that miss the
-        newest id's memo row are lifted and interned in one batch and
-        memoized both as ``memo[a][b]`` and ``memo[b][a]``, so a row's keys
-        are ids of ``column``."""
+    def lifted_row(lift, memo, other, column, present: set, second=False) -> list:
+        """The ids of the newest id in ``column`` lifted with each id as
+        first argument (``memo[a][b]`` holds ``lift((a, b))``), or with
+        ``second``, of each older id lifted with the newest over the
+        transposed memo.  The ids in ``column`` (``present``) that miss the
+        newest id's memo row are lifted and interned in one batch, and each
+        lift is also written into the other memo (the same dict for a
+        commutative lift), so a row's keys are ids of ``column`` and no
+        ordered tuple is lifted twice."""
         newest = column[-1]
         row = memo.setdefault(newest, {})
         if len(row) < len(present):
             missing = list(present - row.keys())
             others = list(map(values.__getitem__, missing))
             # A lift may read its first argument once for a whole row.
-            lift_row = getattr(lift, "row", None)
+            lift_row = None if second else getattr(lift, "row", None)
             if lift_row is not None:
                 lifted = lift_row(values[newest], others)
+            elif second:
+                lifted = list(map(lift, zip(others, repeat(values[newest]))))
             else:
                 lifted = list(map(lift, zip(repeat(values[newest]), others)))
             new = [value for value in dict.fromkeys(lifted) if value not in ids]
@@ -170,8 +164,8 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
             lifted_ids = list(map(ids.__getitem__, lifted))
             row.update(zip(missing, lifted_ids))
             for b, i in zip(missing, lifted_ids):
-                memo.setdefault(b, {})[newest] = i
-        return list(map(row.__getitem__, column))
+                other.setdefault(b, {})[newest] = i
+        return list(map(row.__getitem__, column[:-1] if second else column))
 
     heap: list = []
     tick = count()
@@ -201,13 +195,19 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
         if profile not in pending or k < pending[profile]:
             pending[profile] = k
             heappush(heap, (k, next(tick), profile, None, witness))
-    # One lift for both sides is a self pair's: its items' ids are equal on
-    # both sides, so no two combinations share an id tuple to memoize.
-    memos = [({}, {}) if rule[1] is not rule[2] else (None, None) for rule in rules]
     # A rule whose two lifts are both commutative lifts each unordered
     # combination once, through the bare lifts.
     symmetric = [isinstance(r[1], Commutative) and isinstance(r[2], Commutative) for r in rules]
     rules = [(r[0], r[1].lift, r[2].lift, *r[3:]) if sym else r for r, sym in zip(rules, symmetric)]
+    # One lift for both sides is a self pair's: its items' ids are equal on
+    # both sides, so no two combinations share an id tuple to memoize.  A
+    # binary rule memoizes each side as rows by first and by second
+    # argument, one dict when the lift is commutative.
+    memos = [
+        (None, None) if r[1] is r[2] else ({}, {}) if r[0] != 2
+        else tuple((m, m) if sym else (m, {}) for m in ({}, {}))
+        for r, sym in zip(rules, symmetric)
+    ]
     while heap:
         k, _, profile, build, args = heappop(heap)
         if pending[profile] is _ACCEPTED:
@@ -237,12 +237,8 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 if memo_right is None:
                     left = right = intern(lift_left((values[profile[0]],)))
                 else:
-                    left = memo_left.get(profile[:1])
-                    if left is None:
-                        left = lifted(lift_left, profile[:1], memo_left)
-                    right = memo_right.get(profile[1:])
-                    if right is None:
-                        right = lifted(lift_right, profile[1:], memo_right)
+                    left = lifted(lift_left, profile[:1], memo_left)
+                    right = lifted(lift_right, profile[1:], memo_right)
                 offer((left, right), (k[0] + 1, k[1] + 1), (k,), build, compose, (witness,))
             elif arity == 2:
                 # Combination i < n pairs the newest row with row i, the
@@ -256,12 +252,11 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                         pairs = chain(pairs, zip(column[:older], repeat(value)))
                     lefts = rights = list(map(intern, map(lift_left, pairs)))
                 else:
-                    if symmetric_rule:
-                        lefts = lifted_row(lift_left, memo_left, columns[0], distinct[0])
-                        rights = lifted_row(lift_right, memo_right, columns[1], distinct[1])
-                    else:
-                        lefts = lifted_pairs(lift_left, memo_left, columns[0])
-                        rights = lifted_pairs(lift_right, memo_right, columns[1])
+                    lefts = lifted_row(lift_left, *memo_left, columns[0], distinct[0])
+                    rights = lifted_row(lift_right, *memo_right, columns[1], distinct[1])
+                    if not symmetric_rule:
+                        lefts += lifted_row(lift_left, *memo_left[::-1], columns[0], distinct[0], True)
+                        rights += lifted_row(lift_right, *memo_right[::-1], columns[1], distinct[1], True)
                 # Rows come in key order: none is deeper than the newest.
                 depth, size = k[0] + 1, k[1] + 1
                 # Combination i can win only where its depth and size do

@@ -17,8 +17,8 @@ from functools import cache, partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraError, AlgebraPair
-from .closure import DEFAULT_CAP, Profile, SaturationCapError, least_witness_closure, side_lifts
-from .terms import Const, Var, app_key, witness_key
+from .closure import DEFAULT_CAP, Profile, SaturationCapError, least_witness_closure, operation_rules
+from .terms import Const, Var, witness_key
 from .verdict import EXACT, exact_for_vars
 
 
@@ -115,9 +115,5 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP, stop=No
             collect((algebra.index(c),) * n ** k) for c in sig.constant_symbols])
     witnesses = [Var(i + 1) for i in range(k)] + [Const(c) for c in sig.constant_symbols]
     seeds = list(zip(*sides, witnesses))
-    rules = [
-        (arity, *side_lifts(pair, lambda algebra: _function_lift(algebra, sym, arity), sym),
-         *app_key(sym, sig))
-        for sym, arity in sig.operations
-    ]
+    rules = operation_rules(pair, lambda algebra, sym: _function_lift(algebra, sym, sig.arity(sym)))
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap, stop=stop)

@@ -14,8 +14,8 @@ from itertools import chain, product
 from operator import itemgetter
 
 from .algebra import Algebra, AlgebraPair
-from .closure import Profile, least_witness_closure, side_lifts
-from .terms import Const, Var, app_key, witness_key
+from .closure import Profile, least_witness_closure, operation_rules
+from .terms import Const, Var, witness_key
 
 
 class _Rows(dict):
@@ -57,9 +57,5 @@ def reachable_profiles(pair: AlgebraPair, cap: int | None = None, stop=None) -> 
     sig = pair.left.signature
     seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
     seeds += [(frozenset({c}), frozenset({c}), Const(c)) for c in sig.constant_symbols]
-    rules = [
-        (arity, *side_lifts(pair, lambda algebra: _range_lift(algebra, sym), sym),
-         *app_key(sym, sig, linear=True))
-        for sym, arity in sig.operations
-    ]
+    rules = operation_rules(pair, _range_lift, linear=True)
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap, stop=stop)

@@ -20,7 +20,7 @@ from functools import partial
 from itertools import product
 
 from .algebra import Algebra, AlgebraPair, self_pair
-from .closure import Profile, least_witness_closure, side_lifts
+from .closure import Profile, least_witness_closure, operation_rules
 from .record import Frozen
 from .terms import Const, Term, Var, app_key, render_term, witness_key
 
@@ -34,11 +34,7 @@ def paired_ground_values(pair: AlgebraPair, keys: list | None = None) -> list[Pr
     minimal ground witness (and its key appended to ``keys``)."""
     sig = pair.left.signature
     seeds = [(c, c, Const(c)) for c in sig.constant_symbols]
-    rules = [
-        (arity, *side_lifts(pair, lambda algebra: algebra.tables[sym].__getitem__, sym),
-         *app_key(sym, sig))
-        for sym, arity in sig.operations
-    ]
+    rules = operation_rules(pair, lambda algebra, sym: algebra.tables[sym].__getitem__)
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), keys=keys)
 
 

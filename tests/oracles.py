@@ -33,7 +33,7 @@ from gensim.algebra import (
     scan_lines,
 )
 from gensim.automata import NonUnaryError
-from gensim.closure import Profile, SaturationCapError, side_lifts
+from gensim.closure import Profile, SaturationCapError
 from gensim.linear import _range_lift, reachable_profiles
 from gensim.morphism import ElementMap
 from gensim.terms import (
@@ -299,11 +299,13 @@ def reference_general(pair: AlgebraPair, k: int, cap: int | None = None, keys=No
         ((pair.left.index(c),) * len(left), (pair.right.index(c),) * len(right), Const(c))
         for c in sig.constant_symbols
     ]
-    rules = [
-        (arity, *side_lifts(pair, lambda algebra: reference_function_lift(algebra, sym)),
-         *app_key(sym, sig))
-        for sym, arity in sig.operations
-    ]
+    # Unmarked rules of its own, one lift for both sides of a self pair,
+    # so the oracle shares no rule code with the closure it checks.
+    rules = []
+    for sym, arity in sig.operations:
+        lift = reference_function_lift(pair.left, sym)
+        other = lift if pair.right is pair.left else reference_function_lift(pair.right, sym)
+        rules.append((arity, lift, other, *app_key(sym, sig)))
     return reference_closure(seeds, rules, lambda t: witness_key(t, sig), cap, keys)
 
 

@@ -441,23 +441,28 @@ def test_commutative_lifts_lift_each_unordered_pair_once(engine, monkeypatch):
     are those of the closure whose lifts are not marked."""
     pair = AlgebraPair(P3, M3)
     seen = []
-    marking = closure.side_lifts
+    marking = closure.operation_rules
 
-    def recording(pair, make, sym=None):
-        lifts = marking(pair, make, sym)
-        assert all(isinstance(lift, closure.Commutative) for lift in lifts)
+    def recording(pair, make, linear=False):
+        rules = marking(pair, make, linear)
+        assert all(isinstance(lift, closure.Commutative) for rule in rules for lift in rule[1:3])
 
         def counted(lift, side):
             return closure.Commutative(lambda args: seen.append((side, frozenset(args))) or lift.lift(args))
 
-        return counted(lifts[0], "left"), counted(lifts[1], "right")
+        return [(arity, counted(left, "left"), counted(right, "right"), *rest)
+                for arity, left, right, *rest in rules]
+
+    def unmarked(pair, make, linear=False):
+        return [(arity, left.lift, right.lift, *rest)
+                for arity, left, right, *rest in marking(pair, make, linear)]
 
     for module in (linear, general):
-        monkeypatch.setattr(module, "side_lifts", recording)
+        monkeypatch.setattr(module, "operation_rules", recording)
     marked = engine(pair)
     assert seen and len(seen) == len(set(seen))
     for module in (linear, general):
-        monkeypatch.setattr(module, "side_lifts", lambda pair, make, sym=None: marking(pair, make))
+        monkeypatch.setattr(module, "operation_rules", unmarked)
     assert marked == engine(pair)
 
 
@@ -692,7 +697,12 @@ def _recording_push(keys):
     return push
 
 
-@pytest.mark.parametrize("label,engine", [("P4/M4", "linear"), ("P3/M3", "general2")])
+@pytest.mark.parametrize("label,engine", [
+    ("P4/M4", "linear"),
+    ("P3/M3", "general2"),
+    ("bin 4 A/B", "linear"),
+    ("bin 3 A/B", "general1"),
+])
 def test_kernels_push_what_the_reference_pushes(label, engine, closure_args, monkeypatch):
     """A candidate is pushed only when it beats the key pending at that
     moment, also when one batch offers a profile twice: the same keys are
@@ -706,6 +716,29 @@ def test_kernels_push_what_the_reference_pushes(label, engine, closure_args, mon
         least_witness_closure(seeds, rules, key, cap)
         reference_closure(seeds, rules, key, cap)
         assert pushed[closure] == pushed[oracles]
+
+
+# u(x, y) = x on P3's carrier: u commutes in P3 and not here.
+FIRST3 = make_algebra(
+    "First", P3.carrier, {"u": {(x, y): x for x in P3.carrier for y in P3.carrier}}, constants="all"
+)
+ONE_SIDED_PAIRS = [("P3/First3", AlgebraPair(P3, FIRST3)), ("First3/P3", AlgebraPair(FIRST3, P3))]
+
+
+@pytest.mark.parametrize("engine", ["linear", "monolinear", "general1"])
+@pytest.mark.parametrize("label,pair", ONE_SIDED_PAIRS, ids=[label for label, _ in ONE_SIDED_PAIRS])
+def test_an_operation_commutative_on_one_side_is_not_marked(label, pair, engine, closure_args):
+    """Union commutes in P3, and u(x, y) = x on the same carrier does
+    not: neither side's lift is marked, and the closure is the reference
+    loop's."""
+    rules = closure.operation_rules(pair, linear._range_lift)
+    assert not any(isinstance(lift, closure.Commutative) for lift in rules[0][1:3])
+    KERNEL_ENGINES[engine](pair)
+    assert closure_args
+    for seeds, rules, key, cap in closure_args:
+        assert not any(isinstance(lift, closure.Commutative) for rule in rules for lift in rule[1:3])
+        assert _outcome(least_witness_closure, seeds, rules, key, cap) == _outcome(
+            reference_closure, seeds, rules, key, cap)
 
 
 def difference_algebra(n, name="D", constants=()):
