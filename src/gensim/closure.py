@@ -5,26 +5,32 @@ pairs what a term denotes in the left and in the right algebra (a range, a
 function or a value).  The loop is semi-naive (Bancilhon & Ramakrishnan,
 1986): an accepted item lifts only the combinations that use it, each once.
 It is Knuth's (1977) generalization of Dijkstra's algorithm: a term's key
-exceeds its arguments' keys, so a profile's first pop is final, and a
-candidate is pushed only when it beats its pending key, which its depth and
-size are checked against first.  Keys are composed from the arguments'
-keys, and witnesses built only when accepted.  Components are interned as
-ints, and a lift is memoized per side on its argument ids (a self pair's
-one lift for both sides is not).  A binary rule lifts the 2n - 1
-combinations of the newest of n items as one batch per side: the newest
-id's memo row, by first argument and then by second, read by ``map``, its
-misses lifted in bulk, and each lift written into both rows so no ordered
-pair is lifted twice.  A commutative operation's combinations (a, b) and
-(b, a) lift to one profile, so its rule reads one row of n.  Combinations
-whose depth and size cannot beat their profile's pending key (accepted
-profiles included) are dropped in one pass.  Higher arities loop over
-``product``.
+exceeds its arguments' keys, so a profile's first pop is final, and each
+profile holds one pending key, the least pushed for it, which a candidate
+must beat to be pushed.  A candidate's depth and size are compared with
+that key first, as a tuple: a shorter tuple sorts first, so this reads the
+key's depth and size, an accepted profile's mark ``()`` sorts below every
+candidate, and an open profile's ``(inf,)`` above.  Keys are composed from
+the arguments' keys, and witnesses built only when accepted.  Components
+are interned as ints, and a lift is memoized per side on its argument ids
+(a self pair's one lift for both sides is not).  A binary rule lifts the
+combinations of the newest of n items in two passes of one batch per side:
+the newest as first argument with all n items, read from its memo row by
+first argument, then as second argument with the n - 1 older items, read
+from its memo row by second argument.  A row's misses are lifted in bulk,
+and each lift is written into both memos, so no ordered pair is lifted
+twice.  Each pass drops in bulk the combinations whose depth and size
+cannot beat their profile's pending key, then pushes the rest in order.  A
+commutative operation lifts (a, b) and (b, a) to one profile, so its second
+pass reads no memo: it offers the first pass's survivors again with their
+arguments swapped.  Higher arities loop over ``product``.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from heapq import heappop, heappush
-from itertools import chain, compress, count, product, repeat
+from itertools import compress, count, product, repeat
+from math import inf
 from operator import add, le
 from typing import NamedTuple
 
@@ -54,43 +60,27 @@ class SaturationCapError(AlgebraError):
         ))
 
 
-_ACCEPTED = object()  # the pending mark of an accepted profile
-# A pending key's depth and size as one int, depth * _SCALE + size, so a
-# batch compares them in bulk; no profile is pending at _OPEN.
-_SCALE = 1 << 32
-_OPEN = 1 << 96
-
-
-class Commutative:
-    """A binary lift whose value does not depend on the order of its two
-    arguments; a rule whose two lifts are both marked lifts each unordered
-    combination once."""
-
-    __slots__ = ("lift",)
-
-    def __init__(self, lift):
-        self.lift = lift
-
-    def __call__(self, args):
-        return self.lift(args)
+# A profile's pending key before any offer sorts above every key, and its
+# accepted mark below every key and every (depth, size) pair.
+_OPEN = (inf,)
+_ACCEPTED = ()
 
 
 def operation_rules(pair: AlgebraPair, make, linear: bool = False) -> list:
     """One closure rule per operation of ``pair``: the lifts ``make(algebra,
     sym)`` of both sides, or one lift for both on a self pair, so the
     closure lifts one side only; then ``terms.app_key``'s build and
-    compose.  A binary operation commutative on both sides gets
-    ``Commutative`` lifts."""
+    compose, and whether the operation is binary and commutative on both
+    sides."""
     sig = pair.left.signature
     algebras = [pair.left] if pair.right is pair.left else [pair.left, pair.right]
     rules = []
     for sym, arity in sig.operations:
         lifts = [make(algebra, sym) for algebra in algebras]
-        if arity == 2 and all(
+        commutative = arity == 2 and all(
             table[y, x] == z for table in [a.tables[sym] for a in algebras] for (x, y), z in table.items()
-        ):
-            lifts = list(map(Commutative, lifts))
-        rules.append((arity, lifts[0], lifts[-1], *app_key(sym, sig, linear=linear)))
+        )
+        rules.append((arity, lifts[0], lifts[-1], *app_key(sym, sig, linear=linear), commutative))
     return rules
 
 
@@ -98,26 +88,27 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
     """The least family of profiles containing ``seeds`` and closed under
     ``rules``, in acceptance order.
 
-    A rule ``(arity, lift_left, lift_right, build, compose)`` maps the left
-    components of ``arity`` profiles to a left component (``lift_left``),
-    their right ones likewise, their witnesses to a witness (``build``),
-    and their keys to a key, or to None when that cannot be below
-    ``bound`` (``compose(keys, bound)``); ``terms.app_key`` spells both
-    from one description, and ``key``, the seeds' key, folds the same
-    composer.  Candidates are popped in key order, so each profile's first
-    witness is its minimal one.  The two lifts may be one object only when
-    every seed's sides are equal (a self pair).  Both lifts of a binary rule
-    may be ``Commutative`` (``operation_rules`` marks them); a binary lift
+    A rule ``(arity, lift_left, lift_right, build, compose, commutative)``
+    maps the left components of ``arity`` profiles to a left component
+    (``lift_left``), their right ones likewise, their witnesses to a
+    witness (``build``), and their keys to a key, or to None when its depth
+    and size sort above ``bound`` (``compose(keys, bound)``);
+    ``terms.app_key`` spells both from one description, and ``key``, the
+    seeds' key, folds the same composer.  Candidates are popped in key
+    order, so each profile's first witness is its minimal one.  The two
+    lifts may be one object only when every seed's sides are equal (a self
+    pair).  A binary rule is ``commutative`` when both its lifts ignore the
+    order of their arguments (``operation_rules`` tells); a binary lift
     with a ``row`` attribute gives ``row(a, bs)`` as the list of
     ``lift((a, b))``.
 
-    Each accepted item lifts the combinations that use it.  A memoized
-    binary rule lifts them per side as one batch, the newest item's
-    argument first and, unless the rule is commutative, then second; each
-    other arity lifts one combination at a time.  Each accepted key is
-    appended to ``keys`` when it is a list.  Raises ``SaturationCapError``
-    when more than ``cap`` profiles are accepted.  Returns early when
-    ``stop``, called on each accepted profile's two sides, is true.
+    Each accepted item lifts the combinations that use it.  A binary rule
+    lifts them in two passes, the newest item as first argument with every
+    item, then as second with every older one; each other arity lifts one
+    combination at a time.  Each accepted key is appended to ``keys`` when
+    it is a list.  Raises ``SaturationCapError`` when more than ``cap``
+    profiles are accepted.  Returns early when ``stop``, called on each
+    accepted profile's two sides, is true.
     """
     ids: dict = {}
     values: list = []
@@ -136,16 +127,17 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 memo[arg_ids] = i
         return i
 
-    def lifted_row(lift, memo, other, column, present: set, second=False) -> list:
-        """The ids of the newest id in ``column`` lifted with each id as
-        first argument (``memo[a][b]`` holds ``lift((a, b))``), or with
-        ``second``, of each older id lifted with the newest over the
-        transposed memo.  The ids in ``column`` (``present``) that miss the
-        newest id's memo row are lifted and interned in one batch, and each
-        lift is also written into the other memo (the same dict for a
-        commutative lift), so a row's keys are ids of ``column`` and no
-        ordered tuple is lifted twice."""
+    def lifted_row(lift, memos, column, present: set, second: bool) -> list:
+        """The ids of the newest id in ``column`` lifted with each id of
+        ``column`` as second argument, or with ``second``, with each older
+        one as first.  ``memos`` holds the lifts by first argument
+        (``memos[0][a][b]`` is the id of ``lift((a, b))``) and by second,
+        one dict for a commutative lift.  The ids in ``column``
+        (``present``) that miss the newest id's memo row are lifted and
+        interned in one batch, and each lift is also written into the other
+        memo, so no ordered tuple is lifted twice."""
         newest = column[-1]
+        memo, other = memos[::-1] if second else memos
         row = memo.setdefault(newest, {})
         if len(row) < len(present):
             missing = list(present - row.keys())
@@ -153,15 +145,15 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
             # A lift may read its first argument once for a whole row.
             lift_row = None if second else getattr(lift, "row", None)
             if lift_row is not None:
-                lifted = lift_row(values[newest], others)
+                lifts = lift_row(values[newest], others)
             elif second:
-                lifted = list(map(lift, zip(others, repeat(values[newest]))))
+                lifts = list(map(lift, zip(others, repeat(values[newest]))))
             else:
-                lifted = list(map(lift, zip(repeat(values[newest]), others)))
-            new = [value for value in dict.fromkeys(lifted) if value not in ids]
+                lifts = list(map(lift, zip(repeat(values[newest]), others)))
+            new = [value for value in dict.fromkeys(lifts) if value not in ids]
             ids.update(zip(new, count(len(values))))
             values.extend(new)
-            lifted_ids = list(map(ids.__getitem__, lifted))
+            lifted_ids = list(map(ids.__getitem__, lifts))
             row.update(zip(missing, lifted_ids))
             for b, i in zip(missing, lifted_ids):
                 other.setdefault(b, {})[newest] = i
@@ -169,21 +161,19 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
 
     heap: list = []
     tick = count()
-    pending: dict = {}  # profile ids -> least key pushed, or _ACCEPTED
-    # left id -> right id -> the depth and size of the profile's pending
-    # key, or -1 once accepted; never below pending's, so a bulk test on it
-    # drops only combinations that cannot beat the pending key.
-    bounds: defaultdict = defaultdict(dict)
+    # left id -> right id -> the least key pushed for the profile, or
+    # _ACCEPTED once popped.
+    pending: defaultdict = defaultdict(dict)
 
-    def offer(candidate, depth_size, arg_keys, build, compose, args) -> None:
+    def offer(left, right, depth_size, arg_keys, build, compose, args) -> None:
         """Push a candidate whose key beats its pending one."""
-        best = pending.get(candidate)
-        if best is None or best is not _ACCEPTED and depth_size <= best[:2]:
+        held = pending[left]
+        best = held.get(right, _OPEN)
+        if depth_size <= best:
             k = compose(arg_keys, best)
-            if k is not None and (best is None or k < best):
-                pending[candidate] = k
-                bounds[candidate[0]][candidate[1]] = k[0] * _SCALE + k[1]
-                heappush(heap, (k, next(tick), candidate, build, args))
+            if k is not None and k < best:
+                held[right] = k
+                heappush(heap, (k, next(tick), (left, right), build, args))
 
     rows: list = []  # per accepted item: left id, right id, key, witness
     sizes: list = []  # per accepted item: its key's size
@@ -191,29 +181,25 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
     distinct: tuple = (set(), set())  # the ids in each column
     items: list[Profile] = []
     for left, right, witness in seeds:
-        profile, k = (intern(left), intern(right)), key(witness)
-        if profile not in pending or k < pending[profile]:
-            pending[profile] = k
-            heappush(heap, (k, next(tick), profile, None, witness))
-    # A rule whose two lifts are both commutative lifts each unordered
-    # combination once, through the bare lifts.
-    symmetric = [isinstance(r[1], Commutative) and isinstance(r[2], Commutative) for r in rules]
-    rules = [(r[0], r[1].lift, r[2].lift, *r[3:]) if sym else r for r, sym in zip(rules, symmetric)]
+        left, right, k = intern(left), intern(right), key(witness)
+        if k < pending[left].get(right, _OPEN):
+            pending[left][right] = k
+            heappush(heap, (k, next(tick), (left, right), None, witness))
     # One lift for both sides is a self pair's: its items' ids are equal on
     # both sides, so no two combinations share an id tuple to memoize.  A
     # binary rule memoizes each side as rows by first and by second
-    # argument, one dict when the lift is commutative.
+    # argument, one dict when the rule is commutative.
     memos = [
         (None, None) if r[1] is r[2] else ({}, {}) if r[0] != 2
-        else tuple((m, m) if sym else (m, {}) for m in ({}, {}))
-        for r, sym in zip(rules, symmetric)
+        else tuple((m, m) if r[5] else (m, {}) for m in ({}, {}))
+        for r in rules
     ]
     while heap:
         k, _, profile, build, args = heappop(heap)
-        if pending[profile] is _ACCEPTED:
+        held = pending[profile[0]]
+        if held[profile[1]] == _ACCEPTED:
             continue
-        pending[profile] = _ACCEPTED
-        bounds[profile[0]][profile[1]] = -1
+        held[profile[1]] = _ACCEPTED
         witness = args if build is None else build(args)
         items.append(Profile(values[profile[0]], values[profile[1]], witness))
         if keys is not None:
@@ -222,15 +208,14 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
             raise SaturationCapError(cap)
         if stop is not None and stop(values[profile[0]], values[profile[1]]):
             return items
-        newest = (*profile, k, witness)
-        rows.append(newest)
+        rows.append((*profile, k, witness))
         sizes.append(k[1])
         columns[0].append(profile[0])
+        columns[1].append(profile[1])
         distinct[0].add(profile[0])
         distinct[1].add(profile[1])
-        columns[1].append(profile[1])
-        for (arity, lift_left, lift_right, build, compose), (memo_left, memo_right), symmetric_rule in zip(
-            rules, memos, symmetric
+        for (arity, lift_left, lift_right, build, compose, commutative), (memo_left, memo_right) in zip(
+            rules, memos
         ):
             if arity == 1:
                 # The newest item is the one combination.
@@ -239,56 +224,51 @@ def least_witness_closure(seeds, rules, key, cap: int | None = None, keys=None, 
                 else:
                     left = lifted(lift_left, profile[:1], memo_left)
                     right = lifted(lift_right, profile[1:], memo_right)
-                offer((left, right), (k[0] + 1, k[1] + 1), (k,), build, compose, (witness,))
+                offer(left, right, (k[0] + 1, k[1] + 1), (k,), build, compose, (witness,))
             elif arity == 2:
-                # Combination i < n pairs the newest row with row i, the
-                # rest pair each older row with the newest.
-                older = len(rows) - 1
-                if memo_right is None:
-                    column = list(map(values.__getitem__, columns[0]))
-                    value = column[-1]
-                    pairs = zip(repeat(value), column)
-                    if not symmetric_rule:
-                        pairs = chain(pairs, zip(column[:older], repeat(value)))
-                    lefts = rights = list(map(intern, map(lift_left, pairs)))
-                else:
-                    lefts = lifted_row(lift_left, *memo_left, columns[0], distinct[0])
-                    rights = lifted_row(lift_right, *memo_right, columns[1], distinct[1])
-                    if not symmetric_rule:
-                        lefts += lifted_row(lift_left, *memo_left[::-1], columns[0], distinct[0], True)
-                        rights += lifted_row(lift_right, *memo_right[::-1], columns[1], distinct[1], True)
-                # Rows come in key order: none is deeper than the newest.
+                # Rows come in key order, so none is deeper than the newest:
+                # the newest with row i has depth k[0] + 1 and size
+                # k[1] + 1 + sizes[i].
                 depth, size = k[0] + 1, k[1] + 1
-                # Combination i can win only where its depth and size do
-                # not exceed the bound of its profile.
-                row_sizes = sizes if symmetric_rule else sizes + sizes[:older]
-                needs = map(add, row_sizes, repeat(depth * _SCALE + size))
-                held = map(dict.get, map(bounds.__getitem__, lefts), rights, repeat(_OPEN))
-                fresh = list(compress(count(), map(le, needs, held)))
-                if symmetric_rule:
-                    # Combination n + i lifts to combination i's profile.
-                    fresh += [i + older + 1 for i in fresh if i < older]
-                for i in fresh:
-                    j = i if i <= older else i - older - 1  # the row paired with the newest
-                    _, _, kb, wb = rows[j]
-                    c = j if symmetric_rule else i
-                    candidate = (lefts[c], rights[c])
-                    # A batch may offer a profile twice: compose checks the
-                    # depth and size against the key pending now.
-                    best = pending.get(candidate)
-                    composed = compose((k, kb) if i <= older else (kb, k), best)
-                    if composed is not None and (best is None or composed < best):
-                        pending[candidate] = composed
-                        bounds[candidate[0]][candidate[1]] = composed[0] * _SCALE + composed[1]
-                        args = (witness, wb) if i <= older else (wb, witness)
-                        heappush(heap, (composed, next(tick), candidate, build, args))
+                older = len(rows) - 1
+                for second in (False, True):
+                    if commutative and second:
+                        # (b, a) lifts to the profile of (a, b): offer the
+                        # first pass's survivors again, bar the newest twice.
+                        if fresh and fresh[-1] == older:
+                            fresh.pop()
+                    else:
+                        if memo_right is None:
+                            column = list(map(values.__getitem__, columns[0]))
+                            value = column[-1]
+                            pairs = zip(column[:older], repeat(value)) if second else zip(repeat(value), column)
+                            lefts = rights = list(map(intern, map(lift_left, pairs)))
+                        else:
+                            lefts = lifted_row(lift_left, memo_left, columns[0], distinct[0], second)
+                            rights = lifted_row(lift_right, memo_right, columns[1], distinct[1], second)
+                        # Keep the combinations whose depth and size do not
+                        # exceed their profile's pending key.
+                        needs = zip(repeat(depth), map(add, sizes, repeat(size)))
+                        bests = map(dict.get, map(pending.__getitem__, lefts), rights, repeat(_OPEN))
+                        fresh = list(compress(count(), map(le, needs, bests)))
+                    for i in fresh:
+                        _, _, kb, wb = rows[i]
+                        held = pending[lefts[i]]
+                        # A pass may offer a profile twice: compose checks the
+                        # depth and size against the key pending now.
+                        best = held.get(rights[i], _OPEN)
+                        composed = compose((kb, k) if second else (k, kb), best)
+                        if composed is not None and composed < best:
+                            held[rights[i]] = composed
+                            args = (wb, witness) if second else (witness, wb)
+                            heappush(heap, (composed, next(tick), (lefts[i], rights[i]), build, args))
             else:
                 for combo in _combinations(rows, arity):
                     left_ids, right_ids, arg_keys, args = zip(*combo)
                     left = lifted(lift_left, left_ids, memo_left)
                     right = left if memo_right is None else lifted(lift_right, right_ids, memo_right)
                     depth_size = 1 + max([a[0] for a in arg_keys]), 1 + sum([a[1] for a in arg_keys])
-                    offer((left, right), depth_size, arg_keys, build, compose, args)
+                    offer(left, right, depth_size, arg_keys, build, compose, args)
     return items
 
 

@@ -86,7 +86,7 @@ def _function_lift(algebra: Algebra, sym: str, arity: int):
     return lift
 
 
-def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP, stop=None) -> list[Profile]:
+def saturate_profiles(pair: AlgebraPair, k: int, cap: int | None = DEFAULT_CAP, stop=None) -> list[Profile]:
     """Least closed set of K-variable function pairs, minimal witnesses.
 
     Each side of a profile holds one value index per assignment over A^K
@@ -96,7 +96,7 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP, stop=No
     The theoretical profile space is doubly exponential, so feasibility is
     enforced as a runtime cap on the number of accepted profiles rather
     than a priori.  A K for which |A|^K or |B|^K exceeds the cap is
-    refused before its assignments are listed.
+    refused before its assignments are listed; ``cap=None`` sets no cap.
     """
     if k < 1:
         raise AlgebraError("K must be >= 1")
@@ -104,7 +104,7 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int = DEFAULT_CAP, stop=No
     sides = []
     for algebra in (pair.left, pair.right):
         n = len(algebra.carrier)
-        if n ** k > cap:
+        if cap is not None and n ** k > cap:
             raise SaturationCapError(cap, (
                 f"K = {k} needs {n}^{k} assignments over {algebra.name!r}, "
                 f"more than the cap of {cap}; lower K (--max-vars) or raise --cap"

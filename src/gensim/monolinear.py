@@ -67,7 +67,7 @@ def _plug_rules(pair: AlgebraPair, collect) -> list:
             for pos in range(arity):
                 left = plug(pair.left, sym, pos, lefts)
                 right = left if pair.right is pair.left else plug(pair.right, sym, pos, rights)
-                rules.append((1, left, right, *app_key(sym, sig, terms[:pos], terms[pos:])))
+                rules.append((1, left, right, *app_key(sym, sig, terms[:pos], terms[pos:]), False))
     return rules
 
 

@@ -170,7 +170,7 @@ class MonolinearEngine(Engine):
 
 
 class GeneralEngine(Engine):
-    def __init__(self, pair: AlgebraPair, k: int, cap: int, stop=None):
+    def __init__(self, pair: AlgebraPair, k: int, cap: int | None, stop=None):
         left_names, right_names = pair.left.carrier, pair.right.carrier
         # The first witness of each range pair is canonical: renumbering
         # its variables keeps its ranges and gives a key no larger.

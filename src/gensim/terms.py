@@ -317,7 +317,7 @@ def app_key(sym: str, signature: Signature, before=(), after=(), linear: bool = 
     ``build(args)`` makes the term from the arguments' witnesses, and
     ``compose(keys, bound)`` its ``witness_key`` from their keys: depth
     ``1 + max``, size ``1 + sum``, and the spellings after the operation's
-    own entry; or None when the depth and size already exceed ``bound``'s.
+    own entry; or None when that depth and size sort above the key ``bound``.
     """
     op_rank = _symbol_ranks(signature)[0]
     head = ((0, op_rank.get(sym, len(op_rank))),)
@@ -338,7 +338,7 @@ def app_key(sym: str, signature: Signature, before=(), after=(), linear: bool = 
     def compose(keys, bound=None):
         keys = keys_before + tuple(keys) + keys_after if before or after else keys
         depth, size = 1 + max([k[0] for k in keys]), 1 + sum([k[1] for k in keys])
-        if bound is not None and (depth, size) > bound[:2]:
+        if bound is not None and (depth, size) > bound:
             return None
         spelling, offset = head, 0
         for _, _, tail in keys:
@@ -359,7 +359,7 @@ def _binary_compose(head: tuple, linear: bool):
     def compose(keys, bound=None):
         (d1, s1, t1), (d2, s2, t2) = keys
         depth, size = 1 + (d1 if d1 > d2 else d2), 1 + s1 + s2
-        if bound is not None and (depth, size) > bound[:2]:
+        if bound is not None and (depth, size) > bound:
             return None
         if linear:
             offset = sum([tag == 2 for tag, _ in t1])

@@ -249,7 +249,7 @@ def reference_closure(seeds, rules, key, cap: int | None = None, keys=None) -> l
         for column, value in zip(columns, (*profile, (k, witness))):
             column.append(value)
         combos = {arity: list(_combinations(columns, arity)) for arity in arities}
-        for (arity, lift_left, lift_right, build, compose), memo in zip(rules, memos):
+        for (arity, lift_left, lift_right, build, compose, *_), memo in zip(rules, memos):
             for lefts, rights, parts in combos[arity]:
                 left = lifted(lift_left, lefts, memo and memo[0])
                 right = left if memo is None else lifted(lift_right, rights, memo[1])

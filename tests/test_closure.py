@@ -333,7 +333,7 @@ def test_semi_naive_lifts_each_combination_once():
     sig = make_algebra("S", ["x"], {"s": {("x", "x"): "x"}}).signature
     items = least_witness_closure(
         [(1, 1, Const("x"))],
-        [(2, lift(seen_left), lift(seen_right), *app_key("s", sig))],
+        [(2, lift(seen_left), lift(seen_right), *app_key("s", sig), False)],
         lambda t: witness_key(t, sig),
     )
     assert [left for left, _, _ in items] == [1, 2, 3]
@@ -400,10 +400,10 @@ def lift_calls(monkeypatch):
 
     def recording(seeds, rules, key, cap=None, keys=None, stop=None):
         wrapped = []
-        for arity, lift_left, lift_right, build, compose in rules:
+        for arity, lift_left, lift_right, build, compose, commutative in rules:
             left = counted(lift_left, "both" if lift_left is lift_right else "left")
             right = left if lift_left is lift_right else counted(lift_right, "right")
-            wrapped.append((arity, left, right, build, compose))
+            wrapped.append((arity, left, right, build, compose, commutative))
         return least_witness_closure(seeds, wrapped, key, cap, keys, stop)
 
     for module in CLOSURE_MODULES:
@@ -445,17 +445,16 @@ def test_commutative_lifts_lift_each_unordered_pair_once(engine, monkeypatch):
 
     def recording(pair, make, linear=False):
         rules = marking(pair, make, linear)
-        assert all(isinstance(lift, closure.Commutative) for rule in rules for lift in rule[1:3])
+        assert all(rule[5] for rule in rules)
 
         def counted(lift, side):
-            return closure.Commutative(lambda args: seen.append((side, frozenset(args))) or lift.lift(args))
+            return lambda args: seen.append((side, frozenset(args))) or lift(args)
 
         return [(arity, counted(left, "left"), counted(right, "right"), *rest)
                 for arity, left, right, *rest in rules]
 
     def unmarked(pair, make, linear=False):
-        return [(arity, left.lift, right.lift, *rest)
-                for arity, left, right, *rest in marking(pair, make, linear)]
+        return [(*rule[:5], False) for rule in marking(pair, make, linear)]
 
     for module in (linear, general):
         monkeypatch.setattr(module, "operation_rules", recording)
@@ -732,11 +731,11 @@ def test_an_operation_commutative_on_one_side_is_not_marked(label, pair, engine,
     not: neither side's lift is marked, and the closure is the reference
     loop's."""
     rules = closure.operation_rules(pair, linear._range_lift)
-    assert not any(isinstance(lift, closure.Commutative) for lift in rules[0][1:3])
+    assert not rules[0][5]
     KERNEL_ENGINES[engine](pair)
     assert closure_args
     for seeds, rules, key, cap in closure_args:
-        assert not any(isinstance(lift, closure.Commutative) for rule in rules for lift in rule[1:3])
+        assert not any(rule[5] for rule in rules)
         assert _outcome(least_witness_closure, seeds, rules, key, cap) == _outcome(
             reference_closure, seeds, rules, key, cap)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gensim.algebra import make_algebra, self_pair
-from gensim.general import SaturationCapError, _function_lift, exactness_label, saturate_profiles
+from gensim.general import DEFAULT_CAP, SaturationCapError, _function_lift, exactness_label, saturate_profiles
 from gensim.similarity import GeneralEngine
 from gensim.terms import parse_term, range_of_term, render_term, term_variables
 from oracles import brute_force_gen, brute_force_subset, reference_function_lift
@@ -85,6 +85,13 @@ def test_cap_bounds_assignments_and_profiles():
     assert len(saturate_profiles(pair, 2, cap=16)) == 16
 
 
+def test_no_cap_is_no_bound(powerset3):
+    # As in every other closure entry point, cap=None bounds nothing.
+    pair = self_pair(powerset3)
+    assert saturate_profiles(pair, 2, None) == saturate_profiles(pair, 2, DEFAULT_CAP)
+    assert GeneralEngine(pair, 2, None).classes() == GeneralEngine(pair, 2, DEFAULT_CAP).classes()
+
+
 def test_brute_force_gen_chain(chain5):
     gens = brute_force_gen(chain5, "b", max_depth=3, max_vars=1)
     assert [render_term(t) for t in gens] == ["z1", "f(z1)"]
@@ -149,3 +156,16 @@ def test_kernels_match_the_reference_lift(n, arity, data):
     size = data.draw(st.integers(1, 300), label="assignments")
     values = st.lists(st.integers(0, n - 1), min_size=size, max_size=size)
     assert_lifts_agree(*lifts, n, [data.draw(values, label=f"function {i}") for i in range(arity)])
+
+
+@pytest.mark.parametrize("n", [n for n, arity in KERNEL_SIZES if arity == 2 and n <= 16])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_row_lifts_match_the_lift(n, data):
+    """The one-part binary kernel's ``row(f, gs)``, which the closure calls
+    for a memo row by first argument, lists ``lift((f, g))`` for each g."""
+    lift = checked_lifts(n, 2, data.draw(st.integers(0, 2), label="table"))[0]
+    size = data.draw(st.integers(1, 300), label="assignments")
+    function = st.lists(st.integers(0, n - 1), min_size=size, max_size=size).map(bytes)
+    f, gs = data.draw(function, label="f"), data.draw(st.lists(function, max_size=6), label="gs")
+    assert lift.row(f, gs) == [lift((f, g)) for g in gs]

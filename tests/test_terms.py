@@ -342,19 +342,27 @@ def rule_cases():
 
 
 def test_rule_terms_and_keys_come_from_one_description():
+    cases = [(kind, pos, rule, args) for kind, pos, rule, arg_tuples in rule_cases() for args in arg_tuples]
+    # A closure bounds compose by whole pending keys: the witness keys of
+    # every term the rules build, many of which share a composed key's
+    # depth and size with a smaller or a larger spelling.
     bounds = [(depth, size, ()) for depth in range(1, 6) for size in (2, 4, 7, 12, 30)]
-    for kind, pos, (build, compose), arg_tuples in rule_cases():
-        for args in arg_tuples:
-            keys = [witness_key(w, SIG_RULES) for w in args]
-            term, key = build(args), compose(keys)
-            assert key == witness_key(term, SIG_RULES), (kind, args)
-            for bound in bounds:
-                assert compose(keys, bound) == (None if key[:2] > bound[:2] else key)
-            if kind == "linear":
-                assert term == canonicalize(term) and classify_fragment(term) != "general"
-            else:
-                # The term holds its arguments' witnesses, not copies.
-                assert all(map(operator.is_, term.args[pos:pos + len(args)], args))
+    bounds += sorted({witness_key(build(args), SIG_RULES) for _, _, (build, _), args in cases})
+    tied = 0
+    for kind, pos, (build, compose), args in cases:
+        keys = [witness_key(w, SIG_RULES) for w in args]
+        term, key = build(args), compose(keys)
+        assert key == witness_key(term, SIG_RULES), (kind, args)
+        for bound in bounds:
+            assert compose(keys, bound) == (None if key[:2] > bound[:2] else key)
+        tied += {bound < key for bound in bounds if bound[:2] == key[:2] and bound != key} == {True, False}
+        if kind == "linear":
+            assert term == canonicalize(term) and classify_fragment(term) != "general"
+        else:
+            # The term holds its arguments' witnesses, not copies.
+            assert all(map(operator.is_, term.args[pos:pos + len(args)], args))
+    # Most composed keys meet bounds of their depth and size on both sides.
+    assert tied > len(cases) // 2
 
 
 def test_deep_terms_render_and_key():
