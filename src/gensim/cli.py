@@ -11,7 +11,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 
 from . import automata
 from .algebra import Algebra, AlgebraError, parse_algebra, self_pair, validate_pair
@@ -98,7 +98,13 @@ def _template(keys: tuple, depth: int) -> str:
 def render_json(payload) -> str:
     """The JSON text of ``payload``: byte for byte what ``json.dumps``
     writes with ``indent=2``.  Values are dicts with str keys, lists,
-    tuples, str, int, bool and None; any other type raises TypeError.
+    tuples, str, int, bool and None; any other type raises TypeError."""
+    return _json_texts((payload,), 0)[0]
+
+
+def _json_texts(values, depth: int) -> tuple:
+    """The texts of ``values`` that ``render_json`` writes for them at
+    ``depth`` (0 for the whole payload), all in one call.
 
     Each value's text is memoized per call and per depth by ``id``: the
     payload keeps every value alive for the call, so one id names one
@@ -156,11 +162,43 @@ def render_json(payload) -> str:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
     try:
-        return texts((payload,), 0)[0]
+        return texts(values, depth)
     finally:
         # The closures refer to each other: emptying their cells frees
         # them and the memos on return, not at the next cyclic GC.
         del texts, encode
+
+
+def write_matrix_json(matrix, write) -> None:
+    """Write ``json.dumps(matrix.to_dict(), indent=2)`` and a newline, a
+    row of cells per ``write``, building no cell dict and never the whole
+    text.  Each distinct verdict (by ``id``) is encoded once, all in one
+    ``_json_texts`` call at the cells' depth, its term rendered once.  A
+    row joins, per cell, its separator and the texts of its names and
+    verdicts, each followed by the cell template up to the next value.
+    """
+    maps = (matrix.leq, matrix.geq, matrix.approx)
+    verdicts = {id(v): v for m in maps for v in m.values()}
+    terms: dict = {}
+    texts = _json_texts([v.to_dict(terms) for v in verdicts.values()], 3)
+    start, after_a, after_b, *after = _template(("a", "b", "leq", "geq", "approx"), 2).split("%s")
+    leq, geq, approx = [
+        map(dict(zip(verdicts, [t + rest for t in texts])).__getitem__, map(id, m.values()))
+        for m, rest in zip(maps, after)
+    ]
+    n = len(matrix.cols)
+    cols = [_quote(b) + after_b for b in matrix.cols]
+    head = render_json({
+        "left": matrix.pair.left.name, "right": matrix.pair.right.name,
+        "rows": list(matrix.rows), "cols": list(matrix.cols), "cells": [],
+    })
+    write(head[:-len("[]\n}")] + "[")  # an Algebra's carrier is never empty
+    for i, a in enumerate(matrix.rows):
+        prefix = ",\n    " + start + _quote(a) + after_a
+        cells = zip(repeat(prefix, n), cols, islice(leq, n), islice(geq, n), islice(approx, n))
+        row = "".join(chain.from_iterable(cells))
+        write(row if i else row[1:])  # the first cell has no comma before it
+    write("\n  ]\n}\n")
 
 
 def _emit(args, payload, text) -> None:
@@ -199,7 +237,10 @@ def cmd_check(args) -> int:
 def cmd_matrix(args) -> int:
     pair, config = _query(args)
     matrix = similarity_matrix(pair, config)
-    _emit(args, matrix.to_dict, matrix.render_text)
+    if args.format == "json":
+        write_matrix_json(matrix, sys.stdout.write)
+    else:
+        print(matrix.render_text(), end="")
     return 0
 
 

@@ -55,8 +55,7 @@ class SaturationCapError(AlgebraError):
     def __init__(self, cap: int, message: str | None = None):
         self.cap = cap
         super().__init__(message or (
-            f"profile saturation exceeded the cap of {cap} profiles; "
-            "raise the cap, or lower K for the general engine"
+            f"profile saturation exceeded the cap of {cap} profiles; raise --cap"
         ))
 
 

@@ -163,12 +163,27 @@ def test_settled_query_answers_within_the_cap(capsys, relation):
 @pytest.mark.parametrize("argv", [
     ("check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b",
      "--fragment", "linear", "--cap", "1"),
+    ("check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b",
+     "--fragment", "monolinear", "--cap", "1"),
     ("clone", "--algebra", fixture_path("chain5.alg"), "--cap", "1"),
 ])
 def test_cap_bounds_linear_and_clone(capsys, argv):
+    """These closures have no K, so the error names only the cap."""
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "error:" in err and "cap of 1 " in err
+    assert err == "error: profile saturation exceeded the cap of 1 profiles; raise --cap\n"
+
+
+def test_cap_error_names_k_for_the_general_engine(capsys):
+    code, _, err = run(
+        capsys, "check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b",
+        "--fragment", "general", "--max-vars", "2", "--cap", "10",
+    )
+    assert code == 2
+    assert err == (
+        "error: K = 2 needs 5^2 assignments over 'Chain5', "
+        "more than the cap of 10; lower K (--max-vars) or raise --cap\n"
+    )
 
 
 @pytest.mark.parametrize("argv", [
@@ -515,12 +530,17 @@ def test_fragment_notice_on_stderr(capsys):
     assert err == ""  # unary signature: exact engine, no notice
 
 
-@pytest.mark.parametrize("fmt,unused", [("json", "render_text"), ("text", "to_dict")])
+@pytest.mark.parametrize("fmt,unused", [
+    ("json", ("render_text", "to_dict")), ("text", ("to_dict",)),
+])
 def test_matrix_builds_only_the_printed_output(capsys, monkeypatch, fmt, unused):
-    def refuse(self):
-        raise AssertionError(f"{unused} built under --format {fmt}")
+    """``--format json`` writes the report from the verdicts themselves:
+    the dict form is built by neither output."""
+    for name in unused:
+        def refuse(self, name=name):
+            raise AssertionError(f"{name} built under --format {fmt}")
 
-    monkeypatch.setattr(SimilarityMatrix, unused, refuse)
+        monkeypatch.setattr(SimilarityMatrix, name, refuse)
     code, out, _ = run(capsys, "matrix", "--left", fixture_path("chain5.alg"), "--format", fmt)
     assert code == 0 and "a" in out
 

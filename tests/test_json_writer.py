@@ -1,21 +1,25 @@
-"""The CLI's JSON writer against ``json.dumps(payload, indent=2)``.
+"""The CLI's JSON writers against ``json.dumps(payload, indent=2)``.
 
-Every JSON report of the CLI goes through ``cli.render_json``.  The
-reference is ``json.dumps(payload, indent=2)``, the encoder the reports
-were written with before; the writer must give the same bytes on every
-payload, shared dicts included.
+Every JSON report of the CLI but ``matrix`` goes through
+``cli.render_json``; ``matrix`` writes its report a row at a time with
+``cli.write_matrix_json``.  The reference is ``json.dumps(payload,
+indent=2)``, the encoder the reports were written with before, on
+``SimilarityMatrix.to_dict()`` for a matrix; the writers must give the
+same bytes on every payload, shared dicts included.
 """
 
 import gc
 import json
 import random
+import re
+import tracemalloc
 from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gensim import cli, verdict
-from gensim.algebra import Algebra, Signature, render_algebra, self_pair, validate_pair
+from gensim.algebra import Algebra, Signature, make_algebra, render_algebra, self_pair, validate_pair
 from gensim.morphism import random_monounary_algebra
 from gensim.similarity import QueryConfig, similarity_matrix
 from gensim.terms import render_term
@@ -55,30 +59,69 @@ def matrix_payload(matrix):
     return payload
 
 
+def matrix_json(matrix) -> str:
+    """What ``write_matrix_json`` writes, checked against json.dumps."""
+    pieces = []
+    cli.write_matrix_json(matrix, pieces.append)
+    text = "".join(pieces)
+    assert text == json.dumps(matrix_payload(matrix), indent=2) + "\n"
+    return text
+
+
 @pytest.fixture
 def recorded(monkeypatch, capsys):
-    """Run the CLI, check each payload it wrote against json.dumps and
-    the printed text against what the writer returned."""
-    calls = []
-    writer = cli.render_json
+    """Run the CLI and check what it printed: for ``matrix``, the
+    json.dumps text of the one matrix it wrote; otherwise the text that
+    its one ``render_json`` call returned, checked against json.dumps."""
+    calls, matrices = [], []
+    writer, matrix_writer = cli.render_json, cli.write_matrix_json
 
     def recording(payload):
         text = writer(payload)
         calls.append((payload, text))
         return text
 
+    def recording_matrix(matrix, write):
+        matrices.append(matrix)
+        matrix_writer(matrix, write)
+
     monkeypatch.setattr(cli, "render_json", recording)
+    monkeypatch.setattr(cli, "write_matrix_json", recording_matrix)
 
     def run(*argv):
         calls.clear()
+        matrices.clear()
         code = cli.main([*argv, "--format", "json"])
         out = capsys.readouterr().out
         assert code in (0, 1), argv
-        assert len(calls) == 1, argv
+        if argv[0] == "matrix":
+            assert len(matrices) == 1, argv
+            payload = matrix_payload(matrices[0])
+            assert out == json.dumps(payload, indent=2) + "\n", argv
+            return payload
+        assert (len(calls), matrices) == (1, []), argv
         payload, text = calls[0]
         assert text == json.dumps(payload, indent=2), argv
         assert out == text + "\n", argv
         return payload
+
+    return run
+
+
+@pytest.fixture
+def cli_matrix(capsys, tmp_path):
+    """The stdout of ``gensim matrix --format json`` on a pair, its
+    algebras written to files (``--right`` only for a cross pair)."""
+
+    def run(pair, *options):
+        argv = ["matrix", *options, "--format", "json"]
+        for side, algebra in (("--left", pair.left), ("--right", pair.right)):
+            if side == "--left" or pair.right is not pair.left:
+                path = tmp_path / f"{side[2:]}.alg"
+                path.write_text(render_algebra(algebra), encoding="utf-8")
+                argv += [side, str(path)]
+        assert cli.main(argv) == 0
+        return capsys.readouterr().out
 
     return run
 
@@ -141,26 +184,49 @@ def test_escaped_element_names(recorded, tmp_path):
     recorded("clone", "--algebra", str(alg))
 
 
+def test_template_markers_and_null_as_names(recorded, tmp_path):
+    """Names that read as ``%`` template markers or as a JSON literal, in
+    names, constants and certificates; and a one-element carrier."""
+    alg = tmp_path / "marks.alg"
+    alg.write_text(
+        "algebra P%s\nelements % a%sb null %%\nconstants null\nop f/1\n"
+        "  % -> a%sb\n  a%sb -> null\n  null -> null\n  %% -> %%\nend\n",
+        encoding="utf-8",
+    )
+    payload = recorded("matrix", "--left", str(alg))
+    assert payload["rows"] == ["%", "a%sb", "null", "%%"]
+    assert any(not cell["leq"]["holds"] for cell in payload["cells"])
+    one = tmp_path / "one.alg"
+    one.write_text("algebra One\nelements x\nconstants none\nop f/1\n  x -> x\nend\n")
+    assert len(recorded("matrix", "--left", str(one))["cells"]) == 1
+
+
 @pytest.mark.parametrize("seed", range(3))
-def test_random_one_op_matrices(seed):
+def test_random_one_op_matrices(seed, cli_matrix):
     left = random_monounary_algebra(random.Random(seed), 40, 1)
     right = random_monounary_algebra(random.Random(seed + 100), 40, 1)
     for pair in (self_pair(left), validate_pair(left, right)):
-        payload = matrix_payload(similarity_matrix(pair))
+        matrix = similarity_matrix(pair)
+        payload = matrix_payload(matrix)
         assert_matches_dumps(payload)
+        assert cli_matrix(pair) == matrix_json(matrix)
         # one dict per distinct verdict, shared by the cells that repeat it
         verdicts = [cell[k] for cell in payload["cells"] for k in ("leq", "geq", "approx")]
         assert len({id(v) for v in verdicts}) == len({json.dumps(v) for v in verdicts})
 
 
-def test_matrix_report_renders_each_evidence_term_once(monkeypatch):
+@pytest.mark.parametrize("report", [
+    lambda matrix: matrix.to_dict(),
+    lambda matrix: cli.write_matrix_json(matrix, len),
+], ids=["to_dict", "write_matrix_json"])
+def test_matrix_report_renders_each_evidence_term_once(monkeypatch, report):
     # A failing <~ verdict and its ~~ restatement share one term.
     rendered = []
     monkeypatch.setattr(verdict, "render_term", lambda term: rendered.append(term) or render_term(term))
     left = random_monounary_algebra(random.Random(0), 40, 1)
     right = random_monounary_algebra(random.Random(100), 40, 1)
     matrix = similarity_matrix(validate_pair(left, right))
-    matrix.to_dict()
+    report(matrix)
     terms = {
         id(v.certificate.term)
         for verdicts in (matrix.leq, matrix.geq, matrix.approx)
@@ -177,14 +243,56 @@ def with_constants(algebra, constants):
 
 
 @pytest.mark.parametrize("fragment", ["unary", "linear"])
-def test_two_op_cross_pairs_with_constants(fragment):
+def test_two_op_cross_pairs_with_constants(fragment, cli_matrix):
     for seed in range(5):
         left = with_constants(random_monounary_algebra(random.Random(seed), 8, 2), ("e0", "e3"))
         right = with_constants(
             random_monounary_algebra(random.Random(seed + 100), 8, 2, name="S"), ("e0", "e3")
         )
-        matrix = similarity_matrix(validate_pair(left, right), QueryConfig(fragment=fragment))
+        pair = validate_pair(left, right)
+        matrix = similarity_matrix(pair, QueryConfig(fragment=fragment))
         assert_matches_dumps(matrix_payload(matrix))
+        assert cli_matrix(pair, "--fragment", fragment) == matrix_json(matrix)
+
+
+@pytest.fixture(scope="module")
+def chain200():
+    """The matrix of the chain e0 -> e1 -> ... -> e199, a sink: 40 MB of JSON."""
+    carrier = [f"e{i}" for i in range(200)]
+    table = {(e,): carrier[min(i + 1, 199)] for i, e in enumerate(carrier)}
+    return similarity_matrix(self_pair(make_algebra("Chain", carrier, {"f": table})))
+
+
+def test_matrix_is_written_a_row_at_a_time(chain200):
+    """More than one piece, none longer than a row of cells plus the
+    head or the tail."""
+    pieces = []
+    cli.write_matrix_json(chain200, pieces.append)
+    text = "".join(pieces)
+    assert text == cli.render_json(chain200.to_dict()) + "\n"
+    # Each cell starts a line indented by four spaces; the lines inside a
+    # cell are indented deeper, the head's and the tail's less.
+    starts = [m.start() for m in re.finditer("\n    {", text)]
+    head, tail = starts[0], len(text) - text.rindex("\n  ]")
+    n = len(chain200.cols)
+    starts.append(len(text) - tail)
+    row = max(starts[i + n] - starts[i] for i in range(0, n * n, n))
+    assert len(pieces) > 1
+    assert max(map(len, pieces)) <= row + max(head, tail)
+
+
+def test_matrix_writer_holds_little_of_the_report(chain200):
+    """The report is never held whole: the peak of what the writer
+    allocates stays under a quarter of the text it writes."""
+    written = []
+    cli.write_matrix_json(chain200, lambda piece: written.append(len(piece)))
+    tracemalloc.start()
+    try:
+        cli.write_matrix_json(chain200, len)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < sum(written) / 4
 
 
 def test_shared_dict_at_two_depths():
@@ -212,11 +320,14 @@ def test_unsupported_values_raise():
 
 def test_writer_leaves_nothing_for_the_cyclic_gc():
     """One call frees its pieces and its memo on return."""
-    payload = similarity_matrix(self_pair(random_monounary_algebra(random.Random(3), 40))).to_dict()
+    matrix = similarity_matrix(self_pair(random_monounary_algebra(random.Random(3), 40)))
+    payload = matrix.to_dict()
     gc.collect()
     gc.disable()
     try:
         cli.render_json(payload)
+        assert gc.collect() == 0
+        cli.write_matrix_json(matrix, len)
         assert gc.collect() == 0
     finally:
         gc.enable()
