@@ -122,10 +122,9 @@ def _json_texts(values, depth: int) -> tuple:
             memos.append({})
         memo = memos[depth]
         ids = [*map(id, values)]
-        try:
-            return tuple(map(memo.__getitem__, ids))
-        except KeyError:
-            pass
+        found = tuple(map(memo.get, ids))
+        if None not in found:
+            return found
         for key, v in dict(zip(ids, values)).items():
             if key not in memo:
                 memo[key] = (
@@ -172,19 +171,19 @@ def _json_texts(values, depth: int) -> tuple:
 def write_matrix_json(matrix, write) -> None:
     """Write ``json.dumps(matrix.to_dict(), indent=2)`` and a newline, a
     row of cells per ``write``, building no cell dict and never the whole
-    text.  Each distinct verdict (by ``id``) is encoded once, all in one
-    ``_json_texts`` call at the cells' depth, its term rendered once.  A
-    row joins, per cell, its separator and the texts of its names and
+    text.  Each of ``matrix.distinct_verdicts()`` is encoded once, all in
+    one ``_json_texts`` call at the cells' depth, its term rendered once.
+    A row joins, per cell, its separator and the texts of its names and
     verdicts, each followed by the cell template up to the next value.
     """
-    maps = (matrix.leq, matrix.geq, matrix.approx)
-    verdicts = {id(v): v for m in maps for v in m.values()}
+    verdicts = matrix.distinct_verdicts()
     terms: dict = {}
-    texts = _json_texts([v.to_dict(terms) for v in verdicts.values()], 3)
+    texts = _json_texts([v.to_dict(terms) for v in verdicts], 3)
+    ids = [*map(id, verdicts)]
     start, after_a, after_b, *after = _template(("a", "b", "leq", "geq", "approx"), 2).split("%s")
     leq, geq, approx = [
-        map(dict(zip(verdicts, [t + rest for t in texts])).__getitem__, map(id, m.values()))
-        for m, rest in zip(maps, after)
+        map(dict(zip(ids, [t + rest for t in texts])).__getitem__, map(id, m.values()))
+        for m, rest in zip((matrix.leq, matrix.geq, matrix.approx), after)
     ]
     n = len(matrix.cols)
     cols = [_quote(b) + after_b for b in matrix.cols]

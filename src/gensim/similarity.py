@@ -9,6 +9,7 @@ applies to b itself.  ``a ~~ b`` is the conjunction of both directions.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import chain, combinations
 from typing import Iterator
 
@@ -90,8 +91,7 @@ class Engine:
     @staticmethod
     def competitors(carrier, a: str, b: str) -> Iterator[str]:
         """The admissible competitors b' of (a, b) in the right ``carrier``,
-        in order: every element except b, and except a when a names one.
-        Lazy, so that a failing scan stops at its dominating element."""
+        in order: every element except b, and except a when a names one."""
         return (e for e in carrier if e != b and e != a)
 
     def subset(self, a: str, b: str, b_prime: str) -> tuple[bool, Term | None]:
@@ -104,31 +104,48 @@ class Engine:
         return (False, self._first(rest)) if rest else (True, None)
 
     def verdict(self, a: str, b: str) -> Verdict:
-        """The shared verdict of a <~ b, memoized per ``a`` and Gen(a,b):
-        for a fixed ``a`` the competitors of different b differ only in b,
-        which never strictly contains its own set.  It fails at the first
-        competitor b' whose Gen(a,b') strictly contains Gen(a,b), with the
-        first row of the difference.  An unknown name misses the row dicts
-        and raises ``AlgebraError``."""
+        """The shared verdict of a <~ b: it fails at the first competitor
+        b' whose Gen(a,b') strictly contains Gen(a,b), with the first row
+        of the difference.  The first call for ``a`` decides its row in one
+        sweep, memoized per Gen(a,b), as b never strictly contains its own
+        set.  An unknown name misses the dicts and raises ``AlgebraError``."""
         try:
-            left = self._left[a]
-            mask = left & self._right[b]
-            return self._verdicts[a][mask]
+            return self._verdicts[a][self._left[a] & self._right[b]]
         except KeyError:
             self.pair.left.require_element(a)
             self.pair.right.require_element(b)
-        found = self._holds
-        for b_prime in self.competitors(self.pair.right.carrier, a, b):
-            other = left & self._right[b_prime]
-            if other != mask and mask & ~other == 0:
-                term = self._first(other & ~mask)
-                cert = Certificate(DOMINATING_ELEMENT, term, b_prime)
-                found = self._failing.setdefault(
-                    (b_prime, id(term)), Verdict(False, cert, self.label)
-                )
-                break
-        self._verdicts.setdefault(a, {})[mask] = found
-        return found
+        carrier = self.pair.right.carrier
+        others = [*map(self._left[a].__and__, map(self._right.__getitem__, carrier))]
+        row = dict.fromkeys(others, self._holds)
+        # Each distinct competitor mask, in carrier order, takes the masks
+        # it contains from the levels (by bit count) below its own.
+        levels: dict = {}
+        for mask in row:
+            levels.setdefault(mask.bit_count(), []).append(mask)
+        counts = sorted(levels)
+        walked = set()
+        for b_prime, other in zip(carrier, others):
+            if b_prime == a or other in walked:
+                continue
+            walked.add(other)
+            outside = ~other
+            for i in range(bisect_left(counts, other.bit_count()) - 1, -1, -1):
+                level = levels[counts[i]]
+                if all(map(outside.__and__, level)):
+                    continue
+                for mask in level:
+                    if not mask & outside:
+                        term = self._first(other & ~mask)
+                        found = self._failing.get((b_prime, id(term)))
+                        if found is None:
+                            cert = Certificate(DOMINATING_ELEMENT, term, b_prime)
+                            found = self._failing[b_prime, id(term)] = Verdict(False, cert, self.label)
+                        row[mask] = found
+                level[:] = [mask for mask in level if mask & outside]
+                if not level:
+                    del counts[i]  # i counts down, so the rest stay in place
+        self._verdicts[a] = row
+        return row[self._left[a] & self._right[b]]
 
     def approx_failure(self, failing: Verdict) -> Verdict:
         """``failing``, a failing verdict of this engine, restated for
@@ -319,21 +336,26 @@ class SimilarityMatrix(Record):
     of b <~ a (on the swapped pair) and of a ~~ b; all three hold the
     cells in one order, row by row."""
 
-    __slots__ = ("pair", "rows", "cols", "leq", "geq", "approx")
+    __slots__ = ("pair", "rows", "cols", "leq", "geq", "approx", "_distinct")
+
+    def distinct_verdicts(self) -> list[Verdict]:
+        """Each verdict of the cells once, maybe with others."""
+        try:
+            return self._distinct
+        except AttributeError:  # built or copied another way
+            cells = chain(self.leq.values(), self.geq.values(), self.approx.values())
+            return [*{id(v): v for v in cells}.values()]
 
     def to_dict(self) -> dict:
         """The report, its cells built in one pass over the three maps.
         Equal verdicts share one dict, built once per verdict object, so
         the JSON writer encodes each distinct verdict once."""
-        maps = (self.leq, self.geq, self.approx)
-        ids = [list(map(id, m.values())) for m in maps]
-        dicts = dict(zip(chain(*ids), chain(*[m.values() for m in maps])))
-        by_text: dict = {}
-        texts: dict = {}
-        for key, verdict in dicts.items():
+        dicts, by_text, texts = {}, {}, {}
+        for verdict in self.distinct_verdicts():
             out = verdict.to_dict(texts)
-            dicts[key] = by_text.setdefault(repr(out), out)
-        leq, geq, approx = [map(dicts.__getitem__, column) for column in ids]
+            dicts[id(verdict)] = by_text.setdefault(repr(out), out)
+        maps = (self.leq, self.geq, self.approx)
+        leq, geq, approx = [map(dicts.__getitem__, map(id, m.values())) for m in maps]
         return {
             "left": self.pair.left.name,
             "right": self.pair.right.name,
@@ -372,9 +394,12 @@ def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> S
                 engine.approx_failure(x) if not x.holds
                 else reverse.approx_failure(y) if not y.holds else x
             )
-    return SimilarityMatrix(
-        pair, pair.left.carrier, pair.right.carrier, leq, geq, approx
-    )
+    matrix = SimilarityMatrix(pair, pair.left.carrier, pair.right.carrier, leq, geq, approx)
+    matrix._distinct = [  # every verdict that the engines handed out
+        v for e in dict.fromkeys((engine, reverse))
+        for v in (e._holds, *e._failing.values(), *e._restated.values())
+    ]
+    return matrix
 
 
 def find_characteristic_set(

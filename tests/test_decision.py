@@ -1,4 +1,4 @@
-"""Differential check of the memoized dominator scan behind ``decide_leq``.
+"""Differential check of the row sweep behind ``decide_leq``.
 
 The reference is the per-competitor loop ``decide_leq`` ran before the
 engines kept a bitmask index: for each admissible b' in right-carrier order,
@@ -149,3 +149,80 @@ def test_m_decide_leq_matches_scan():
             for b in pair.right.carrier:
                 verdict = decide_leq(pair, a, b, engine=engine)
                 assert outcome(verdict) == scan_decide_leq(engine, a, b), (a, b)
+
+
+def chain_algebra(n, names=None, carrier=None, name="Chain"):
+    """The chain f(x_i) = x_(i+1) over ``names`` (e0, e1, ... by default),
+    its last element a sink, declared in ``carrier`` order (default
+    ``names``)."""
+    names = names or [f"e{i}" for i in range(n)]
+    table = {(x,): names[min(i + 1, n - 1)] for i, x in enumerate(names)}
+    return make_algebra(name, carrier or names, {"f": table})
+
+
+def shared_name_copy(n, seed=0):
+    """The n-chain relabelled at random: every other name is one of
+    ``chain_algebra(n)``'s, at another place, and the carrier is declared
+    in name order."""
+    names = [f"e{i}" if i % 2 else f"r{i}" for i in range(n)]
+    random.Random(seed).shuffle(names)
+    return chain_algebra(n, names, sorted(names), name="Copy")
+
+
+def chain_pairs(n):
+    chain, copy = chain_algebra(n), shared_name_copy(n, n)
+    return [self_pair(chain), validate_pair(chain, copy), validate_pair(copy, chain)]
+
+
+def excluded_dominators(engine):
+    """The cells (a, b) whose scan would stop at b' = a if a were not
+    excluded: a names a right element, before any dominator the scan
+    finds, whose shared set with a strictly contains Gen(a,b)."""
+    pair = engine.pair
+    order = {e: i for i, e in enumerate(pair.right.carrier)}
+    cells = []
+    for a in [a for a in pair.left.carrier if a in order]:
+        for b in pair.right.carrier:
+            if b == a:
+                continue
+            holds, element, _ = scan_decide_leq(engine, a, b)
+            if holds or order[a] < order[element]:
+                if engine.subset(a, b, a)[0] and not engine.subset(a, a, b)[0]:
+                    cells.append((a, b))
+    return cells
+
+
+@pytest.mark.parametrize("n", [50, 120])
+def test_chains_match_scan(n):
+    """Every first dominator on a chain sits further in for each b, and on
+    the relabelled pairs some cells are decided by the exclusion of a."""
+    for pair in chain_pairs(n):
+        assert_same_as_scan(pair, QueryConfig())
+        if pair.left is not pair.right:
+            assert excluded_dominators(build_engine(pair)), pair.right.name
+
+
+@pytest.mark.parametrize("fragment", ["unary", "linear", "monolinear", "general"])
+def test_row_of_ties(fragment):
+    """Row y of the sink algebra: Gen(y,b) is {z1} for every b, so every
+    competitor ties and every verdict of the row holds."""
+    pair = self_pair(sink_algebra())
+    engine = build_engine(pair, QueryConfig(fragment=fragment, max_vars=1))
+    carrier = pair.right.carrier
+    assert all(engine.subset("y", b, c)[0] for b in carrier for c in carrier)
+    for b in carrier:
+        verdict = decide_leq(pair, "y", b, engine=engine)
+        assert outcome(verdict) == scan_decide_leq(engine, "y", b) == (True, None, None)
+
+
+def test_one_shot_chains_match_scan():
+    """``decide_leq`` without an engine, on a sample of the n = 50 chain
+    cells: whole rows at both ends and in the middle, and random cells."""
+    rng = random.Random(50)
+    for pair in chain_pairs(50):
+        engine = build_engine(pair)
+        rows, cols = pair.left.carrier, pair.right.carrier
+        cells = [(a, b) for a in (rows[0], rows[25], rows[-1]) for b in cols]
+        cells += [(rng.choice(rows), rng.choice(cols)) for _ in range(40)]
+        for a, b in cells:
+            assert outcome(decide_leq(pair, a, b)) == scan_decide_leq(engine, a, b), (a, b)

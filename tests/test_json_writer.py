@@ -8,6 +8,7 @@ indent=2)``, the encoder the reports were written with before, on
 same bytes on every payload, shared dicts included.
 """
 
+import copy
 import gc
 import json
 import random
@@ -24,6 +25,7 @@ from gensim.morphism import random_monounary_algebra
 from gensim.similarity import QueryConfig, similarity_matrix
 from gensim.terms import render_term
 from oracles import relabeled_copy, render_map
+from test_decision import chain_pairs
 
 FIXTURES = [
     "chain5.alg", "chain4_a.alg", "chain4_b.alg", "nat_sink7.alg",
@@ -253,6 +255,20 @@ def test_two_op_cross_pairs_with_constants(fragment, cli_matrix):
         matrix = similarity_matrix(pair, QueryConfig(fragment=fragment))
         assert_matches_dumps(matrix_payload(matrix))
         assert cli_matrix(pair, "--fragment", fragment) == matrix_json(matrix)
+
+
+def test_chain_matrices(cli_matrix):
+    """The n = 50 chain, and its cross pair with a relabelled copy: that
+    pair's reverse engine is another engine, so the writer encodes the
+    verdicts of two engines.  A copy of the matrix, which lacks the
+    engines' lists, is written from its cells."""
+    for pair in chain_pairs(50)[:2]:
+        matrix = similarity_matrix(pair)
+        text = json.dumps(matrix.to_dict(), indent=2) + "\n"
+        assert cli_matrix(pair) == matrix_json(matrix) == text
+        assert matrix_json(copy.copy(matrix)) == text
+    leq, geq = ({id(v) for v in m.values()} for m in (matrix.leq, matrix.geq))
+    assert leq and geq and not leq & geq
 
 
 @pytest.fixture(scope="module")

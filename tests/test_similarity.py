@@ -451,3 +451,24 @@ def test_one_verdict_object_per_outcome(cross, n_ops, size):
     if not cross:
         # one engine decides both directions of a self pair
         assert_one_object_per_outcome([*matrix.leq.values(), *matrix.geq.values()])
+
+
+@pytest.mark.parametrize("n_ops,size,cross", [(1, 40, False), (1, 40, True), (2, 12, True)])
+def test_each_verdict_built_once(monkeypatch, n_ops, size, cross):
+    """``similarity_matrix`` builds a verdict or a certificate only for an
+    object it hands out: at most the distinct verdicts of the three maps,
+    and one holding verdict per engine."""
+    built = {Verdict: 0, Certificate: 0}
+    for cls in built:
+        def counting(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    for seed in range(2):
+        built.update(dict.fromkeys(built, 0))
+        matrix = similarity_matrix(random_pair(n_ops, size, seed, cross))
+        cells = [*matrix.leq.values(), *matrix.geq.values(), *matrix.approx.values()]
+        distinct = {id(v): v for v in cells}.values()
+        assert built[Verdict] <= len(distinct) + (2 if cross else 1)
+        assert built[Certificate] <= sum(v.certificate is not None for v in distinct)
