@@ -181,15 +181,16 @@ def dfa_subset(x: GenDfa, y: GenDfa) -> tuple[bool, Term | None]:
 
 def export_dot(dfa: GenDfa) -> str:
     """Graphviz rendering: start arrow, doublecircle finals, labelled edges;
-    state ``i`` is named ``qi``."""
+    state ``i`` is named ``qi``.  A label escapes ``\\`` and ``"``."""
     lines = ["digraph gendfa {", "  rankdir=LR;", "  __start [shape=point];"]
     lines.append(f"  __start -> q{dfa.start};")
     for i in range(dfa.n_states):
         shape = "doublecircle" if i in dfa.finals else "circle"
         lines.append(f"  q{i} [shape={shape}];")
+    labels = [sym.replace("\\", "\\\\").replace('"', '\\"') for sym in dfa.alphabet]
     for i, row in enumerate(dfa.delta):
-        for sym, target in zip(dfa.alphabet, row):
-            lines.append(f'  q{i} -> q{target} [label="{sym}"];')
+        for label, target in zip(labels, row):
+            lines.append(f'  q{i} -> q{target} [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -81,123 +81,72 @@ def _query(args):
 _quote = json.encoder.encode_basestring_ascii
 
 
-@functools.lru_cache(maxsize=256)
-def _template(keys: tuple, depth: int) -> str:
-    """The ``%`` template of a dict with ``keys`` at ``depth``: each key
-    quoted once, one ``%s`` per value."""
-    for k in keys:
-        if not isinstance(k, str):
-            raise TypeError(f"keys must be str, not {type(k).__name__}")
-    if not keys:
-        return "{}"
+def _encode(obj, depth: int) -> str:
+    """What ``json.dumps(obj, indent=2)`` writes for ``obj`` at ``depth``
+    levels deep.  Values are dicts with str keys, lists, tuples, str, int,
+    bool and None; any other type raises TypeError.  A term is one string,
+    so a deep witness adds no recursion."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, dict):
+        if not all(map(isinstance, obj, repeat(str))):
+            raise TypeError("keys must be str")
+        items = [_quote(key) + ": " + _encode(value, depth + 1) for key, value in obj.items()]
+        ends = "{}"
+    elif isinstance(obj, (list, tuple)):
+        items = [_encode(value, depth + 1) for value in obj]
+        ends = "[]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return ends
     inner = "\n" + "  " * (depth + 1)
-    items = ("," + inner).join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
-    return "{" + inner + items + "\n" + "  " * depth + "}"
+    return ends[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + ends[1]
 
 
 def render_json(payload) -> str:
     """The JSON text of ``payload``: byte for byte what ``json.dumps``
-    writes with ``indent=2``.  Values are dicts with str keys, lists,
-    tuples, str, int, bool and None; any other type raises TypeError."""
-    return _json_texts((payload,), 0)[0]
-
-
-def _json_texts(values, depth: int) -> tuple:
-    """The texts of ``values`` that ``render_json`` writes for them at
-    ``depth`` (0 for the whole payload), all in one call.
-
-    Each value's text is memoized per call and per depth by ``id``: the
-    payload keeps every value alive for the call, so one id names one
-    value, and a dict that a report shares (one per distinct verdict of a
-    matrix) is encoded once per depth.  A dict fills the ``%`` template of
-    its keys and depth; a list of dicts of one shape (a matrix's cells)
-    fills their template, joined once per item, from the flat tuple of
-    their value texts.  Texts are looked up a container at a time; on a
-    miss each distinct value is encoded once, then all are looked up.
-    """
-    memos: list[dict[int, str]] = []  # memos[depth]: id(value) -> text
-
-    def texts(values, depth: int) -> tuple:
-        while len(memos) <= depth:
-            memos.append({})
-        memo = memos[depth]
-        ids = [*map(id, values)]
-        found = tuple(map(memo.get, ids))
-        if None not in found:
-            return found
-        for key, v in dict(zip(ids, values)).items():
-            if key not in memo:
-                memo[key] = (
-                    _template(tuple(v), depth) % texts(v.values(), depth + 1)
-                    if isinstance(v, dict) else encode(v, depth)
-                )
-        return tuple(map(memo.__getitem__, ids))
-
-    def encode(obj, depth: int) -> str:
-        if isinstance(obj, str):
-            return _quote(obj)
-        if obj is None:
-            return "null"
-        if obj is True:
-            return "true"
-        if obj is False:
-            return "false"
-        if isinstance(obj, int):
-            return int.__repr__(obj)
-        if isinstance(obj, (list, tuple)):
-            if not obj:
-                return "[]"
-            inner = "\n" + "  " * (depth + 1)
-            ends = ("[" + inner, "\n" + "  " * depth + "]")  # body.join(ends) copies once
-            # Dicts have distinct keys, so their keys chained equal the first
-            # one's repeated only when each dict has those keys, in order.
-            if all(map(isinstance, obj, repeat(dict))) and (
-                [*chain.from_iterable(obj)] == [*obj[0]] * len(obj)
-            ):
-                items = ("," + inner).join(repeat(_template(tuple(obj[0]), depth + 1), len(obj)))
-                values = [*chain.from_iterable(map(dict.values, obj))]
-                return items.join(ends) % texts(values, depth + 2)
-            return ("," + inner).join(texts(obj, depth + 1)).join(ends)
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-    try:
-        return texts(values, depth)
-    finally:
-        # The closures refer to each other: emptying their cells frees
-        # them and the memos on return, not at the next cyclic GC.
-        del texts, encode
+    writes with ``indent=2``."""
+    return _encode(payload, 0)
 
 
 def write_matrix_json(matrix, write) -> None:
     """Write ``json.dumps(matrix.to_dict(), indent=2)`` and a newline, a
     row of cells per ``write``, building no cell dict and never the whole
-    text.  Each of ``matrix.distinct_verdicts()`` is encoded once, all in
-    one ``_json_texts`` call at the cells' depth, its term rendered once.
-    A row joins, per cell, its separator and the texts of its names and
-    verdicts, each followed by the cell template up to the next value.
+    text.  Each of ``matrix.distinct_verdicts()`` is encoded once, each
+    evidence term rendered once.  The text between values is cut from
+    what ``_encode`` writes for a sample report and cell, their values 0.
     """
-    verdicts = matrix.distinct_verdicts()
     terms: dict = {}
-    texts = _json_texts([v.to_dict(terms) for v in verdicts], 3)
-    ids = [*map(id, verdicts)]
-    start, after_a, after_b, *after = _template(("a", "b", "leq", "geq", "approx"), 2).split("%s")
+    texts = {id(v): _encode(v.to_dict(terms), 3) for v in matrix.distinct_verdicts()}
+    cell = _encode(dict.fromkeys(("a", "b", "leq", "geq", "approx"), 0), 2)
+    start, after_a, after_b, *after = cell.split("0")
     leq, geq, approx = [
-        map(dict(zip(ids, [t + rest for t in texts])).__getitem__, map(id, m.values()))
+        map({i: t + rest for i, t in texts.items()}.__getitem__, map(id, m.values()))
         for m, rest in zip((matrix.leq, matrix.geq, matrix.approx), after)
     ]
     n = len(matrix.cols)
     cols = [_quote(b) + after_b for b in matrix.cols]
-    head = render_json({
+    # The names come before the cells, so the last two 0s are the cells'.
+    head, between, tail = render_json({
         "left": matrix.pair.left.name, "right": matrix.pair.right.name,
-        "rows": list(matrix.rows), "cols": list(matrix.cols), "cells": [],
-    })
-    write(head[:-len("[]\n}")] + "[")  # an Algebra's carrier is never empty
+        "rows": list(matrix.rows), "cols": list(matrix.cols), "cells": [0, 0],
+    }).rsplit("0", 2)
+    write(head)
     for i, a in enumerate(matrix.rows):
-        prefix = ",\n    " + start + _quote(a) + after_a
+        prefix = between + start + _quote(a) + after_a
         cells = zip(repeat(prefix, n), cols, islice(leq, n), islice(geq, n), islice(approx, n))
         row = "".join(chain.from_iterable(cells))
-        write(row if i else row[1:])  # the first cell has no comma before it
-    write("\n  ]\n}\n")
+        write(row if i else row[len(between):])  # no separator before the first cell
+    write(tail + "\n")
 
 
 def _emit(args, payload, text) -> None:

@@ -348,8 +348,8 @@ class SimilarityMatrix(Record):
 
     def to_dict(self) -> dict:
         """The report, its cells built in one pass over the three maps.
-        Equal verdicts share one dict, built once per verdict object, so
-        the JSON writer encodes each distinct verdict once."""
+        Equal verdicts share one dict, built once per verdict object (the
+        two engines of a cross pair each hand out a verdict that holds)."""
         dicts, by_text, texts = {}, {}, {}
         for verdict in self.distinct_verdicts():
             out = verdict.to_dict(texts)

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gensim import automata
-from gensim.algebra import make_algebra
+from gensim.algebra import make_algebra, parse_algebra
 from gensim.terms import parse_term, range_of_term, render_term
 from oracles import term_to_word
 
@@ -122,6 +124,22 @@ def test_export_dot(chain5):
     assert "__start -> q0;" in dot
     assert "q0 [shape=circle];" in dot and "q2 [shape=doublecircle];" in dot
     assert 'q0 -> q1 [label="f"];' in dot and 'q4 -> q2 [label="f"];' in dot
+
+
+def test_export_dot_escapes_quotes_and_backslashes():
+    # .alg operation symbols may hold '"' and '\\'; each label must stay one
+    # DOT string that reads back as its symbol.
+    algebra = parse_algebra(
+        'algebra Q\nelements a b\nconstants none\n'
+        'op f"x/1\n  a -> b\n  b -> b\nend\n'
+        'op g\\y"/1\n  a -> a\n  b -> a\nend\n'
+    )
+    dot = automata.export_dot(automata.gen_language(algebra, "b"))
+    assert 'q0 -> q0 [label="f\\"x"];' in dot
+    assert 'q0 -> q1 [label="g\\\\y\\""];' in dot
+    labels = re.findall(r'\[label="((?:[^"\\]|\\.)*)"\];\n', dot)
+    assert len(labels) == 4 == dot.count("[label=")
+    assert {re.sub(r"\\(.)", r"\1", label) for label in labels} == {'f"x', 'g\\y"'}
 
 
 def test_regex_display(chain5):

@@ -272,7 +272,8 @@ def test_unary_ground_term_dominates(capsys, tmp_path):
 def test_deep_chain_check(capsys, tmp_path):
     # successor chain e0 -> ... -> e1499, last element fixed: the evidence
     # term f^1301(z1) is 1,301 applications deep
-    from gensim.algebra import parse_algebra
+    from gensim.algebra import parse_algebra, self_pair
+    from gensim.similarity import decide_leq
     from gensim.terms import parse_term, range_of_term
 
     n = 1500
@@ -292,6 +293,15 @@ def test_deep_chain_check(capsys, tmp_path):
     generalized = range_of_term(term, algebra)
     assert "e1400" in generalized and "e1301" in generalized
     assert "e1300" not in generalized
+    # the JSON writer prints the same certificate, the term one string
+    code, out, _ = run(
+        capsys, "check", "--left", str(chain), "--a", "e1400", "--b", "e1300", "--format", "json"
+    )
+    verdict_dict = decide_leq(self_pair(algebra), "e1400", "e1300").to_dict()
+    assert code == 1 and out == json.dumps(verdict_dict, indent=2) + "\n"
+    assert json.loads(out)["certificate"] == {
+        "kind": "dominating-element", "term": "f(" * 1301 + "z1" + ")" * 1301, "element": "e1301",
+    }
 
 
 def test_missing_file_exits_2(capsys):

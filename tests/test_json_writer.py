@@ -187,7 +187,7 @@ def test_escaped_element_names(recorded, tmp_path):
 
 
 def test_template_markers_and_null_as_names(recorded, tmp_path):
-    """Names that read as ``%`` template markers or as a JSON literal, in
+    """Names that read as ``%`` format markers or as a JSON literal, in
     names, constants and certificates; and a one-element carrier."""
     alg = tmp_path / "marks.alg"
     alg.write_text(
@@ -335,7 +335,7 @@ def test_unsupported_values_raise():
 
 
 def test_writer_leaves_nothing_for_the_cyclic_gc():
-    """One call frees its pieces and its memo on return."""
+    """One call frees everything it builds on return."""
     matrix = similarity_matrix(self_pair(random_monounary_algebra(random.Random(3), 40)))
     payload = matrix.to_dict()
     gc.collect()
@@ -350,7 +350,7 @@ def test_writer_leaves_nothing_for_the_cyclic_gc():
 
 
 # Keys and strings built from the characters the writer must escape or
-# keep: template markers, quotes, backslashes, control and non-ASCII.
+# keep: ``%`` format markers, quotes, backslashes, control and non-ASCII.
 PIECES = ["a", "%", "%s", "%%", '"', "\\", "\n", "é", "\u2603", "\U0001f600"]
 TEXT = st.lists(st.sampled_from(PIECES), max_size=4).map("".join)
 SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-10**40, 10**40) | TEXT
@@ -391,14 +391,14 @@ def test_same_shape_dicts_with_an_unsupported_value_raise():
 
 
 def test_runs_of_same_shape_dicts():
-    """A list of dicts that all have one tuple of keys is written with one
-    template fill; every way a list can come close to that must still
-    read as ``json.dumps`` writes it."""
+    """Lists of dicts with one tuple of keys, as a matrix's cells are, and
+    every way a list can come close to that, read as ``json.dumps``
+    writes them."""
     shared = {"holds": True, "fragment": "exact"}
     row = {"a": "x", "b": shared}
     seen = ["seen"]
     cases = [
-        # values that miss the memo, all of them or some
+        # values seen before in the payload, none of them or some
         [{"a": i, "b": str(i), "c": [i, None]} for i in range(5)],
         [[[seen]], [{"k": seen}, {"k": ["new"]}, {"k": seen}]],
         # one dict object repeated inside the run and also outside the list
@@ -412,7 +412,7 @@ def test_runs_of_same_shape_dicts():
         # items that iterate like the keys but are not dicts
         [{"a": 1}, ["a"]],
         [{"a": 1}, "a"],
-        # keys containing template markers
+        # keys containing ``%`` format markers
         [{"%": "%s", "%s": "%%", "a%sb": "%(x)s"} for _ in range(3)],
         # runs of {}
         [{}, {}, {}],
