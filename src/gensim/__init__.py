@@ -25,7 +25,6 @@ from .terms import (
     Const,
     Term,
     Var,
-    enumerate_terms,
     parse_term,
     range_of_term,
     render_g_formula,
@@ -94,7 +93,6 @@ __all__ = [
     "decide_algebra_leq",
     "decide_approx",
     "decide_leq",
-    "enumerate_terms",
     "find_characteristic_set",
     "is_homomorphism",
     "is_isomorphism",

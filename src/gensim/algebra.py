@@ -27,6 +27,10 @@ class AlgebraError(Exception):
     """Base class for algebra construction and validation failures."""
 
 
+class NonUnaryError(AlgebraError):
+    """An engine or automaton that needs an all-unary signature got another."""
+
+
 class AlgebraParseError(AlgebraError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line

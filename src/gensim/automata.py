@@ -18,13 +18,9 @@ from collections import deque
 from itertools import count
 from typing import Iterable
 
-from .algebra import Algebra, AlgebraError
+from .algebra import Algebra, AlgebraError, NonUnaryError
 from .record import Frozen
 from .terms import App, Term, Var
-
-
-class NonUnaryError(AlgebraError):
-    pass
 
 
 class AlphabetMismatchError(AlgebraError):

@@ -13,7 +13,6 @@ import json
 import sys
 from itertools import chain, islice, repeat
 
-from . import automata
 from .algebra import Algebra, AlgebraError, parse_algebra, self_pair, validate_pair
 from .monolinear import dump_clone, ground_value_terms, polynomial_clone
 from .morphism import (
@@ -193,6 +192,8 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_genlang(args) -> int:
+    from . import automata  # only genlang and examples load the DFA code
+
     algebra = _load_algebra(args.algebra)
     dfa = automata.gen_language(algebra, args.element)
     if args.format == "dot":
@@ -348,8 +349,9 @@ def cmd_transitivity(args) -> int:
 
 
 def example_checks():
-    """The bundled example checks; ``corpus`` (and the ``dataclasses`` it
-    uses) is imported here, so other subcommands never load it."""
+    """The bundled example checks.  ``corpus``, and with it ``dataclasses``
+    and ``automata``, is imported here: no other subcommand loads the
+    first two, and only ``genlang`` loads ``automata``."""
     from .corpus import example_checks
 
     return example_checks()
@@ -370,110 +372,109 @@ def cmd_examples(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _option(*flags, **kwargs):
+    """One ``add_argument`` call, as data."""
+    return flags, kwargs
+
+
+# Each subcommand takes only the options some mode of it reads: the output
+# format, the saturation cap of its closures, and the engine selection,
+# whose defaults are QueryConfig's.
+_DEFAULTS = QueryConfig()
+_FORMAT = _option("--format", choices=("text", "json"), default="text")
+_CAP = _option("--cap", type=int, default=_DEFAULTS.cap, help="saturation size cap")
+_COMMON = (
+    _CAP,
+    _option(
+        "--fragment",
+        choices=FRAGMENT_CHOICES,
+        default=_DEFAULTS.fragment,
+        help="term fragment / engine selection (default: %(default)s)",
+    ),
+    _option("--max-vars", type=int, default=_DEFAULTS.max_vars, help="K for the general engine"),
+    _FORMAT,
+)
+_PAIR = (
+    _option("--left", required=True, help="left .alg file"),
+    _option("--right", help="right .alg file (default: left)"),
+)
+_ELEMENTS = (
+    _option("--a", required=True, help="left element"),
+    _option("--b", required=True, help="right element"),
+)
+
+# name: (handler, help, options in the order that help lists them)
+SUBCOMMANDS = {
+    "check": (cmd_check, "decide a <~ b or a ~~ b", (
+        *_COMMON, *_PAIR, *_ELEMENTS,
+        _option("--relation", choices=("leq", "approx"), default="leq"),
+    )),
+    "matrix": (cmd_matrix, "all pairwise verdicts", (*_COMMON, *_PAIR)),
+    "genlang": (cmd_genlang, "generalization language of an element", (
+        _option("--algebra", required=True),
+        _option("--element", required=True),
+        _option("--format", choices=("text", "json", "dot"), default="text"),
+    )),
+    "charset": (cmd_charset, "minimum characteristic generalization set", (
+        *_COMMON, *_PAIR, *_ELEMENTS, _option("--max-size", type=int, default=3),
+    )),
+    "clone": (cmd_clone, "unary polynomial clone report", (
+        _CAP, _FORMAT, _option("--algebra", required=True),
+    )),
+    "morphism": (cmd_morphism, "verify an element map", (
+        *_COMMON,
+        _option("--map", required=True, help=".map file"),
+        _option("--map2", help="second .map file for --verify sit"),
+        _option("--algebras", nargs="+", required=True, help=".alg files the map refers to"),
+        _option(
+            "--verify",
+            choices=("hom", "iso", "g-functor", "iso-lemma", "sit"),
+            required=True,
+        ),
+    )),
+    "reflexivity": (cmd_reflexivity, "self-similarity over shared names", (*_COMMON, *_PAIR)),
+    "transitivity": (cmd_transitivity, "exhaustive transitivity check", (
+        *_COMMON,
+        _option("--left", required=True, help="single algebra, or first of three"),
+        _option("--mid", help="middle algebra of a triple"),
+        _option("--right", help="last algebra of a triple"),
+        _option("--relation", choices=("leq", "approx"), default="approx"),
+    )),
+    "examples": (cmd_examples, "run the bundled example corpus", (_FORMAT,)),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``gensim`` parser.  Given a ``command``, only that subcommand's
+    parser is built: it parses that subcommand's arguments as the full
+    parser does, but the top-level usage it would print lists no other
+    subcommand."""
     parser = argparse.ArgumentParser(
         prog="gensim",
         description="Decide generalization-based similarity on finite algebras.",
     )
-    # Each subcommand takes only the options some mode of it reads: the
-    # output format, the saturation cap of its closures, and the engine
-    # selection, whose defaults are QueryConfig's.
-    defaults = QueryConfig()
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=("text", "json"), default="text")
-    cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--cap", type=int, default=defaults.cap, help="saturation size cap")
-    engine = argparse.ArgumentParser(add_help=False, parents=[cap])
-    engine.add_argument(
-        "--fragment",
-        choices=FRAGMENT_CHOICES,
-        default=defaults.fragment,
-        help="term fragment / engine selection (default: %(default)s)",
-    )
-    engine.add_argument(
-        "--max-vars", type=int, default=defaults.max_vars, help="K for the general engine"
-    )
-    common = [engine, fmt]
-    pair = argparse.ArgumentParser(add_help=False)
-    pair.add_argument("--left", required=True, help="left .alg file")
-    pair.add_argument("--right", help="right .alg file (default: left)")
-    elements = argparse.ArgumentParser(add_help=False)
-    elements.add_argument("--a", required=True, help="left element")
-    elements.add_argument("--b", required=True, help="right element")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "check", parents=[*common, pair, elements], help="decide a <~ b or a ~~ b"
-    )
-    p.add_argument("--relation", choices=("leq", "approx"), default="leq")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("matrix", parents=[*common, pair], help="all pairwise verdicts")
-    p.set_defaults(func=cmd_matrix)
-
-    p = sub.add_parser("genlang", help="generalization language of an element")
-    p.add_argument("--algebra", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--format", choices=("text", "json", "dot"), default="text")
-    p.set_defaults(func=cmd_genlang)
-
-    p = sub.add_parser(
-        "charset",
-        parents=[*common, pair, elements],
-        help="minimum characteristic generalization set",
-    )
-    p.add_argument("--max-size", type=int, default=3)
-    p.set_defaults(func=cmd_charset)
-
-    p = sub.add_parser(
-        "clone", parents=[cap, fmt], help="unary polynomial clone report"
-    )
-    p.add_argument("--algebra", required=True)
-    p.set_defaults(func=cmd_clone)
-
-    p = sub.add_parser("morphism", parents=common, help="verify an element map")
-    p.add_argument("--map", required=True, help=".map file")
-    p.add_argument("--map2", help="second .map file for --verify sit")
-    p.add_argument(
-        "--algebras", nargs="+", required=True, help=".alg files the map refers to"
-    )
-    p.add_argument(
-        "--verify",
-        choices=("hom", "iso", "g-functor", "iso-lemma", "sit"),
-        required=True,
-    )
-    p.set_defaults(func=cmd_morphism)
-
-    p = sub.add_parser(
-        "reflexivity", parents=[*common, pair], help="self-similarity over shared names"
-    )
-    p.set_defaults(func=cmd_reflexivity)
-
-    p = sub.add_parser(
-        "transitivity", parents=common, help="exhaustive transitivity check"
-    )
-    p.add_argument("--left", required=True, help="single algebra, or first of three")
-    p.add_argument("--mid", help="middle algebra of a triple")
-    p.add_argument("--right", help="last algebra of a triple")
-    p.add_argument("--relation", choices=("leq", "approx"), default="approx")
-    p.set_defaults(func=cmd_transitivity)
-
-    p = sub.add_parser(
-        "examples", parents=[fmt], help="run the bundled example corpus"
-    )
-    p.set_defaults(func=cmd_examples)
-
+    for name, (func, help_text, options) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_text)
+            for flags, kwargs in options:
+                p.add_argument(*flags, **kwargs)
+            p.set_defaults(func=func)
     return parser
 
 
-# ``main`` builds its parser on the first call and reuses it: parsing
-# reads the parser and never changes it, and each call gets a new Namespace.
+# ``main`` builds each parser on first use and reuses it: parsing reads
+# the parser and never changes it, and each call gets a new Namespace.
 _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
+    args, extra = _parser(command).parse_known_args(argv)
+    if extra:
+        # Left over: the full parser reports them, under its own usage line.
+        args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (AlgebraError, OSError) as exc:

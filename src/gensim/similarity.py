@@ -13,8 +13,7 @@ from bisect import bisect_left
 from itertools import chain, combinations
 from typing import Iterator
 
-from .algebra import Algebra, AlgebraError, AlgebraPair, validate_pair
-from . import automata
+from .algebra import Algebra, AlgebraError, AlgebraPair, NonUnaryError, validate_pair
 from .closure import DEFAULT_CAP
 from .general import exactness_label, saturate_profiles
 from .linear import reachable_profiles
@@ -209,7 +208,7 @@ def build_engine(pair: AlgebraPair, config: QueryConfig | None = None, stop=None
     config = config or QueryConfig()
     fragment = config.fragment
     if fragment == "unary" and not pair.left.signature.is_unary():
-        raise automata.NonUnaryError("the unary engine requires an all-unary signature")
+        raise NonUnaryError("the unary engine requires an all-unary signature")
     if fragment in ("auto", "unary", "linear"):
         return LinearEngine(pair, config.cap, stop)
     if fragment == "monolinear":

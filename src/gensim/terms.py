@@ -1,4 +1,4 @@
-"""Terms over a signature: evaluation, ranges, fragments, enumeration.
+"""Terms over a signature: spelling, parsing, ranges and witness order.
 
 A term is a variable ``z1, z2, ...``, a constant symbol, or an application
 of an operation symbol to child terms.  Canonical terms number their
@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import accumulate, islice, product
-from typing import Iterator, Union
+from typing import Union
 
 from .algebra import Algebra, AlgebraError, Signature, VARIABLE_RE
 from .record import Frozen
@@ -65,18 +65,6 @@ class App(Frozen):
 
 
 Term = Union[Var, Const, App]
-
-GROUND = "ground"
-MONOLINEAR = "monolinear"
-LINEAR = "linear"
-GENERAL = "general"
-FRAGMENTS = (GROUND, MONOLINEAR, LINEAR, GENERAL)
-
-
-class EnumerationCapError(AlgebraError):
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"term enumeration would exceed the cap of {cap} terms")
 
 
 class TermError(AlgebraError):
@@ -197,10 +185,6 @@ def _fold(term: Term, leaf, node):
     return values[0]
 
 
-def term_depth(term: Term) -> int:
-    return _fold(term, lambda t: 0, lambda op, depths: 1 + max(depths))
-
-
 def term_size(term: Term) -> int:
     return _fold(term, lambda t: 1, lambda op, sizes: 1 + sum(sizes))
 
@@ -217,10 +201,6 @@ def term_variables(term: Term) -> list[int]:
         elif isinstance(t, Var) and t.index not in out:
             out.append(t.index)
     return out
-
-
-def variable_occurrences(term: Term) -> int:
-    return _fold(term, lambda t: int(isinstance(t, Var)), lambda op, counts: sum(counts))
 
 
 def shift_variables(term: Term, offset: int) -> Term:
@@ -255,25 +235,6 @@ def range_of_term(term: Term, algebra: Algebra) -> frozenset[str]:
         if len(values) == len(algebra.carrier):
             break
     return frozenset(values)
-
-
-def classify_fragment(term: Term) -> str:
-    distinct = len(term_variables(term))
-    occurrences = variable_occurrences(term)
-    if distinct == 0:
-        return GROUND
-    if distinct == 1 and occurrences == 1:
-        return MONOLINEAR
-    if occurrences == distinct:
-        return LINEAR
-    return GENERAL
-
-
-def fragment_admits(fragment: str, term: Term) -> bool:
-    """Inclusive filter: each fragment admits all strictly simpler ones."""
-    if fragment not in FRAGMENTS:
-        raise TermError(f"unknown fragment {fragment!r}")
-    return FRAGMENTS.index(classify_fragment(term)) <= FRAGMENTS.index(fragment)
 
 
 def render_g_formula(term: Term) -> str:
@@ -368,105 +329,3 @@ def _binary_compose(head: tuple, linear: bool):
         return (depth, size, head + t1 + t2)
 
     return compose
-
-
-# witness_key's spelling tags (operation 0, constant 1, variable 2) moved to
-# enumeration order (variable 0, operation 1, constant 2).
-_ENUMERATION_TAG = (1, 2, 0)
-
-
-def enumeration_key(term: Term, signature: Signature):
-    """Deterministic enumeration order: depth, size, then spelling with
-    variables ordered before constants."""
-    depth, size, spelling = witness_key(term, signature)
-    return (depth, size, tuple((_ENUMERATION_TAG[tag], rank) for tag, rank in spelling))
-
-
-def _shapes(
-    signature: Signature, max_depth: int, max_size: int | None
-) -> list[Term]:
-    """Operation-labelled tree shapes with a placeholder Var(0) at leaves."""
-    leaf = Var(0)
-    by_depth: list[list[Term]] = [[leaf]]
-    for d in range(1, max_depth + 1):
-        level: list[Term] = []
-        shallower = [s for lvl in by_depth for s in lvl]
-        for sym, arity in signature.operations:
-            for args in product(shallower, repeat=arity):
-                if max(term_depth(a) for a in args) != d - 1:
-                    continue
-                shape = App(sym, args)
-                if max_size is not None and term_size(shape) > max_size:
-                    continue
-                level.append(shape)
-        by_depth.append(level)
-    return [s for lvl in by_depth for s in lvl]
-
-
-def _label_leaves(
-    shape: Term,
-    signature: Signature,
-    max_vars: int,
-    fragment: str,
-) -> Iterator[Term]:
-    """Fill the leaves of a shape with constants and canonical variables.
-
-    For the linear and monolinear fragments, variables are never reused, so
-    each output is canonical by construction; for the general fragment a
-    leaf may reuse any variable introduced so far.
-    """
-    n_leaves = variable_occurrences(shape)
-    reuse = fragment == GENERAL
-    consts = signature.constant_symbols
-
-    def assignments(i: int, used: int) -> Iterator[tuple[tuple[Term, ...], int]]:
-        if i == n_leaves:
-            yield (), used
-            return
-        choices: list[Term] = []
-        if used < max_vars:
-            choices.append(Var(used + 1))
-        if reuse:
-            choices.extend(Var(j) for j in range(1, used + 1))
-        choices.extend(Const(c) for c in consts)
-        for choice in choices:
-            new_used = used + 1 if isinstance(choice, Var) and choice.index > used else used
-            for rest, final in assignments(i + 1, new_used):
-                yield (choice,) + rest, final
-
-    for combo, _ in assignments(0, 0):
-        fill = iter(combo)
-        yield _fold(shape, lambda t: next(fill) if isinstance(t, Var) else t, App)
-
-
-def enumerate_terms(
-    signature: Signature,
-    max_depth: int,
-    max_vars: int,
-    fragment: str = GENERAL,
-    cap: int = 1_000_000,
-    max_size: int | None = None,
-) -> list[Term]:
-    """All canonical terms within the bounds, in deterministic order.
-
-    Order is depth, then size, then spelling (variables before constants,
-    operation symbols by declaration order).  Raises EnumerationCapError
-    rather than producing more than ``cap`` terms.  ``max_size`` optionally
-    bounds the node count on top of the depth bound.
-    """
-    if max_depth < 0:
-        raise TermError("max_depth must be >= 0")
-    if max_vars < 1:
-        raise TermError("max_vars must be >= 1")
-    if fragment not in FRAGMENTS:
-        raise TermError(f"unknown fragment {fragment!r}")
-    out: list[Term] = []
-    for shape in _shapes(signature, max_depth, max_size):
-        for term in _label_leaves(shape, signature, max_vars, fragment):
-            if not fragment_admits(fragment, term):
-                continue
-            out.append(term)
-            if len(out) > cap:
-                raise EnumerationCapError(cap)
-    out.sort(key=lambda t: enumeration_key(t, signature))
-    return out

@@ -1,5 +1,7 @@
 """Brute-force oracles for the engines, straight from the definitions:
-enumerate the terms within bounds and evaluate each one, per assignment
+enumerate the terms within bounds (``enumerate_terms``, in
+``enumeration_key`` order, each term's fragment from
+``classify_fragment``) and evaluate each one, per assignment
 (``eval_term``).  Also the helpers that only tests use: the set-lifted
 range of a term, the inverse of
 ``automata.word_to_term``, variable renaming to first-occurrence order,
@@ -19,6 +21,7 @@ from __future__ import annotations
 import random
 from heapq import heappop, heappush
 from itertools import count, product
+from typing import Iterator
 
 from gensim.algebra import (
     _ROW_RE,
@@ -37,7 +40,6 @@ from gensim.closure import Profile, SaturationCapError
 from gensim.linear import _range_lift, reachable_profiles
 from gensim.morphism import ElementMap
 from gensim.terms import (
-    GENERAL,
     App,
     Const,
     Term,
@@ -45,10 +47,153 @@ from gensim.terms import (
     Var,
     _fold,
     app_key,
-    enumerate_terms,
     range_of_term,
+    term_size,
+    term_variables,
     witness_key,
 )
+
+# Term fragments, each admitting the ones before it.
+GROUND = "ground"
+MONOLINEAR = "monolinear"
+LINEAR = "linear"
+GENERAL = "general"
+FRAGMENTS = (GROUND, MONOLINEAR, LINEAR, GENERAL)
+
+
+class EnumerationCapError(AlgebraError):
+    def __init__(self, cap: int):
+        self.cap = cap
+        super().__init__(f"term enumeration would exceed the cap of {cap} terms")
+
+
+def term_depth(term: Term) -> int:
+    return _fold(term, lambda t: 0, lambda op, depths: 1 + max(depths))
+
+
+def variable_occurrences(term: Term) -> int:
+    return _fold(term, lambda t: int(isinstance(t, Var)), lambda op, counts: sum(counts))
+
+
+def classify_fragment(term: Term) -> str:
+    distinct = len(term_variables(term))
+    occurrences = variable_occurrences(term)
+    if distinct == 0:
+        return GROUND
+    if distinct == 1 and occurrences == 1:
+        return MONOLINEAR
+    if occurrences == distinct:
+        return LINEAR
+    return GENERAL
+
+
+def fragment_admits(fragment: str, term: Term) -> bool:
+    """Inclusive filter: each fragment admits all strictly simpler ones."""
+    if fragment not in FRAGMENTS:
+        raise TermError(f"unknown fragment {fragment!r}")
+    return FRAGMENTS.index(classify_fragment(term)) <= FRAGMENTS.index(fragment)
+
+
+# witness_key's spelling tags (operation 0, constant 1, variable 2) moved to
+# enumeration order (variable 0, operation 1, constant 2).
+_ENUMERATION_TAG = (1, 2, 0)
+
+
+def enumeration_key(term: Term, signature: Signature):
+    """Deterministic enumeration order: depth, size, then spelling with
+    variables ordered before constants."""
+    depth, size, spelling = witness_key(term, signature)
+    return (depth, size, tuple((_ENUMERATION_TAG[tag], rank) for tag, rank in spelling))
+
+
+def _shapes(
+    signature: Signature, max_depth: int, max_size: int | None
+) -> list[Term]:
+    """Operation-labelled tree shapes with a placeholder Var(0) at leaves."""
+    leaf = Var(0)
+    by_depth: list[list[Term]] = [[leaf]]
+    for d in range(1, max_depth + 1):
+        level: list[Term] = []
+        shallower = [s for lvl in by_depth for s in lvl]
+        for sym, arity in signature.operations:
+            for args in product(shallower, repeat=arity):
+                if max(term_depth(a) for a in args) != d - 1:
+                    continue
+                shape = App(sym, args)
+                if max_size is not None and term_size(shape) > max_size:
+                    continue
+                level.append(shape)
+        by_depth.append(level)
+    return [s for lvl in by_depth for s in lvl]
+
+
+def _label_leaves(
+    shape: Term,
+    signature: Signature,
+    max_vars: int,
+    fragment: str,
+) -> Iterator[Term]:
+    """Fill the leaves of a shape with constants and canonical variables.
+
+    For the linear and monolinear fragments, variables are never reused, so
+    each output is canonical by construction; for the general fragment a
+    leaf may reuse any variable introduced so far.
+    """
+    n_leaves = variable_occurrences(shape)
+    reuse = fragment == GENERAL
+    consts = signature.constant_symbols
+
+    def assignments(i: int, used: int) -> Iterator[tuple[tuple[Term, ...], int]]:
+        if i == n_leaves:
+            yield (), used
+            return
+        choices: list[Term] = []
+        if used < max_vars:
+            choices.append(Var(used + 1))
+        if reuse:
+            choices.extend(Var(j) for j in range(1, used + 1))
+        choices.extend(Const(c) for c in consts)
+        for choice in choices:
+            new_used = used + 1 if isinstance(choice, Var) and choice.index > used else used
+            for rest, final in assignments(i + 1, new_used):
+                yield (choice,) + rest, final
+
+    for combo, _ in assignments(0, 0):
+        fill = iter(combo)
+        yield _fold(shape, lambda t: next(fill) if isinstance(t, Var) else t, App)
+
+
+def enumerate_terms(
+    signature: Signature,
+    max_depth: int,
+    max_vars: int,
+    fragment: str = GENERAL,
+    cap: int = 1_000_000,
+    max_size: int | None = None,
+) -> list[Term]:
+    """All canonical terms within the bounds, in deterministic order.
+
+    Order is depth, then size, then spelling (variables before constants,
+    operation symbols by declaration order).  Raises EnumerationCapError
+    rather than producing more than ``cap`` terms.  ``max_size`` optionally
+    bounds the node count on top of the depth bound.
+    """
+    if max_depth < 0:
+        raise TermError("max_depth must be >= 0")
+    if max_vars < 1:
+        raise TermError("max_vars must be >= 1")
+    if fragment not in FRAGMENTS:
+        raise TermError(f"unknown fragment {fragment!r}")
+    out: list[Term] = []
+    for shape in _shapes(signature, max_depth, max_size):
+        for term in _label_leaves(shape, signature, max_vars, fragment):
+            if not fragment_admits(fragment, term):
+                continue
+            out.append(term)
+            if len(out) > cap:
+                raise EnumerationCapError(cap)
+    out.sort(key=lambda t: enumeration_key(t, signature))
+    return out
 
 
 def eval_term(term: Term, algebra: Algebra, assignment: dict[int, str]) -> str:

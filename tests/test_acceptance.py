@@ -40,11 +40,10 @@ from gensim.terms import (
     App,
     Const,
     Var,
-    enumerate_terms,
     range_of_term,
     render_term,
 )
-from oracles import lemma_violations, lifted_range, relabeled_copy
+from oracles import enumerate_terms, lemma_violations, lifted_range, relabeled_copy
 
 
 def report(number: int, description: str, ok: bool):

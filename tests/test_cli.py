@@ -558,12 +558,14 @@ def test_matrix_builds_only_the_printed_output(capsys, monkeypatch, fmt, unused)
 CHAIN5 = ("--left", fixture_path("chain5.alg"))
 
 
-def separate_process(argv):
-    """``gensim ARGV`` in a process of its own: (exit code, stdout, stderr)."""
+def separate_process(argv, then=""):
+    """``gensim ARGV`` in a process of its own: (exit code, stdout, stderr).
+    The statements ``then`` run after ``main`` returns, before the exit."""
     src = str(pathlib.Path(gensim.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src, "COLUMNS": "80"}
+    code = f"import sys\nfrom gensim.cli import main\ncode = main()\n{then}\nsys.exit(code)"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys; from gensim.cli import main; sys.exit(main())", *argv],
+        [sys.executable, "-c", code, *argv],
         capture_output=True, text=True, env=env, check=False,
     )
     return done.returncode, done.stdout, done.stderr
@@ -591,22 +593,103 @@ def test_calls_in_one_process_match_separate_processes(capsys, monkeypatch, call
 
 
 def test_cli_import_loads_neither_dataclasses_nor_corpus():
-    """``gensim.corpus`` (and the ``dataclasses`` it needs) loads only for
-    ``examples``; every public name of the package still resolves."""
+    """``import gensim.cli`` loads neither ``gensim.corpus`` (nor the
+    ``dataclasses`` it needs), which only ``examples`` uses, nor
+    ``gensim.automata``, which only ``genlang`` and ``examples`` use.  Every
+    public name of the package still resolves, and the test-only term
+    enumerator (``enumerate_terms``, now in ``tests/oracles.py``) is not one
+    of them."""
     src = str(pathlib.Path(gensim.__file__).resolve().parent.parent)
     code = (
         "import sys, gensim.cli\n"
-        "print(sorted({'dataclasses', 'gensim.corpus'} & set(sys.modules)))\n"
+        "print(sorted({'dataclasses', 'gensim.automata', 'gensim.corpus'} & set(sys.modules)))\n"
         "import gensim\n"
         "print(all(getattr(gensim, name) is not None for name in gensim.__all__))\n"
         "from gensim import load_fixture\n"
         "from gensim.corpus import load_fixture as direct\n"
         "print(load_fixture is direct, 'load_fixture' in dir(gensim))\n"
+        "print(hasattr(gensim, 'enumerate_terms'), 'enumerate_terms' in gensim.__all__)\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.splitlines() == ["[]", "True", "True True"]
+    assert done.stdout.splitlines() == ["[]", "True", "True True", "False False"]
     with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
         gensim.nonexistent
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (("check", *CHAIN5, "--a", "a", "--b", "b"), False),
+    (("matrix", *CHAIN5), False),
+    (("genlang", "--algebra", fixture_path("chain5.alg"), "--element", "c", "--format", "dot"), True),
+    (("examples",), True),
+], ids=["check", "matrix", "genlang-dot", "examples"])
+def test_only_genlang_and_examples_load_automata(capsys, argv, loads):
+    """In a process of its own, a subcommand loads ``gensim.automata`` only
+    when it reads DFAs, and prints what it prints in this process."""
+    code, out, err = separate_process(argv, then="print('gensim.automata' in sys.modules)")
+    *printed, loaded = out.split("\n")[:-1]
+    assert loaded == str(loads)
+    assert (code, "".join(line + "\n" for line in printed), err) == run(capsys, *argv)
+    assert code == 0
+
+
+def test_unary_fragment_on_a_non_unary_algebra_exits_2(capsys, tmp_path, powerset3):
+    """``NonUnaryError`` lives in ``algebra``, so that the engines need not
+    load ``automata``, which still exports it (``build_engine`` raising it
+    is ``test_similarity.py::test_unary_engine_requires_unary``)."""
+    from gensim import algebra, automata
+
+    assert automata.NonUnaryError is algebra.NonUnaryError
+    path = tmp_path / "powerset3.alg"
+    path.write_text(algebra.render_algebra(powerset3))
+    a = powerset3.carrier[0]
+    code, out, err = run(capsys, "check", "--left", str(path), "--a", a, "--b", a, "--fragment", "unary")
+    assert (code, out, err) == (2, "", "error: the unary engine requires an all-unary signature\n")
+
+
+# The arguments each subcommand needs, its last required option last.
+VALID = {
+    "check": (*CHAIN5, "--a", "a", "--b", "b"),
+    "matrix": CHAIN5,
+    "genlang": ("--algebra", fixture_path("chain5.alg"), "--element", "a"),
+    "charset": (*CHAIN5, "--a", "a", "--b", "b"),
+    "clone": ("--algebra", fixture_path("chain5.alg")),
+    "morphism": ("--map", fixture_path("merge.map"), "--algebras", fixture_path("merge_src.alg"),
+                 fixture_path("merge_tgt.alg"), "--verify", "hom"),
+    "reflexivity": CHAIN5,
+    "transitivity": CHAIN5,
+    "examples": (),
+}
+
+
+def parity_cases():
+    yield ()
+    yield ("-h",)
+    yield ("bogus",)
+    yield ("--format", "json", "check", *VALID["check"])
+    for command, valid in VALID.items():
+        yield (command, "-h")
+        if valid:
+            yield (command, *valid[:-2])  # a required option missing
+        yield (command, *valid, "--format", "xml")
+        yield (command, *valid, "--bogus")
+
+
+@pytest.mark.parametrize(
+    "argv", list(parity_cases()), ids=lambda argv: " ".join(["gensim", *map(os.path.basename, argv)])
+)
+def test_one_subcommand_parser_writes_what_the_full_parser_writes(capsys, monkeypatch, argv):
+    """``main`` builds only the named subcommand's parser, and its help,
+    usage and errors are those of the parser of all subcommands."""
+    assert list(cli.SUBCOMMANDS) == list(VALID)
+    monkeypatch.setenv("COLUMNS", "80")
+    results = []
+    for parse in (main, cli.build_parser().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse(list(argv))
+        captured = capsys.readouterr()
+        results.append((exc.value.code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert results[0][1] or results[0][2]

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 from gensim.algebra import Signature, make_algebra, self_pair, validate_pair
 from gensim.linear import reachable_profiles
 from gensim.similarity import LinearEngine
-from gensim.terms import enumerate_terms, parse_term, range_of_term, render_term
-from oracles import lifted_range
+from gensim.terms import parse_term, range_of_term, render_term
+from oracles import enumerate_terms, lifted_range
 
 
 def linear_gen_member(pair, family, a, b):

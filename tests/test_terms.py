@@ -9,26 +9,30 @@ from gensim.algebra import Signature, make_algebra
 from gensim.terms import (
     App,
     Const,
-    EnumerationCapError,
     TermError,
     Var,
     app_key,
-    classify_fragment,
-    enumerate_terms,
-    enumeration_key,
-    fragment_admits,
     parse_term,
     range_of_term,
     render_g_formula,
     render_term,
     shift_variables,
-    term_depth,
     term_size,
     term_variables,
-    variable_occurrences,
     witness_key,
 )
-from oracles import canonicalize, eval_term, is_generalization
+from oracles import (
+    EnumerationCapError,
+    canonicalize,
+    classify_fragment,
+    enumerate_terms,
+    enumeration_key,
+    eval_term,
+    fragment_admits,
+    is_generalization,
+    term_depth,
+    variable_occurrences,
+)
 
 
 SIG_FG = Signature((("f", 1), ("g", 1)))
