@@ -11,7 +11,7 @@ import argparse
 import functools
 import json
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 
 from .algebra import Algebra, AlgebraError, parse_algebra, self_pair, validate_pair
 from .monolinear import dump_clone, ground_value_terms, polynomial_clone
@@ -123,27 +123,37 @@ def write_matrix_json(matrix, write) -> None:
     text.  Each of ``matrix.distinct_verdicts()`` is encoded once, each
     evidence term rendered once.  The text between values is cut from
     what ``_encode`` writes for a sample report and cell, their values 0.
+    Rows that share an object in ``matrix._shared`` are joined from one
+    list of cell texts, held until the last of them.
     """
     terms: dict = {}
     texts = {id(v): _encode(v.to_dict(terms), 3) for v in matrix.distinct_verdicts()}
     cell = _encode(dict.fromkeys(("a", "b", "leq", "geq", "approx"), 0), 2)
     start, after_a, after_b, *after = cell.split("0")
-    leq, geq, approx = [
-        map({i: t + rest for i, t in texts.items()}.__getitem__, map(id, m.values()))
-        for m, rest in zip((matrix.leq, matrix.geq, matrix.approx), after)
-    ]
+    finds = [{i: t + rest for i, t in texts.items()}.__getitem__ for rest in after]
     n = len(matrix.cols)
     cols = [_quote(b) + after_b for b in matrix.cols]
+    # Per row, the verdicts of its n cells in each of the three maps.
+    cells = zip(*[zip(*[iter(m.values())] * n) for m in (matrix.leq, matrix.geq, matrix.approx)])
+    keys = [*map(id, getattr(matrix, "_shared", ()))] or range(len(matrix.rows))
+    last, held = {key: i for i, key in enumerate(keys)}, {}
     # The names come before the cells, so the last two 0s are the cells'.
     head, between, tail = render_json({
         "left": matrix.pair.left.name, "right": matrix.pair.right.name,
         "rows": list(matrix.rows), "cols": list(matrix.cols), "cells": [0, 0],
     }).rsplit("0", 2)
     write(head)
-    for i, a in enumerate(matrix.rows):
+    for i, (a, key, verdicts) in enumerate(zip(matrix.rows, keys, cells)):
         prefix = between + start + _quote(a) + after_a
-        cells = zip(repeat(prefix, n), cols, islice(leq, n), islice(geq, n), islice(approx, n))
-        row = "".join(chain.from_iterable(cells))
+        values = [map(find, map(id, vs)) for find, vs in zip(finds, verdicts)]
+        final = last[key] == i
+        shared = held.pop(key, None) if final else held.get(key)
+        if shared is None and final:
+            row = "".join(chain.from_iterable(zip(repeat(prefix, n), cols, *values)))
+        else:
+            if shared is None:
+                shared = held[key] = [*map("".join, zip(cols, *values))]
+            row = prefix + prefix.join(shared)
         write(row if i else row[len(between):])  # no separator before the first cell
     write(tail + "\n")
 

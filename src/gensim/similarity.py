@@ -10,6 +10,7 @@ applies to b itself.  ``a ~~ b`` is the conjunction of both directions.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from itertools import chain, combinations
 from typing import Iterator
 
@@ -70,19 +71,22 @@ class Engine:
         self.label = label
         self._classes = rows
         if masks is None:
-            left_rows: dict = {e: [] for e in pair.left.carrier}
-            right_rows: dict = {e: [] for e in pair.right.carrier}
-            for i, (left, right, _) in enumerate(rows):
-                for e in left:
-                    left_rows[e].append(i)
-                for e in right:
-                    right_rows[e].append(i)
-            masks = ({e: _mask(ids) for e, ids in side.items()} for side in (left_rows, right_rows))
+            # A self pair's rows have equal sides: one dict serves both.
+            algebras = (pair.left,) if pair.left is pair.right else (pair.left, pair.right)
+            sides = [{e: [] for e in algebra.carrier} for algebra in algebras]
+            for i, row in enumerate(rows):
+                for side, names in zip(sides, row):
+                    for e in names:
+                        side[e].append(i)
+            masks = [{e: _mask(ids) for e, ids in side.items()} for side in sides]
+            masks = masks[0], masks[-1]
         self._left, self._right = masks
         self._holds = Verdict(True, None, label)
         self._verdicts: dict = {}
         self._failing: dict = {}
         self._restated: dict = {}
+        self._counts = Counter(self._left.values())  # elements per left mask
+        self._shared: dict = {}
 
     def _first(self, mask: int) -> Term:
         return self._classes[(mask & -mask).bit_length() - 1][2]
@@ -105,16 +109,37 @@ class Engine:
     def verdict(self, a: str, b: str) -> Verdict:
         """The shared verdict of a <~ b: it fails at the first competitor
         b' whose Gen(a,b') strictly contains Gen(a,b), with the first row
-        of the difference.  The first call for ``a`` decides its row in one
-        sweep, memoized per Gen(a,b), as b never strictly contains its own
-        set.  An unknown name misses the dicts and raises ``AlgebraError``."""
+        of the difference.  The first call for ``a`` decides its row, a
+        verdict per right element.  Elements of one left mask share a sweep
+        that excludes no b' and its row, but one that is the first
+        dominator of some mask there is swept again without itself.  An
+        unknown name raises ``AlgebraError``."""
         try:
-            return self._verdicts[a][self._left[a] & self._right[b]]
+            return self._verdicts[a][b]
         except KeyError:
             self.pair.left.require_element(a)
             self.pair.right.require_element(b)
+        left = self._left[a]
+        shared = self._shared.get(left)
+        if shared is None and self._counts[left] > 1:
+            others, row = self._sweep(left, None)
+            dominators = {v.certificate.element for v in row.values() if not v.holds}
+            shared = self._shared[left] = [others, row, dominators, None]
+        if shared is None or a in shared[2]:
+            cols = self._columns(*self._sweep(left, a))
+        else:  # the shared row, built for the first member that takes it
+            cols = shared[3] = shared[3] or self._columns(*shared[:2])
+        self._verdicts[a] = cols
+        return cols[b]
+
+    def _columns(self, others: list, row: dict) -> dict:
+        return dict(zip(self.pair.right.carrier, map(row.__getitem__, others)))
+
+    def _sweep(self, left: int, a: str | None) -> tuple[list, dict]:
+        """Gen(a,b') per b' in carrier order, and a verdict per distinct
+        one, b' = a excluded; b never strictly contains its own."""
         carrier = self.pair.right.carrier
-        others = [*map(self._left[a].__and__, map(self._right.__getitem__, carrier))]
+        others = [*map(left.__and__, map(self._right.__getitem__, carrier))]
         row = dict.fromkeys(others, self._holds)
         # Each distinct competitor mask, in carrier order, takes the masks
         # it contains from the levels (by bit count) below its own.
@@ -143,8 +168,7 @@ class Engine:
                 level[:] = [mask for mask in level if mask & outside]
                 if not level:
                     del counts[i]  # i counts down, so the rest stay in place
-        self._verdicts[a] = row
-        return row[self._left[a] & self._right[b]]
+        return others, row
 
     def approx_failure(self, failing: Verdict) -> Verdict:
         """``failing``, a failing verdict of this engine, restated for
@@ -335,7 +359,7 @@ class SimilarityMatrix(Record):
     of b <~ a (on the swapped pair) and of a ~~ b; all three hold the
     cells in one order, row by row."""
 
-    __slots__ = ("pair", "rows", "cols", "leq", "geq", "approx", "_distinct")
+    __slots__ = ("pair", "rows", "cols", "leq", "geq", "approx", "_distinct", "_shared")
 
     def distinct_verdicts(self) -> list[Verdict]:
         """Each verdict of the cells once, maybe with others."""
@@ -346,13 +370,10 @@ class SimilarityMatrix(Record):
             return [*{id(v): v for v in cells}.values()]
 
     def to_dict(self) -> dict:
-        """The report, its cells built in one pass over the three maps.
-        Equal verdicts share one dict, built once per verdict object (the
-        two engines of a cross pair each hand out a verdict that holds)."""
-        dicts, by_text, texts = {}, {}, {}
-        for verdict in self.distinct_verdicts():
-            out = verdict.to_dict(texts)
-            dicts[id(verdict)] = by_text.setdefault(repr(out), out)
+        """The report, its cells built in one pass over the three maps,
+        with one dict per verdict object."""
+        texts: dict = {}
+        dicts = {id(v): v.to_dict(texts) for v in self.distinct_verdicts()}
         maps = (self.leq, self.geq, self.approx)
         leq, geq, approx = [map(dicts.__getitem__, map(id, m.values())) for m in maps]
         return {
@@ -380,24 +401,34 @@ class SimilarityMatrix(Record):
 
 
 def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> SimilarityMatrix:
-    """All pairwise directed and symmetric verdicts, declaration order."""
+    """All pairwise directed and symmetric verdicts, declaration order, a
+    row at a time.  Rows with one engine row object (``_shared``) share
+    their ``>~`` row too, so their ``~~`` row is derived once."""
     swapped = pair.swapped()
     engine, reverse = build_engines(pair, config)
+    cols = pair.right.carrier
     leq, geq, approx = {}, {}, {}
+    shared, approx_rows = [], {}
     for a in pair.left.carrier:
-        for b in pair.right.carrier:
-            key = (a, b)
-            x = leq[key] = decide_leq(pair, a, b, config, engine)
-            y = geq[key] = decide_leq(swapped, b, a, config, reverse)
-            approx[key] = (
-                engine.approx_failure(x) if not x.holds
-                else reverse.approx_failure(y) if not y.holds else x
-            )
-    matrix = SimilarityMatrix(pair, pair.left.carrier, pair.right.carrier, leq, geq, approx)
+        keys = [(a, b) for b in cols]
+        xs = [decide_leq(pair, a, b, config, engine) for b in cols]
+        ys = [decide_leq(swapped, b, a, config, reverse) for b in cols]
+        row = engine._verdicts[a]
+        zs = approx_rows.get(id(row)) or approx_rows.setdefault(id(row), [
+            engine.approx_failure(x) if not x.holds
+            else reverse.approx_failure(y) if not y.holds else x
+            for x, y in zip(xs, ys)
+        ])
+        leq.update(zip(keys, xs))
+        geq.update(zip(keys, ys))
+        approx.update(zip(keys, zs))
+        shared.append(row)
+    matrix = SimilarityMatrix(pair, pair.left.carrier, cols, leq, geq, approx)
     matrix._distinct = [  # every verdict that the engines handed out
         v for e in dict.fromkeys((engine, reverse))
         for v in (e._holds, *e._failing.values(), *e._restated.values())
     ]
+    matrix._shared = shared
     return matrix
 
 

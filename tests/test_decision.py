@@ -10,10 +10,17 @@ import random
 
 import pytest
 
-from gensim.algebra import make_algebra, self_pair, validate_pair
+from gensim.algebra import AlgebraError, make_algebra, self_pair, validate_pair
 from gensim.corpus import load_fixture, powerset_algebra, truncated_multiplication_algebra
 from gensim.morphism import random_monounary_algebra
-from gensim.similarity import MonolinearEngine, QueryConfig, build_engine, decide_leq
+from gensim.similarity import (
+    MonolinearEngine,
+    QueryConfig,
+    build_engine,
+    build_engines,
+    decide_leq,
+    similarity_matrix,
+)
 
 UNARY_FIXTURES = [
     "chain5.alg", "chain4_a.alg", "chain4_b.alg", "nat_sink7.alg",
@@ -226,3 +233,131 @@ def test_one_shot_chains_match_scan():
         cells += [(rng.choice(rows), rng.choice(cols)) for _ in range(40)]
         for a, b in cells:
             assert outcome(decide_leq(pair, a, b)) == scan_decide_leq(engine, a, b), (a, b)
+
+
+def assert_matrix_matches_scan(pair, config=None):
+    """Every cell of ``similarity_matrix`` against the scan: ``<~`` on the
+    pair's engine, ``>~`` on the swapped pair's, and ``~~`` as the first of
+    the two that fails, its certificate naming that direction.  Rows that
+    share an engine row object must hold the very same ``>~`` verdicts,
+    as the matrix derives their ``~~`` row once."""
+    matrix = similarity_matrix(pair, config)
+    engine, reverse = build_engines(pair, config)
+    names = (pair.left.name, pair.right.name)
+    for (a, b), x in matrix.leq.items():
+        forward, backward = scan_decide_leq(engine, a, b), scan_decide_leq(reverse, b, a)
+        assert outcome(x) == forward, (a, b)
+        assert outcome(matrix.geq[a, b]) == backward, (a, b)
+        z = matrix.approx[a, b]
+        if not forward[0]:
+            expected = (*forward, names)
+        elif not backward[0]:
+            expected = (*backward, names[::-1])
+        else:
+            expected = (True, None, None, None)
+        assert (*outcome(z), z.certificate and z.certificate.direction) == expected, (a, b)
+    first = {}
+    for a, row in zip(matrix.rows, matrix._shared):
+        other = first.setdefault(id(row), a)
+        assert all(matrix.geq[a, b] is matrix.geq[other, b] for b in matrix.cols), (a, other)
+    return matrix
+
+
+def matrix_unary_algebras(seed):
+    """The eight algebras of one ``matrix-unary`` benchmark pass."""
+    return [
+        random_monounary_algebra(random.Random(f"matrix-unary:{seed}:{i}"), 40, 1, name=f"U{i}")
+        for i in range(8)
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_matrix_unary_matrices_match_scan(seed):
+    """Self pairs, whose rows share sweeps, and cross pairs of one pass's
+    algebras: their elements share names, so the exclusion of b' = a
+    bites on both sides."""
+    algebras = matrix_unary_algebras(seed)
+    shared = 0
+    for left, right in zip(algebras, algebras[1:] + algebras[:1]):
+        for pair in (self_pair(left), validate_pair(left, right)):
+            matrix = assert_matrix_matches_scan(pair)
+            shared += len(matrix.rows) - len({id(row) for row in matrix._shared})
+    assert shared
+
+
+def test_two_op_cross_pair_matrix_matches_scan():
+    assert_matrix_matches_scan(random_pair(2, 12, 0, True))
+
+
+def loop_algebra():
+    """f(y) = x1, and f swaps x1 and x2: x1 and x2 lie in the same term
+    classes, z1 and f(z1), while y lies in z1 only."""
+    return make_algebra("Loop", ["x1", "x2", "y"], {"f": {"y": "x1", "x1": "x2", "x2": "x1"}})
+
+
+def test_first_member_of_a_shared_mask_dominates():
+    """In row x1, Gen(x1,y) = {z1} is strictly contained in the sets that
+    x1 and x2 share with x1.  The shared sweep, which excludes no b',
+    stops at x1, so row x1 is swept again without x1 and finds x2, whose
+    set equals x1's; row x2 takes the shared row, which names x1."""
+    pair = self_pair(loop_algebra())
+    engine = build_engine(pair)
+    assert engine._left["x1"] == engine._left["x2"] != engine._left["y"]
+    assert outcome(decide_leq(pair, "x1", "y", engine=engine))[:2] == (False, "x2")
+    assert outcome(decide_leq(pair, "x2", "y", engine=engine))[:2] == (False, "x1")
+    assert_matrix_matches_scan(pair)
+
+
+def every_member_dominates():
+    """A cross pair whose left elements x1 and x2 lie in every term class
+    (f and g fix them), while on the right Gen(x1,u) = {z1} is first
+    dominated by x1 and Gen(x1,w) = {z1, g(z1)} by x2 (g(g(z1)) ranges
+    over x2 alone)."""
+    left = make_algebra("Fix", ["x1", "x2"], {"f": {"x1": "x1", "x2": "x2"}, "g": {"x1": "x1", "x2": "x2"}})
+    right = make_algebra("Split", ["x1", "x2", "u", "w"], {
+        "f": dict.fromkeys(["x1", "x2", "u", "w"], "x1"),
+        "g": {"x1": "x2", "x2": "x2", "u": "w", "w": "x2"},
+    })
+    return validate_pair(left, right)
+
+
+def test_a_shared_row_is_built_only_for_a_member_that_takes_it():
+    """When every element of a left mask is the first dominator of some
+    mask of the shared sweep, each is swept again on its own, and the
+    shared row is never built.  Otherwise the members that dominate
+    nothing take the one shared row."""
+    pair = every_member_dominates()
+    engine = build_engine(pair)
+    for a in pair.left.carrier:
+        for b in pair.right.carrier:
+            decide_leq(pair, a, b, engine=engine)
+    assert engine._verdicts["x1"] is not engine._verdicts["x2"]
+    assert outcome(engine.verdict("x1", "u"))[:2] == (False, "x2")
+    assert outcome(engine.verdict("x2", "u"))[:2] == (False, "x1")
+    assert outcome(engine.verdict("x2", "w")) == (True, None, None)
+    assert [cols for *_, cols in engine._shared.values()] == [None]
+    assert_matrix_matches_scan(pair)
+    pair = self_pair(loop_algebra())
+    engine = build_engine(pair)
+    for a in pair.left.carrier:
+        engine.verdict(a, "y")
+    [(*_, cols)] = engine._shared.values()
+    assert cols is engine._verdicts["x2"] is not engine._verdicts["x1"]
+
+
+@pytest.mark.parametrize("pair", [
+    self_pair(loop_algebra()),
+    validate_pair(chain_algebra(6), shared_name_copy(6)),
+], ids=["self", "cross"])
+def test_unknown_names_raise_once_a_row_is_decided(pair):
+    engine = build_engine(pair)
+    for a in pair.left.carrier:
+        decide_leq(pair, a, pair.right.carrier[0], engine=engine)
+        unknown = [b for b in ("nosuch", *pair.left.carrier) if b not in pair.right.carrier]
+        for b in unknown:
+            with pytest.raises(AlgebraError):
+                engine.verdict(a, b)
+    for a in ("nosuch", *pair.right.carrier):
+        if a not in pair.left.carrier:
+            with pytest.raises(AlgebraError):
+                engine.verdict(a, pair.right.carrier[0])

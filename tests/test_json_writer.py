@@ -212,9 +212,17 @@ def test_random_one_op_matrices(seed, cli_matrix):
         payload = matrix_payload(matrix)
         assert_matches_dumps(payload)
         assert cli_matrix(pair) == matrix_json(matrix)
-        # one dict per distinct verdict, shared by the cells that repeat it
-        verdicts = [cell[k] for cell in payload["cells"] for k in ("leq", "geq", "approx")]
-        assert len({id(v) for v in verdicts}) == len({json.dumps(v) for v in verdicts})
+        # one dict per distinct verdict object, shared by the cells that hold it
+        dicts = [cell[k] for cell in payload["cells"] for k in ("leq", "geq", "approx")]
+        verdicts = [m[key] for key in matrix.leq for m in (matrix.leq, matrix.geq, matrix.approx)]
+        assert first_places(dicts) == first_places(verdicts)
+
+
+def first_places(objects) -> list[int]:
+    """Each object's place of first occurrence: two lists read alike when
+    their objects repeat at the same places."""
+    first: dict = {}
+    return [first.setdefault(id(obj), i) for i, obj in enumerate(objects)]
 
 
 @pytest.mark.parametrize("report", [
