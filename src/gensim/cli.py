@@ -123,33 +123,31 @@ def write_matrix_json(matrix, write) -> None:
     text.  Each of ``matrix.distinct_verdicts()`` is encoded once, each
     evidence term rendered once.  The text between values is cut from
     what ``_encode`` writes for a sample report and cell, their values 0.
-    Rows that share an object in ``matrix._shared`` are joined from one
-    list of cell texts, held until the last of them.
+    Rows with one ``~~`` row list are joined from one list of cell texts,
+    held until the last of them.
     """
     terms: dict = {}
     texts = {id(v): _encode(v.to_dict(terms), 3) for v in matrix.distinct_verdicts()}
     cell = _encode(dict.fromkeys(("a", "b", "leq", "geq", "approx"), 0), 2)
     start, after_a, after_b, *after = cell.split("0")
     finds = [{i: t + rest for i, t in texts.items()}.__getitem__ for rest in after]
-    n = len(matrix.cols)
     cols = [_quote(b) + after_b for b in matrix.cols]
-    # Per row, the verdicts of its n cells in each of the three maps.
-    cells = zip(*[zip(*[iter(m.values())] * n) for m in (matrix.leq, matrix.geq, matrix.approx)])
-    keys = [*map(id, getattr(matrix, "_shared", ()))] or range(len(matrix.rows))
-    last, held = {key: i for i, key in enumerate(keys)}, {}
+    cells = zip(matrix.leq._rows, matrix.geq._rows, matrix.approx._rows)
+    last, held = {id(zs): i for i, zs in enumerate(matrix.approx._rows)}, {}
     # The names come before the cells, so the last two 0s are the cells'.
     head, between, tail = render_json({
         "left": matrix.pair.left.name, "right": matrix.pair.right.name,
         "rows": list(matrix.rows), "cols": list(matrix.cols), "cells": [0, 0],
     }).rsplit("0", 2)
     write(head)
-    for i, (a, key, verdicts) in enumerate(zip(matrix.rows, keys, cells)):
+    for i, (a, verdicts) in enumerate(zip(matrix.rows, cells)):
         prefix = between + start + _quote(a) + after_a
+        key = id(verdicts[2])
         values = [map(find, map(id, vs)) for find, vs in zip(finds, verdicts)]
         final = last[key] == i
         shared = held.pop(key, None) if final else held.get(key)
         if shared is None and final:
-            row = "".join(chain.from_iterable(zip(repeat(prefix, n), cols, *values)))
+            row = "".join(chain.from_iterable(zip(repeat(prefix), cols, *values)))
         else:
             if shared is None:
                 shared = held[key] = [*map("".join, zip(cols, *values))]

@@ -214,10 +214,13 @@ def check_second_isomorphism(
     pair_cd = validate_pair(f_map.target, g_map.target)
     m_ab = similarity_matrix(pair_ab, config)
     m_cd = similarity_matrix(pair_cd, config)
+    images = [m_cd.approx._rows[pair_cd.left.index(f_map(a))] for a in m_ab.rows]
+    cols = [*map(pair_cd.right.index, map(g_map, m_ab.cols))]
     violations = [
         (a, b)
-        for (a, b), verdict in m_ab.approx.items()
-        if verdict.holds != m_cd.approx[(f_map(a), g_map(b))].holds
+        for a, row, image in zip(m_ab.rows, m_ab.approx._rows, images)
+        for b, verdict, j in zip(m_ab.cols, row, cols)
+        if verdict.holds != image[j].holds
     ]
     return SecondIsomorphismReport(f_map, g_map, len(m_ab.approx), violations)
 

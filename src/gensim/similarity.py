@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from itertools import chain, combinations
-from typing import Iterator
+from collections.abc import ItemsView, Iterator, Mapping, ValuesView
+from itertools import chain, combinations, product
 
 from .algebra import Algebra, AlgebraError, AlgebraPair, NonUnaryError, validate_pair
 from .closure import DEFAULT_CAP
@@ -339,27 +339,69 @@ def decide_algebra_approx(pair: AlgebraPair, config: QueryConfig | None = None) 
 def _missing_partner(matrix: SimilarityMatrix, both_sides: bool) -> Verdict:
     """Fail at the first left element with no ``~~`` partner in
     ``matrix``, then (``both_sides``) at the first right one."""
-    approx = matrix.approx
+    rows = matrix.approx._rows
     # A pair's engine and its reverse carry one label, so every cell does.
-    label = approx[matrix.rows[0], matrix.cols[0]].fragment_label
-    for a in matrix.rows:
-        if not any(approx[a, b].holds for b in matrix.cols):
+    label = rows[0][0].fragment_label
+    for a, row in zip(matrix.rows, rows):
+        if not any(v.holds for v in row):
             return Verdict(False, Certificate(MISSING_PARTNER, element=a), label)
     if both_sides:
         direction = (matrix.pair.right.name, matrix.pair.left.name)
-        for b in matrix.cols:
-            if not any(approx[a, b].holds for a in matrix.rows):
+        for b, column in zip(matrix.cols, zip(*rows)):
+            if not any(v.holds for v in column):
                 cert = Certificate(MISSING_PARTNER, element=b, direction=direction)
                 return Verdict(False, cert, label)
     return Verdict(True, None, label)
 
 
+class _Values(ValuesView):
+    def __iter__(self):
+        return chain.from_iterable(self._mapping._rows)
+
+
+class _Items(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, _Values(self._mapping))
+
+
+class Cells(Mapping):
+    """A read-only map of (a, b) to ``rows[index[a]][cols[b]]``, row by
+    row: equal to, and with the repr of, the dict of its items."""
+
+    __slots__ = ("_rows", "_index", "_cols")
+
+    def __init__(self, rows, index, cols):
+        self._rows, self._index, self._cols = rows, index, cols
+
+    def __getitem__(self, key):
+        try:
+            a, b = key if isinstance(key, tuple) else ()
+            return self._rows[self._index[a]][self._cols[b]]
+        except (KeyError, TypeError, ValueError):  # no such pair
+            raise KeyError(key) from None
+
+    def __len__(self):
+        return len(self._rows) * len(self._cols)
+
+    def __iter__(self):
+        return product(self._index, self._cols)
+
+    def values(self):
+        return _Values(self)
+
+    def items(self):
+        return _Items(self)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
 class SimilarityMatrix(Record):
     """``leq``, ``geq`` and ``approx`` map (a, b) to the Verdict of a <~ b,
-    of b <~ a (on the swapped pair) and of a ~~ b; all three hold the
-    cells in one order, row by row."""
+    of b <~ a (on the swapped pair) and of a ~~ b: ``Cells`` over one
+    verdict list per row."""
 
-    __slots__ = ("pair", "rows", "cols", "leq", "geq", "approx", "_distinct", "_shared")
+    __slots__ = ("pair", "rows", "cols", "leq", "geq", "approx", "_distinct")
 
     def distinct_verdicts(self) -> list[Verdict]:
         """Each verdict of the cells once, maybe with others."""
@@ -389,46 +431,40 @@ class SimilarityMatrix(Record):
 
     def render_text(self) -> str:
         width = max([3] + [len(e) for e in self.rows + self.cols]) + 1
-        marks = [
-            ("~~" if x.holds else "<~" if y.holds else ">~" if z.holds else "--").rjust(width)
-            for x, y, z in zip(self.approx.values(), self.leq.values(), self.geq.values())
-        ]
-        n = len(self.cols)
         lines = [" " * width + "".join(b.rjust(width) for b in self.cols)]
-        for i, a in enumerate(self.rows):
-            lines.append(a.rjust(width) + "".join(marks[i * n:i * n + n]))
+        for a, *row in zip(self.rows, self.approx._rows, self.leq._rows, self.geq._rows):
+            lines.append(a.rjust(width) + "".join(
+                ("~~" if x.holds else "<~" if y.holds else ">~" if z.holds else "--").rjust(width)
+                for x, y, z in zip(*row)
+            ))
         return "\n".join(lines) + "\n"
 
 
 def similarity_matrix(pair: AlgebraPair, config: QueryConfig | None = None) -> SimilarityMatrix:
     """All pairwise directed and symmetric verdicts, declaration order, a
-    row at a time.  Rows with one engine row object (``_shared``) share
-    their ``>~`` row too, so their ``~~`` row is derived once."""
+    row at a time.  Rows with one engine row object share their ``>~``
+    row too, so their ``~~`` row list is derived once."""
     swapped = pair.swapped()
     engine, reverse = build_engines(pair, config)
     cols = pair.right.carrier
-    leq, geq, approx = {}, {}, {}
-    shared, approx_rows = [], {}
+    leq, geq, approx, approx_rows = [], [], [], {}
     for a in pair.left.carrier:
-        keys = [(a, b) for b in cols]
         xs = [decide_leq(pair, a, b, config, engine) for b in cols]
         ys = [decide_leq(swapped, b, a, config, reverse) for b in cols]
-        row = engine._verdicts[a]
-        zs = approx_rows.get(id(row)) or approx_rows.setdefault(id(row), [
+        key = id(engine._verdicts[a])
+        approx.append(approx_rows.get(key) or approx_rows.setdefault(key, [
             engine.approx_failure(x) if not x.holds
             else reverse.approx_failure(y) if not y.holds else x
             for x, y in zip(xs, ys)
-        ])
-        leq.update(zip(keys, xs))
-        geq.update(zip(keys, ys))
-        approx.update(zip(keys, zs))
-        shared.append(row)
-    matrix = SimilarityMatrix(pair, pair.left.carrier, cols, leq, geq, approx)
+        ]))
+        leq.append(xs)
+        geq.append(ys)
+    cells = [Cells(rows, pair.left._ids, pair.right._ids) for rows in (leq, geq, approx)]
+    matrix = SimilarityMatrix(pair, pair.left.carrier, cols, *cells)
     matrix._distinct = [  # every verdict that the engines handed out
         v for e in dict.fromkeys((engine, reverse))
         for v in (e._holds, *e._failing.values(), *e._restated.values())
     ]
-    matrix._shared = shared
     return matrix
 
 
@@ -558,16 +594,13 @@ def check_transitive(
     for p in pairs:
         key = (id(p.left), id(p.right))
         if key not in matrices:
-            matrices[key] = getattr(similarity_matrix(p, config), relation)
+            matrices[key] = getattr(similarity_matrix(p, config), relation)._rows
     rel_ab, rel_bc, rel_ac = (matrices[(id(p.left), id(p.right))] for p in pairs)
-    violations = []
-    count = 0
-    for x in a_alg.carrier:
-        for y in b_alg.carrier:
-            if not rel_ab[(x, y)].holds:
-                continue
-            for z in c_alg.carrier:
-                count += 1
-                if rel_bc[(y, z)].holds and not rel_ac[(x, z)].holds:
-                    violations.append((x, y, z))
+    violations, count = [], 0
+    for x, xys, xzs in zip(a_alg.carrier, rel_ab, rel_ac):
+        for y, xy, yzs in zip(b_alg.carrier, xys, rel_bc):
+            if xy.holds:
+                count += len(xzs)
+                zs = zip(c_alg.carrier, yzs, xzs)
+                violations += [(x, y, z) for z, yz, xz in zs if yz.holds and not xz.holds]
     return TransitivityReport(relation, count, violations, details)

@@ -239,8 +239,9 @@ def assert_matrix_matches_scan(pair, config=None):
     """Every cell of ``similarity_matrix`` against the scan: ``<~`` on the
     pair's engine, ``>~`` on the swapped pair's, and ``~~`` as the first of
     the two that fails, its certificate naming that direction.  Rows that
-    share an engine row object must hold the very same ``>~`` verdicts,
-    as the matrix derives their ``~~`` row once."""
+    share an engine row object, and only they, share one ``~~`` row list,
+    and must hold the very same ``>~`` verdicts, as the matrix derives
+    that list once."""
     matrix = similarity_matrix(pair, config)
     engine, reverse = build_engines(pair, config)
     names = (pair.left.name, pair.right.name)
@@ -256,10 +257,14 @@ def assert_matrix_matches_scan(pair, config=None):
         else:
             expected = (True, None, None, None)
         assert (*outcome(z), z.certificate and z.certificate.direction) == expected, (a, b)
-    first = {}
-    for a, row in zip(matrix.rows, matrix._shared):
+    for a in pair.left.carrier:
+        engine.verdict(a, pair.right.carrier[0])
+    first, sharing = {}, {}
+    for a, row in zip(matrix.rows, matrix.approx._rows):
         other = first.setdefault(id(row), a)
+        assert sharing.setdefault(id(engine._verdicts[a]), other) == other, a
         assert all(matrix.geq[a, b] is matrix.geq[other, b] for b in matrix.cols), (a, other)
+    assert len(first) == len(sharing)
     return matrix
 
 
@@ -281,7 +286,7 @@ def test_matrix_unary_matrices_match_scan(seed):
     for left, right in zip(algebras, algebras[1:] + algebras[:1]):
         for pair in (self_pair(left), validate_pair(left, right)):
             matrix = assert_matrix_matches_scan(pair)
-            shared += len(matrix.rows) - len({id(row) for row in matrix._shared})
+            shared += len(matrix.rows) - len({id(row) for row in matrix.approx._rows})
     assert shared
 
 
