@@ -18,7 +18,6 @@ from .algebra import (
     AlgebraError,
     AlgebraParseError,
     Signature,
-    SignatureMismatchError,
     _NAME_BREAKS,
     _ROW_RE,
     scan_lines,
@@ -45,12 +44,7 @@ class ElementMap(Frozen):
 
     def __init__(self, name: str, source: Algebra, target: Algebra, table: Mapping[str, str]):
         super().__init__(name, source, target, table)
-        # Constants may come in any order, as in ``validate_pair``.
-        source_sig, target_sig = source.signature, target.signature
-        if (source_sig.operations, set(source_sig.constant_symbols)) != (
-            target_sig.operations, set(target_sig.constant_symbols)
-        ):
-            raise SignatureMismatchError(f"map {name!r}: source and target signatures differ")
+        validate_pair(source, target)
         for a in source.carrier:
             if a not in table:
                 raise MapError(f"map {name!r}: no image for {a!r}")
@@ -136,12 +130,7 @@ def is_isomorphism(emap: ElementMap) -> bool:
 
 
 class LemmaReport(Record):
-    # violations: source elements whose Gen sets differ
-    __slots__ = ("emap", "checked", "violations", "method")
-
-    @property
-    def certified(self) -> bool:
-        return not self.violations
+    __slots__ = ("emap", "method")
 
     def to_dict(self) -> dict:
         return {
@@ -149,9 +138,6 @@ class LemmaReport(Record):
             "source": self.emap.source.name,
             "target": self.emap.target.name,
             "method": self.method,
-            "checked": list(self.checked),
-            "certified": self.certified,
-            "violations": list(self.violations),
         }
 
 
@@ -163,7 +149,7 @@ def verify_isomorphism_lemma(emap: ElementMap) -> LemmaReport:
     """
     if not is_isomorphism(emap):
         raise MapError(f"map {emap.name!r} is not an isomorphism")
-    return LemmaReport(emap, emap.source.carrier, [], "isomorphism")
+    return LemmaReport(emap, "isomorphism")
 
 
 def check_g_functor(emap: ElementMap, config: QueryConfig | None = None) -> Verdict:

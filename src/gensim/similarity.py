@@ -215,16 +215,13 @@ class GeneralEngine(Engine):
         # The first witness of each range pair is canonical: renumbering
         # its variables keeps its ranges and gives a key no larger.
         witnesses: dict = {}
-        names: tuple = ({}, {})  # each side's value indices -> their element names
         for p in saturate_profiles(pair, k, cap, stop):
-            left = names[0].get(p.left)
-            if left is None:
-                left = names[0][p.left] = frozenset(map(left_names.__getitem__, set(p.left)))
-            right = names[1].get(p.right)
-            if right is None:
-                right = names[1][p.right] = frozenset(map(right_names.__getitem__, set(p.right)))
-            witnesses.setdefault((left, right), p.witness)
-        rows = [(left, right, w) for (left, right), w in witnesses.items()]
+            witnesses.setdefault((frozenset(p.left), frozenset(p.right)), p.witness)
+        rows = [
+            (frozenset(map(left_names.__getitem__, left)),
+             frozenset(map(right_names.__getitem__, right)), w)
+            for (left, right), w in witnesses.items()
+        ]
         super().__init__(pair, exactness_label(pair, k), rows)
 
 
@@ -391,6 +388,15 @@ class Cells(Mapping):
 
     def items(self):
         return _Items(self)
+
+    def __eq__(self, other):
+        """Over equal row and column orders, each distinct (id, id) pair of
+        verdicts is compared once: a matrix shares its verdict objects, and
+        a verdict compares its evidence term in full."""
+        if not (isinstance(other, Cells) and (self._index, self._cols) == (other._index, other._cols)):
+            return Mapping.__eq__(self, other)
+        pairs = {(id(x), id(y)): (x, y) for x, y in zip(self.values(), other.values())}
+        return all(x == y for x, y in pairs.values())
 
     def __repr__(self):
         return repr(dict(self.items()))

@@ -98,9 +98,12 @@ def test_parse_unknown_directive():
      "constant symbol 'f' clashes with an operation symbol"),
     ("algebra A\nconstants z1\nelements z1 b\nop f/1\n  z1 -> b\n  b -> z1\nend\n", 2,
      "constant symbol 'z1' clashes with variable names"),
+    ("algebra A\nelements a b\nconstants none\nop f/1\n  a -> b\n  b -> a\nend\n"
+     "op f/1\n  a -> a\n  b -> b\nend\n", 8,
+     "duplicate operation 'f'"),
 ], ids=[
     "arity-below-0", "arity-0", "elements-twice", "constants-twice", "constants-unknown",
-    "op-variable", "constant-op", "constant-variable",
+    "op-variable", "constant-op", "constant-variable", "op-twice",
 ])
 def test_parse_header_faults_name_their_line(text, line, message):
     for parse in (parse_algebra, reference_parse_algebra):
@@ -186,6 +189,28 @@ def test_validate_pair_signature_mismatch():
     b = make_algebra("B", ["x", "y"], {"g": {"x": "y", "y": "y"}})
     with pytest.raises(SignatureMismatchError, match="present in only one"):
         validate_pair(a, b)
+
+
+def test_validate_pair_operation_order():
+    a = make_algebra("A", ["x"], {"f": {"x": "x"}, "g": {"x": "x"}})
+    b = make_algebra("B", ["x"], {"g": {"x": "x"}, "f": {"x": "x"}})
+    with pytest.raises(SignatureMismatchError) as exc:
+        validate_pair(a, b)
+    assert str(exc.value) == "operation declaration order differs"
+
+
+def test_arity_of_an_unknown_symbol():
+    with pytest.raises(AlgebraError) as exc:
+        Signature((("f", 1),)).arity("g")
+    assert (exc.type, str(exc.value)) == (AlgebraError, "unknown operation symbol 'g'")
+
+
+def test_parse_without_elements_line():
+    for parse in (parse_algebra, reference_parse_algebra):
+        with pytest.raises(AlgebraParseError) as exc:
+            parse("algebra A\nconstants none\n")
+        assert str(exc.value) == "missing 'elements' line"
+        assert exc.value.line is None
 
 
 def test_validate_pair_arity_mismatch():

@@ -451,10 +451,9 @@ def test_iso_lemma_reads_no_engine_option(capsys, tmp_path, schema):
     code, out, _ = run(capsys, *base, "--cap", "1", "--format", "json")
     assert code == 0
     validate(schema, out)
-    report = json.loads(out)
-    assert (report["method"], report["certified"], report["violations"]) == (
-        "isomorphism", True, []
-    )
+    assert json.loads(out) == {
+        "map": "id", "source": "Chain5", "target": "Chain5", "method": "isomorphism"
+    }
 
 
 def test_reflexivity(capsys, schema):
@@ -491,6 +490,48 @@ def test_transitivity_triple(capsys, schema):
     )
     assert code == 1
     validate(schema, out)
+
+
+@pytest.mark.parametrize("option", ["--mid", "--right"])
+def test_transitivity_triple_mode_needs_both_algebras(capsys, option):
+    code, out, err = run(
+        capsys, "transitivity", "--left", fixture_path("triple_a.alg"),
+        option, fixture_path("triple_b.alg"),
+    )
+    assert (code, out, err) == (2, "", "error: triple mode needs --mid and --right\n")
+
+
+def test_examples_report_a_failing_check(capsys, monkeypatch, schema):
+    from gensim import corpus
+
+    checks = corpus.example_checks()[:2]
+    failing = corpus.ExampleCheck("always-fails", "a check that fails", lambda: False)
+    monkeypatch.setattr(cli, "example_checks", lambda: [checks[0], failing, checks[1]])
+    code, out, _ = run(capsys, "examples")
+    assert code == 1
+    assert [line.split()[0] for line in out.splitlines()] == ["PASS", "FAIL", "PASS"]
+    assert out.splitlines()[1] == "FAIL  always-fails: a check that fails"
+    code, out, _ = run(capsys, "examples", "--format", "json")
+    assert code == 1
+    validate(schema, out)
+    report = json.loads(out)
+    assert report["failures"] == 1
+    assert [c["pass"] for c in report["checks"]] == [True, False, True]
+
+
+def test_default_fragment_notes_a_non_unary_signature(capsys, tmp_path, powerset3):
+    from gensim.algebra import render_algebra
+
+    path = tmp_path / "powerset3.alg"
+    path.write_text(render_algebra(powerset3))
+    a, b = powerset3.carrier[:2]
+    argv = ("check", "--left", str(path), "--a", a, "--b", b)
+    code, out, err = run(capsys, *argv)
+    assert err == (
+        "note: non-unary signature, verdicts are linear-fragment "
+        "(pass --fragment general for more)\n"
+    )
+    assert run(capsys, *argv, "--fragment", "linear") == (code, out, "")
 
 
 def test_examples_all_pass(capsys, schema):

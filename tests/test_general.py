@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gensim.algebra import make_algebra, self_pair
+from gensim.algebra import AlgebraError, make_algebra, self_pair
 from gensim.general import DEFAULT_CAP, SaturationCapError, _function_lift, exactness_label, saturate_profiles
 from gensim.similarity import GeneralEngine
 from gensim.terms import parse_term, range_of_term, render_term, term_variables
@@ -20,6 +20,12 @@ def two_elem(table, name="T"):
         ("1", "1"): table[3],
     }
     return make_algebra(name, ["0", "1"], {"m": rows})
+
+
+def test_saturation_needs_a_variable():
+    with pytest.raises(AlgebraError) as exc:
+        saturate_profiles(self_pair(two_elem("0111")), 0)
+    assert (exc.type, str(exc.value)) == (AlgebraError, "K must be >= 1")
 
 
 def test_exactness_label():

@@ -8,6 +8,7 @@ equal to it from both sides, and with its repr.
 
 import copy
 import pickle
+import time
 import tracemalloc
 
 import pytest
@@ -15,7 +16,7 @@ import pytest
 from gensim import cli
 from gensim.algebra import make_algebra, self_pair
 from gensim.corpus import load_fixture
-from gensim.similarity import build_engines, decide_approx, decide_leq, similarity_matrix
+from gensim.similarity import Cells, build_engines, decide_approx, decide_leq, similarity_matrix
 from test_decision import random_pair
 
 PAIRS = [(1, 40, seed, cross) for seed in range(2) for cross in (False, True)]
@@ -130,14 +131,18 @@ def test_copies_and_pickles_give_equal_matrices(matrix_and_dicts):
         assert "".join(copied) == "".join(text)
 
 
+def chain_pair(n):
+    """The self pair of the n-element chain f(e_i) = e_(i+1), a sink at the end."""
+    carrier = [f"e{i}" for i in range(n)]
+    table = {(e,): carrier[min(i + 1, n - 1)] for i, e in enumerate(carrier)}
+    return self_pair(make_algebra("Chain", carrier, {"f": table}))
+
+
 def test_chain_matrix_builds_no_cell_keys():
-    """The 400-element chain f(e_i) = e_(i+1), a sink at the end: its
-    matrix keeps rows of verdicts, not n² keys in three dicts, and the
-    peak that ``similarity_matrix`` allocates stays under 20 MB (it read
-    about 37 MB when the maps were dicts)."""
-    carrier = [f"e{i}" for i in range(400)]
-    table = {(e,): carrier[min(i + 1, 399)] for i, e in enumerate(carrier)}
-    pair = self_pair(make_algebra("Chain", carrier, {"f": table}))
+    """The 400-element chain's matrix keeps rows of verdicts, not n² keys
+    in three dicts, and the peak that ``similarity_matrix`` allocates
+    stays under 20 MB (it read about 37 MB when the maps were dicts)."""
+    pair = chain_pair(400)
     tracemalloc.start()
     try:
         matrix = similarity_matrix(pair)
@@ -146,3 +151,56 @@ def test_chain_matrix_builds_no_cell_keys():
         tracemalloc.stop()
     assert len(matrix.leq) == 400 * 400
     assert peak < 20_000_000
+
+
+@pytest.fixture(scope="module")
+def chain_matrix_and_copy():
+    matrix = similarity_matrix(chain_pair(400))
+    return matrix, pickle.loads(pickle.dumps(matrix))
+
+
+def test_matrices_without_shared_verdicts_compare_fast(chain_matrix_and_copy):
+    """A pickled copy shares no verdict object with its matrix, and its
+    evidence terms are up to 399 symbols deep: comparing each cell in
+    full took over 25 s.  (Results are asserted as plain booleans, as a
+    failing assertion would render both matrices.)"""
+    matrix, other = chain_matrix_and_copy
+    shared = {*map(id, matrix.leq.values())} & {*map(id, other.leq.values())}
+    assert not shared
+    start = time.perf_counter()
+    equal = matrix == other and other == matrix
+    assert time.perf_counter() - start < 3
+    assert equal
+
+
+def test_one_changed_cell_makes_views_unequal(chain_matrix_and_copy):
+    matrix, other = chain_matrix_and_copy
+    other = pickle.loads(pickle.dumps(other))
+    row = other.leq._rows[5]
+    failing, holding = row[2].holds, row[7].holds
+    assert (failing, holding) == (False, True)
+    row[2] = row[7]  # e5 <~ e2 now holds
+    unequal = other.leq != matrix.leq and matrix.leq != other.leq and other != matrix
+    assert unequal
+    equal = other.geq == matrix.geq and other.approx == matrix.approx
+    assert equal
+    row[2] = copy.deepcopy(matrix.leq["e5", "e2"])  # equal, yet another object
+    equal = other.leq == matrix.leq and other == matrix
+    assert equal
+
+
+def test_views_equal_their_cell_dicts_in_any_order(chain_matrix_and_copy):
+    matrix, _ = chain_matrix_and_copy
+    for view in views(matrix):
+        cells = dict(view)
+        equal = view == cells and cells == view and not view != cells and not cells != view
+        assert equal
+    # Rows in another order fall back to comparing cell by cell.
+    matrix = similarity_matrix(chain_pair(20))
+    view = pickle.loads(pickle.dumps(matrix)).leq
+    rows = view._rows[::-1]
+    reordered = Cells(rows, {a: i for i, a in enumerate(matrix.rows[::-1])}, view._cols)
+    assert list(reordered) == sorted(matrix.leq, key=lambda key: -matrix.rows.index(key[0]))
+    assert reordered == matrix.leq and matrix.leq == reordered
+    rows[0] = rows[1]
+    assert reordered != matrix.leq and matrix.leq != reordered

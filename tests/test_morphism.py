@@ -4,11 +4,18 @@ import time
 import pytest
 
 from gensim import linear
-from gensim.algebra import make_algebra, validate_pair
+from gensim.algebra import (
+    AlgebraError,
+    AlgebraParseError,
+    SignatureMismatchError,
+    make_algebra,
+    validate_pair,
+)
 from gensim.corpus import load_fixture
 from gensim.morphism import (
     ConstantPreservationError,
     ElementMap,
+    LemmaReport,
     MapError,
     check_g_functor,
     check_second_isomorphism,
@@ -47,8 +54,6 @@ def test_parse_map_ignores_comments_and_blank_lines(merge_src, merge_tgt):
 
 def test_parse_map_errors(merge_src, merge_tgt):
     algebras = {"MergeSrc": merge_src, "MergeTgt": merge_tgt}
-    from gensim.algebra import AlgebraParseError
-
     with pytest.raises(AlgebraParseError, match="unknown source"):
         parse_map("map F : Nope -> MergeTgt\n  a -> c\n", algebras)
     with pytest.raises(AlgebraParseError, match="duplicate image"):
@@ -59,13 +64,53 @@ def test_parse_map_errors(merge_src, merge_tgt):
         parse_map("map F : MergeSrc -> MergeTgt\n  a -> c\n", algebras)
 
 
+HEADER = "map F : MergeSrc -> MergeTgt\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (HEADER + HEADER + "  a -> c\n  b -> c\n", "line 2: duplicate 'map' header"),
+    ("map F MergeSrc -> MergeTgt\n  a -> c\n",
+     "line 1: expected 'map <name> : <source> -> <target>'"),
+    ("map F : MergeSrc -> Nope\n  a -> c\n", "line 1: unknown target algebra 'Nope'"),
+    ("  a -> c\n" + HEADER + "  b -> c\n", "line 1: map row before 'map' header"),
+    ("# no header\n", "missing 'map' header"),
+], ids=["header-twice", "header-malformed", "target-unknown", "row-first", "header-missing"])
+def test_parse_map_header_faults(merge_src, merge_tgt, text, message):
+    with pytest.raises(AlgebraParseError) as exc:
+        parse_map(text, {"MergeSrc": merge_src, "MergeTgt": merge_tgt})
+    assert (exc.type, str(exc.value)) == (AlgebraParseError, message)
+
+
+def test_element_map_faults(merge_src, merge_tgt, chain5):
+    cases = [
+        ((merge_src, merge_tgt, {"a": "c", "b": "c", "w": "c"}),
+         MapError, "map 'F': unknown source element 'w'"),
+        ((merge_src, merge_tgt, {"a": "c", "b": "w"}),
+         MapError, "map 'F': image 'w' not in target carrier"),
+        ((merge_src, make_algebra("G", ["c"], {"g": {"c": "c"}}), {"a": "c", "b": "c"}),
+         SignatureMismatchError, "operation 'f' present in only one algebra"),
+    ]
+    for args, error, message in cases:
+        with pytest.raises(error) as exc:
+            ElementMap("F", *args)
+        assert (exc.type, str(exc.value)) == (error, message)
+    with pytest.raises(MapError) as exc:
+        identity_map(chain5)("w")
+    assert (exc.type, str(exc.value)) == (MapError, "map 'id': no image for 'w'")
+
+
+def test_random_algebra_needs_elements_and_operations():
+    for size, n_ops in ((0, 1), (1, 0)):
+        with pytest.raises(AlgebraError) as exc:
+            random_monounary_algebra(random.Random(0), size, n_ops)
+        assert (exc.type, str(exc.value)) == (AlgebraError, "size and op count must be positive")
+
+
 def test_map_rows_use_the_table_row_grammar():
     # A row is split at the arrow before its image, as a unary table row.
     algebra = make_algebra("A->B", ["a->b", "map"], {"f": {"a->b": "map", "map": "a->b"}})
     emap = parse_map("map F : A->B -> A->B\n  a->b -> map\n  map -> a->b\n", {"A->B": algebra})
     assert emap.table == {"a->b": "map", "map": "a->b"}
-    from gensim.algebra import AlgebraParseError
-
     for row in ("a->b, map -> map", "(a->b) -> map", "a->b) -> map", "-> map"):
         with pytest.raises(AlgebraParseError, match=r"^line 3: malformed map row"):
             parse_map(f"map F : A->B -> A->B\n  map -> map\n  {row}\n", {"A->B": algebra})
@@ -104,7 +149,7 @@ def test_merge_map_is_homomorphism_not_iso(merge_map):
 def test_identity_is_isomorphism(chain5):
     ident = identity_map(chain5)
     assert is_isomorphism(ident)
-    assert verify_isomorphism_lemma(ident).certified
+    assert verify_isomorphism_lemma(ident) == LemmaReport(ident, "isomorphism")
     assert check_g_functor(ident).holds
 
 
@@ -131,9 +176,7 @@ def test_relabeled_copy_is_isomorphism(chain5):
     emap = relabeled_copy(rng, chain5)
     assert set(emap.target.carrier).isdisjoint(chain5.carrier)
     assert is_isomorphism(emap)
-    report = verify_isomorphism_lemma(emap)
-    assert report.certified
-    assert report.method == "isomorphism"
+    assert verify_isomorphism_lemma(emap) == LemmaReport(emap, "isomorphism")
     assert lemma_violations(emap) == []
     assert check_g_functor(emap).holds
 
@@ -145,9 +188,7 @@ def test_lemma_requires_isomorphism(merge_map):
 
 def test_lemma_on_binary_signature(powerset3):
     emap = identity_map(powerset3)
-    report = verify_isomorphism_lemma(emap)
-    assert report.certified
-    assert report.method == "isomorphism"
+    assert verify_isomorphism_lemma(emap) == LemmaReport(emap, "isomorphism")
     assert lemma_violations(emap) == []
 
 
@@ -176,9 +217,7 @@ def lemma_maps(powerset3):
 
 def test_lemma_certifies_isomorphisms(powerset3):
     for emap in lemma_maps(powerset3):
-        report = verify_isomorphism_lemma(emap)
-        assert report.certified, emap.name
-        assert report.method == "isomorphism"
+        assert verify_isomorphism_lemma(emap) == LemmaReport(emap, "isomorphism"), emap.name
         assert lemma_violations(emap) == [], emap.name
 
 
@@ -196,8 +235,7 @@ def test_lemma_builds_no_closure(monkeypatch, chain5):
         start = time.perf_counter()
         report = verify_isomorphism_lemma(emap)
         assert time.perf_counter() - start < 1
-        assert report.certified and report.violations == []
-        assert report.checked == emap.source.carrier
+        assert report == LemmaReport(emap, "isomorphism")
 
 
 def test_lemma_flags_a_bijection_that_is_no_homomorphism(chain5):

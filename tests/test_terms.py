@@ -64,6 +64,19 @@ def test_parse_rejects_trailing_input():
         parse_term("z1 z2")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("f(", "unexpected end of term in 'f('"),
+    ("", "unexpected end of term in ''"),
+    (")", "unexpected ')' in ')'"),
+    ("f(,z1)", "unexpected ',' in 'f(,z1)'"),
+    ("f(z1 z2)", "expected ')' in 'f(z1 z2)'"),
+])
+def test_parse_rejects_malformed_terms(text, message):
+    with pytest.raises(TermError) as exc:
+        parse_term(text)
+    assert (exc.type, str(exc.value)) == (TermError, message)
+
+
 def test_measures():
     term = parse_term("m(m(z1, z2), z1)")
     assert term_depth(term) == 2
