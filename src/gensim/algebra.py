@@ -65,11 +65,15 @@ class Signature(Frozen):
             if VARIABLE_RE.match(sym):
                 raise AlgebraError(f"operation symbol {sym!r} clashes with variable names")
             seen.add(sym)
+        constants: set[str] = set()
         for c in constant_symbols:
+            if c in constants:
+                raise AlgebraError(f"duplicate constant symbol {c!r}")
             if c in seen:
                 raise AlgebraError(f"constant symbol {c!r} clashes with an operation symbol")
             if VARIABLE_RE.match(c):
                 raise AlgebraError(f"constant symbol {c!r} clashes with variable names")
+            constants.add(c)
 
     @property
     def op_symbols(self) -> tuple[str, ...]:
@@ -158,8 +162,7 @@ class Algebra(Frozen):
             raise AlgebraError(f"element {element!r} not in carrier of {self.name!r}") from None
 
     def require_element(self, element: str) -> str:
-        if element not in self._ids:
-            raise AlgebraError(f"element {element!r} not in carrier of {self.name!r}")
+        self.index(element)
         return element
 
 
@@ -192,7 +195,8 @@ def make_algebra(
     """Convenience constructor used by tests and generated fixtures.
 
     Arities default to the key length of the first table row of each
-    operation; tables may use bare strings as unary keys.
+    operation; tables may use bare strings as unary keys.  ``constants``
+    may be ``"none"`` or ``"all"``, read as on the ``.alg`` constants line.
     """
     carrier = tuple(carrier)
     operations = operations or {}
@@ -207,10 +211,10 @@ def make_algebra(
         sig_ops.append((sym, arity))
         norm_tables[sym] = rows
     if constants == "all":
-        const_tuple = carrier
-    else:
-        const_tuple = tuple(constants)
-    sig = Signature(tuple(sig_ops), const_tuple)
+        constants = carrier
+    elif constants == "none":
+        constants = ()
+    sig = Signature(tuple(sig_ops), tuple(constants))
     return Algebra(name, carrier, sig, norm_tables)
 
 

@@ -41,7 +41,7 @@ from .verdict import LINEAR_FRAGMENT
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            return handle.read().removeprefix("\ufeff")  # a byte-order mark
     except UnicodeDecodeError as exc:
         raise AlgebraError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -34,6 +34,15 @@ def test_parse_render_round_trip(chain5):
     )
     assert reordered.signature.constant_symbols == ("q", "p")
     assert parse_algebra(render_algebra(reordered)) == reordered
+    # A repeated constant, which the text cannot hold, is refused up front.
+    with pytest.raises(AlgebraError, match="^duplicate constant symbol 'a'$"):
+        Signature((("f", 1),), ("a", "a"))
+    # The keyword words of the constants line read as the parser reads them.
+    for word, symbols in [("none", ()), ("all", ("x", "y"))]:
+        algebra = make_algebra("A", ["x", "y"], {"f": {"x": "y", "y": "y"}}, constants=word)
+        assert algebra.signature.constant_symbols == symbols
+        assert f"\nconstants {word}\n" in render_algebra(algebra)
+        assert parse_algebra(render_algebra(algebra)) == algebra
 
 
 def test_fixture_contents(chain5):

@@ -104,6 +104,22 @@ def test_repeated_constant_exits_2(capsys, tmp_path):
     assert err == "error: line 3: duplicate constant name\n"
 
 
+def test_byte_order_mark_reads_as_the_plain_file(capsys, tmp_path):
+    """A file saved with a UTF-8 byte-order mark reads as it does without
+    one; a byte that is not UTF-8 is still reported at its file offset."""
+    plain = fixture_path("chain5.alg")
+    marked = tmp_path / "chain5.alg"
+    with open(plain, "rb") as handle:
+        marked.write_bytes(b"\xef\xbb\xbf" + handle.read())
+    for argv in [("check", "--a", "a", "--b", "b"), ("matrix",)]:
+        code, out, err = run(capsys, argv[0], "--left", str(marked), *argv[1:])
+        assert (code, out, err) == run(capsys, argv[0], "--left", plain, *argv[1:])
+        assert code == 0 and out
+    marked.write_bytes(b"\xef\xbb\xbfalgebra A\n\xff")
+    code, _, err = run(capsys, "matrix", "--left", str(marked))
+    assert (code, err) == (2, f"error: {marked}: not UTF-8 text (invalid start byte at byte 13)\n")
+
+
 def test_element_named_end_in_a_unary_table(capsys, tmp_path):
     # Only a whole line "end" closes an op block.
     path = tmp_path / "end.alg"
@@ -633,31 +649,68 @@ def test_calls_in_one_process_match_separate_processes(capsys, monkeypatch, call
     assert cli._parser() is cli._parser() and cli.build_parser() is not cli._parser()
 
 
+# The public names of the package, by the module that defines each.
+EXPORTS = {
+    "algebra": ["Algebra", "AlgebraError", "AlgebraPair", "AlgebraParseError", "Signature",
+                "SignatureMismatchError", "make_algebra", "parse_algebra", "render_algebra",
+                "self_pair", "validate_pair"],
+    "terms": ["App", "Const", "Term", "Var", "parse_term", "range_of_term", "render_g_formula",
+              "render_term"],
+    "verdict": ["Certificate", "Verdict"],
+    "similarity": ["QueryConfig", "build_engine", "check_reflexive", "check_transitive",
+                   "decide_algebra_approx", "decide_algebra_leq", "decide_approx", "decide_leq",
+                   "find_characteristic_set", "similarity_matrix"],
+    "morphism": ["ElementMap", "check_g_functor", "check_second_isomorphism", "is_homomorphism",
+                 "is_isomorphism", "parse_map", "verify_isomorphism_lemma"],
+    "corpus": ["load_fixture"],
+}
+
+
 def test_cli_import_loads_neither_dataclasses_nor_corpus():
-    """``import gensim.cli`` loads neither ``gensim.corpus`` (nor the
+    """In a fresh process ``import gensim`` loads no submodule, and
+    ``import gensim.cli`` loads neither ``gensim.corpus`` (nor the
     ``dataclasses`` it needs), which only ``examples`` uses, nor
-    ``gensim.automata``, which only ``genlang`` and ``examples`` use.  Every
-    public name of the package still resolves, and the test-only term
-    enumerator (``enumerate_terms``, now in ``tests/oracles.py``) is not one
-    of them."""
+    ``gensim.automata``, which only ``genlang`` and ``examples`` use.  Each
+    public name then loads its defining module's object on first use;
+    ``from gensim import *`` and ``dir`` list the 39 names, and the
+    test-only term enumerator (``enumerate_terms``, in ``tests/oracles.py``)
+    is not one of them."""
     src = str(pathlib.Path(gensim.__file__).resolve().parent.parent)
     code = (
-        "import sys, gensim.cli\n"
-        "print(sorted({'dataclasses', 'gensim.automata', 'gensim.corpus'} & set(sys.modules)))\n"
+        "import json, sys\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('gensim'))\n"
         "import gensim\n"
-        "print(all(getattr(gensim, name) is not None for name in gensim.__all__))\n"
-        "from gensim import load_fixture\n"
-        "from gensim.corpus import load_fixture as direct\n"
-        "print(load_fixture is direct, 'load_fixture' in dir(gensim))\n"
-        "print(hasattr(gensim, 'enumerate_terms'), 'enumerate_terms' in gensim.__all__)\n"
+        "bare = loaded()\n"
+        "import gensim.cli\n"
+        "cli = loaded(), 'dataclasses' in sys.modules\n"
+        "star = {}\n"
+        "exec('from gensim import *', star)\n"
+        "owners = {name: getattr(sys.modules['gensim.' + module], name) is star[name]\n"
+        f"          for module, names in {EXPORTS!r}.items() for name in names}}\n"
+        "try:\n"
+        "    gensim.nonexistent\n"
+        "except AttributeError as exc:\n"
+        "    missing = str(exc)\n"
+        "from gensim import similarity\n"
+        "print(json.dumps([bare, cli, gensim.__all__, sorted(set(star) - {'__builtins__'}),\n"
+        "                  set(gensim.__all__) <= set(dir(gensim)), all(owners.values()),\n"
+        "                  len(owners), missing, similarity is sys.modules['gensim.similarity'],\n"
+        "                  hasattr(gensim, 'enumerate_terms')]))\n"
     )
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env={**os.environ, "PYTHONPATH": src},
     )
-    assert done.stdout.splitlines() == ["[]", "True", "True True", "False False"]
-    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
-        gensim.nonexistent
+    (bare, (cli_modules, dataclasses), names, star, listed, owned, count, missing, submodule,
+     enumerator) = json.loads(done.stdout)
+    assert bare == ["gensim"]
+    assert cli_modules == ["gensim", *(f"gensim.{m}" for m in [
+        "algebra", "cli", "closure", "general", "linear", "monolinear", "morphism", "record",
+        "similarity", "terms", "verdict"])]
+    assert not dataclasses and not enumerator
+    assert names == sorted(name for group in EXPORTS.values() for name in group) == star
+    assert len(names) == count == 39 and listed and owned and submodule
+    assert missing == "module 'gensim' has no attribute 'nonexistent'"
 
 
 @pytest.mark.parametrize("argv, loads", [

@@ -153,10 +153,22 @@ def test_chain_matrix_builds_no_cell_keys():
     assert peak < 20_000_000
 
 
+class ChainMatrices:
+    """The 400-element chain's matrix and its pickled copy, under a short
+    repr: pytest's long traceback reprs each test's arguments, and a view
+    of this matrix has a 244 MB repr."""
+
+    def __init__(self):
+        self.matrix = similarity_matrix(chain_pair(400))
+        self.copy = pickle.loads(pickle.dumps(self.matrix))
+
+    def __repr__(self):
+        return "ChainMatrices(400)"
+
+
 @pytest.fixture(scope="module")
 def chain_matrix_and_copy():
-    matrix = similarity_matrix(chain_pair(400))
-    return matrix, pickle.loads(pickle.dumps(matrix))
+    return ChainMatrices()
 
 
 def test_matrices_without_shared_verdicts_compare_fast(chain_matrix_and_copy):
@@ -164,7 +176,7 @@ def test_matrices_without_shared_verdicts_compare_fast(chain_matrix_and_copy):
     evidence terms are up to 399 symbols deep: comparing each cell in
     full took over 25 s.  (Results are asserted as plain booleans, as a
     failing assertion would render both matrices.)"""
-    matrix, other = chain_matrix_and_copy
+    matrix, other = chain_matrix_and_copy.matrix, chain_matrix_and_copy.copy
     shared = {*map(id, matrix.leq.values())} & {*map(id, other.leq.values())}
     assert not shared
     start = time.perf_counter()
@@ -174,7 +186,7 @@ def test_matrices_without_shared_verdicts_compare_fast(chain_matrix_and_copy):
 
 
 def test_one_changed_cell_makes_views_unequal(chain_matrix_and_copy):
-    matrix, other = chain_matrix_and_copy
+    matrix, other = chain_matrix_and_copy.matrix, chain_matrix_and_copy.copy
     other = pickle.loads(pickle.dumps(other))
     row = other.leq._rows[5]
     failing, holding = row[2].holds, row[7].holds
@@ -190,7 +202,7 @@ def test_one_changed_cell_makes_views_unequal(chain_matrix_and_copy):
 
 
 def test_views_equal_their_cell_dicts_in_any_order(chain_matrix_and_copy):
-    matrix, _ = chain_matrix_and_copy
+    matrix = chain_matrix_and_copy.matrix
     for view in views(matrix):
         cells = dict(view)
         equal = view == cells and cells == view and not view != cells and not cells != view
