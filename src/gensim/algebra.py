@@ -195,11 +195,12 @@ def make_algebra(
     """Convenience constructor used by tests and generated fixtures.
 
     Arities default to the key length of the first table row of each
-    operation; tables may use bare strings as unary keys.  ``constants``
-    may be ``"none"`` or ``"all"``, read as on the ``.alg`` constants line.
+    operation; tables may use bare strings as unary keys.  A ``constants``
+    string is read as on the ``.alg`` constants line.
     """
     carrier = tuple(carrier)
     operations = operations or {}
+    arities = arities or {}
     norm_tables: dict[str, dict[tuple[str, ...], str]] = {}
     sig_ops: list[tuple[str, int]] = []
     for sym, table in operations.items():
@@ -207,13 +208,13 @@ def make_algebra(
         for key, out in table.items():
             tup = (key,) if isinstance(key, str) else tuple(key)
             rows[tup] = out
-        arity = arities[sym] if arities and sym in arities else len(next(iter(rows)))
+        if sym not in arities and not rows:
+            raise AlgebraError(f"operation {sym!r} has an empty table and no arity")
+        arity = arities[sym] if sym in arities else len(next(iter(rows)))
         sig_ops.append((sym, arity))
         norm_tables[sym] = rows
-    if constants == "all":
-        constants = carrier
-    elif constants == "none":
-        constants = ()
+    if isinstance(constants, str):
+        constants = {"all": carrier, "none": ()}.get(constants.strip(), constants.split())
     sig = Signature(tuple(sig_ops), tuple(constants))
     return Algebra(name, carrier, sig, norm_tables)
 

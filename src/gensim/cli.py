@@ -268,8 +268,12 @@ def cmd_clone(args) -> int:
 
 def cmd_morphism(args) -> int:
     algebras: dict[str, Algebra] = {}
+    paths: dict[str, str] = {}
     for path in args.algebras:
         algebra = _load_algebra(path)
+        first = paths.setdefault(algebra.name, path)
+        if first != path:
+            raise AlgebraError(f"algebra {algebra.name!r} is defined in both {first} and {path}")
         algebras[algebra.name] = algebra
     emap = parse_map(_read_text(args.map), algebras)
     config = _config(args)

@@ -67,7 +67,7 @@ _ACCEPTED = ()
 
 def operation_rules(pair: AlgebraPair, make, linear: bool = False) -> list:
     """One closure rule per operation of ``pair``: the lifts ``make(algebra,
-    sym)`` of both sides, or one lift for both on a self pair, so the
+    sym, arity)`` of both sides, or one lift for both on a self pair, so the
     closure lifts one side only; then ``terms.app_key``'s build and
     compose, and whether the operation is binary and commutative on both
     sides."""
@@ -75,7 +75,7 @@ def operation_rules(pair: AlgebraPair, make, linear: bool = False) -> list:
     algebras = [pair.left] if pair.right is pair.left else [pair.left, pair.right]
     rules = []
     for sym, arity in sig.operations:
-        lifts = [make(algebra, sym) for algebra in algebras]
+        lifts = [make(algebra, sym, arity) for algebra in algebras]
         commutative = arity == 2 and all(
             table[y, x] == z for table in [a.tables[sym] for a in algebras] for (x, y), z in table.items()
         )

@@ -115,5 +115,5 @@ def saturate_profiles(pair: AlgebraPair, k: int, cap: int | None = DEFAULT_CAP, 
             collect((algebra.index(c),) * n ** k) for c in sig.constant_symbols])
     witnesses = [Var(i + 1) for i in range(k)] + [Const(c) for c in sig.constant_symbols]
     seeds = list(zip(*sides, witnesses))
-    rules = operation_rules(pair, lambda algebra, sym: _function_lift(algebra, sym, sig.arity(sym)))
+    rules = operation_rules(pair, _function_lift)
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap, stop=stop)

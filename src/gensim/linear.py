@@ -30,9 +30,9 @@ class _Rows(dict):
         return row
 
 
-def _range_lift(algebra: Algebra, sym: str):
+def _range_lift(algebra: Algebra, sym: str, arity: int):
     table = algebra.tables[sym]
-    if algebra.signature.arity(sym) != 2:
+    if arity != 2:
         return lambda sets: frozenset(map(table.__getitem__, product(*sets)))
     # A binary lift reads the right range out of each left element's row.
     rows = _Rows(algebra, sym)

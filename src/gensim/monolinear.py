@@ -34,7 +34,7 @@ def paired_ground_values(pair: AlgebraPair, keys: list | None = None) -> list[Pr
     minimal ground witness (and its key appended to ``keys``)."""
     sig = pair.left.signature
     seeds = [(c, c, Const(c)) for c in sig.constant_symbols]
-    rules = operation_rules(pair, lambda algebra, sym: algebra.tables[sym].__getitem__)
+    rules = operation_rules(pair, lambda algebra, sym, _: algebra.tables[sym].__getitem__)
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), keys=keys)
 
 

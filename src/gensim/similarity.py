@@ -59,11 +59,10 @@ class Engine:
 
     An engine holds its pair's term classes as rows (left range, right
     range, witness): distinct range pairs in witness order, each with its
-    minimal witness.  Row i is bit i: ``_left[a]`` holds the rows with
-    ``a`` on the left and ``_right[b]`` those with ``b`` on the right (a
-    key per carrier element), so the rows of Gen(a,b) are ``_left[a] &
-    _right[b]`` and its first row in witness order is the lowest set bit.
-    ``masks``, when given, are ``(_left, _right)`` of ``rows``.
+    minimal witness.  Row i is bit i: ``_left`` and ``_right`` hold each
+    side's row masks, one per element in carrier order, so Gen(a,b) is
+    the meet of a's and b's masks and its first row in witness order is
+    the lowest set bit.  ``masks``, when given, are ``(_left, _right)``.
     """
 
     def __init__(self, pair: AlgebraPair, label: str, rows, masks: tuple | None = None):
@@ -78,14 +77,14 @@ class Engine:
                 for side, names in zip(sides, row):
                     for e in names:
                         side[e].append(i)
-            masks = [{e: _mask(ids) for e, ids in side.items()} for side in sides]
+            masks = [[*map(_mask, side.values())] for side in sides]
             masks = masks[0], masks[-1]
         self._left, self._right = masks
         self._holds = Verdict(True, None, label)
         self._verdicts: dict = {}
         self._failing: dict = {}
         self._restated: dict = {}
-        self._counts = Counter(self._left.values())  # elements per left mask
+        self._counts = Counter(self._left)  # elements per left mask
         self._shared: dict = {}
 
     def _first(self, mask: int) -> Term:
@@ -100,10 +99,8 @@ class Engine:
     def subset(self, a: str, b: str, b_prime: str) -> tuple[bool, Term | None]:
         """Decide Gen(a,b) subset-of Gen(a,b'); on failure, return a
         minimal term in Gen(a,b) but not in Gen(a,b')."""
-        self.pair.left.require_element(a)
-        self.pair.right.require_element(b)
-        self.pair.right.require_element(b_prime)
-        rest = self._left[a] & self._right[b] & ~self._right[b_prime]
+        left, right = self.pair.left.index, self.pair.right.index
+        rest = self._left[left(a)] & self._right[right(b)] & ~self._right[right(b_prime)]
         return (False, self._first(rest)) if rest else (True, None)
 
     def verdict(self, a: str, b: str) -> Verdict:
@@ -117,9 +114,8 @@ class Engine:
         try:
             return self._verdicts[a][b]
         except KeyError:
-            self.pair.left.require_element(a)
-            self.pair.right.require_element(b)
-        left = self._left[a]
+            left = self._left[self.pair.left.index(a)]
+            self.pair.right.index(b)
         shared = self._shared.get(left)
         if shared is None and self._counts[left] > 1:
             others, row = self._sweep(left, None)
@@ -139,7 +135,7 @@ class Engine:
         """Gen(a,b') per b' in carrier order, and a verdict per distinct
         one, b' = a excluded; b never strictly contains its own."""
         carrier = self.pair.right.carrier
-        others = [*map(left.__and__, map(self._right.__getitem__, carrier))]
+        others = [*map(left.__and__, self._right)]
         row = dict.fromkeys(others, self._holds)
         # Each distinct competitor mask, in carrier order, takes the masks
         # it contains from the levels (by bit count) below its own.
@@ -504,20 +500,18 @@ def find_characteristic_set(
             rank = (term_size(witness), render_term(witness))
             if right & bad not in least or rank < least[right & bad][1]:
                 least[right & bad] = (i, rank, witness)
+    if bad.intersection(*least):  # a competitor in every cut: no set exists
+        return None
     # Classes come in witness order, so the candidates do too.
-    candidates = sorted((i, cut, rank, w) for cut, (i, rank, w) in least.items())
+    candidates = sorted((i, cut, *rank, w) for cut, (i, rank, w) in least.items())
     for size in range(1, max_size + 1):
-        best: list[Term] | None = None
-        best_key = None
-        for combo in combinations(candidates, size):
-            if frozenset.intersection(*[cut for _, cut, _, _ in combo]):
-                continue
-            ranks = [rank for _, _, rank, _ in combo]
-            key = (sum(size for size, _ in ranks), tuple(sorted(text for _, text in ranks)))
-            if best_key is None or key < best_key:
-                best, best_key = [w for _, _, _, w in combo], key
-        if best is not None:
-            return best
+        best = min(
+            (c for c in combinations(candidates, size) if not frozenset.intersection(*[x[1] for x in c])),
+            key=lambda c: (sum(x[2] for x in c), sorted(x[3] for x in c)),
+            default=None,
+        )
+        if best:
+            return [x[4] for x in best]
     return None
 
 

@@ -12,15 +12,17 @@ reference for ``closure.least_witness_closure``'s kernels;
 ``reference_function_lift`` the general engine's lift as one table lookup
 per assignment, the reference for ``general._function_lift``'s byte
 kernels; ``reference_general`` the general closure on tuples through
-both; and ``reference_parse_algebra`` the ``.alg`` reader that checks each
+both; ``reference_parse_algebra`` the ``.alg`` reader that checks each
 table row as it reads it, the reference for ``algebra.parse_algebra``'s
-bulk check."""
+bulk check; and ``reference_characteristic_set`` the search that keeps
+each size's best set by hand, the reference for
+``similarity.find_characteristic_set``."""
 
 from __future__ import annotations
 
 import random
 from heapq import heappop, heappush
-from itertools import count, product
+from itertools import combinations, count, product
 from typing import Iterator
 
 from gensim.algebra import (
@@ -39,6 +41,7 @@ from gensim.automata import NonUnaryError
 from gensim.closure import Profile, SaturationCapError
 from gensim.linear import _range_lift, reachable_profiles
 from gensim.morphism import ElementMap
+from gensim.similarity import build_engine
 from gensim.terms import (
     App,
     Const,
@@ -48,6 +51,7 @@ from gensim.terms import (
     _fold,
     app_key,
     range_of_term,
+    render_term,
     term_size,
     term_variables,
     witness_key,
@@ -279,7 +283,7 @@ def lifted_range(term: Term, algebra: Algebra) -> frozenset[str]:
     if isinstance(term, Const):
         algebra.require_element(term.name)
         return frozenset({term.name})
-    return _range_lift(algebra, term.op)([lifted_range(a, algebra) for a in term.args])
+    return _range_lift(algebra, term.op, len(term.args))([lifted_range(a, algebra) for a in term.args])
 
 
 def term_to_word(term: Term) -> list[str]:
@@ -452,6 +456,37 @@ def reference_general(pair: AlgebraPair, k: int, cap: int | None = None, keys=No
         other = lift if pair.right is pair.left else reference_function_lift(pair.right, sym)
         rules.append((arity, lift, other, *app_key(sym, sig)))
     return reference_closure(seeds, rules, lambda t: witness_key(t, sig), cap, keys)
+
+
+def reference_characteristic_set(pair: AlgebraPair, a: str, b: str, max_size: int = 3, config=None):
+    """``similarity.find_characteristic_set`` with a hand-kept best set and
+    key per size, where the first least key wins."""
+    if max_size < 1:
+        raise AlgebraError(f"max_size must be >= 1, not {max_size}")
+    pair.left.require_element(a)
+    pair.right.require_element(b)
+    engine = build_engine(pair, config)
+    bad = set(engine.competitors(pair.right.carrier, a, b))
+    least: dict = {}
+    for i, (left, right, witness) in enumerate(engine.classes()):
+        if a in left and b in right:
+            rank = (term_size(witness), render_term(witness))
+            if right & bad not in least or rank < least[right & bad][1]:
+                least[right & bad] = (i, rank, witness)
+    candidates = sorted((i, cut, rank, w) for cut, (i, rank, w) in least.items())
+    for size in range(1, max_size + 1):
+        best: list[Term] | None = None
+        best_key = None
+        for combo in combinations(candidates, size):
+            if frozenset.intersection(*[cut for _, cut, _, _ in combo]):
+                continue
+            ranks = [rank for _, _, rank, _ in combo]
+            key = (sum(size for size, _ in ranks), tuple(sorted(text for _, text in ranks)))
+            if best_key is None or key < best_key:
+                best, best_key = [w for _, _, _, w in combo], key
+        if best is not None:
+            return best
+    return None
 
 
 def reference_parse_algebra(text: str) -> Algebra:

@@ -162,6 +162,24 @@ def test_algebra_requires_total_tables():
         make_algebra("A", ["x", "y"], {"f": {"x": "y"}}, arities={"f": 1})
 
 
+def test_make_algebra_reads_its_arguments_as_alg_text():
+    """A ``constants`` string is read as the constants line is, and an
+    empty table with no arity is refused by the operation's name."""
+    table = {"f": {"cd": "x", "x": "x"}}
+    for constants, symbols in [
+        ("cd", ("cd",)), (" x\tcd ", ("x", "cd")), ("", ()), (" all ", ("cd", "x")), ("none", ()),
+    ]:
+        algebra = make_algebra("A", ["cd", "x"], table, constants=constants)
+        assert algebra.signature.constant_symbols == symbols
+        text = f"algebra A\nelements cd x\nconstants {constants}\nop f/1\n  cd -> x\n  x -> x\nend\n"
+        assert parse_algebra(text) == algebra
+    with pytest.raises(AlgebraError) as caught:
+        make_algebra("A", ["x"], {"f": {}})
+    assert str(caught.value) == "operation 'f' has an empty table and no arity"
+    with pytest.raises(AlgebraError, match=r"missing table row for f\(x\)"):
+        make_algebra("A", ["x"], {"f": {}}, arities={"f": 1})
+
+
 def test_algebra_rejects_out_of_carrier_output():
     with pytest.raises(AlgebraError, match="outside the carrier"):
         make_algebra("A", ["x"], {"f": {"x": "w"}})

@@ -450,6 +450,21 @@ def test_morphism_verifications(capsys, schema):
     assert "--map2" in err
 
 
+def test_morphism_refuses_two_algebras_of_one_name(capsys, tmp_path):
+    """A third file that reuses the name MergeSrc would otherwise replace
+    the source algebra that the map is checked against."""
+    source = fixture_path("merge_src.alg")
+    renamed = tmp_path / "renamed.alg"
+    renamed.write_text(pathlib.Path(fixture_path("merge_tgt.alg")).read_text().replace(
+        "algebra MergeTgt", "algebra MergeSrc"))
+    code, out, err = run(
+        capsys, "morphism", "--map", fixture_path("merge.map"),
+        "--algebras", source, fixture_path("merge_tgt.alg"), str(renamed), "--verify", "hom",
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: algebra 'MergeSrc' is defined in both {source} and {renamed}\n"
+
+
 def test_iso_lemma_reads_no_engine_option(capsys, tmp_path, schema):
     identity = tmp_path / "id.map"
     identity.write_text(

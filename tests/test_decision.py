@@ -307,7 +307,7 @@ def test_first_member_of_a_shared_mask_dominates():
     set equals x1's; row x2 takes the shared row, which names x1."""
     pair = self_pair(loop_algebra())
     engine = build_engine(pair)
-    assert engine._left["x1"] == engine._left["x2"] != engine._left["y"]
+    assert engine._left[0] == engine._left[1] != engine._left[2]  # x1, x2, y
     assert outcome(decide_leq(pair, "x1", "y", engine=engine))[:2] == (False, "x2")
     assert outcome(decide_leq(pair, "x2", "y", engine=engine))[:2] == (False, "x1")
     assert_matrix_matches_scan(pair)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gensim import similarity
 from gensim.algebra import (
     Algebra,
     AlgebraError,
@@ -31,7 +32,7 @@ from gensim.similarity import (
 )
 from gensim.terms import range_of_term, render_term
 from gensim.verdict import Certificate, Verdict
-from oracles import relabeled_copy
+from oracles import reference_characteristic_set, relabeled_copy
 from test_decision import fixture_pairs, meet3, random_pair
 
 
@@ -50,6 +51,29 @@ def test_subset_rejects_unknown_element(chain5_pair, fragment, slot):
     names[slot] = "nosuch"
     with pytest.raises(AlgebraError, match="nosuch"):
         engine.subset(*names)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("names,unknown", [
+    (("x", "y", "w"), "x"),
+    (("1", "y", "w"), "y"),
+    (("1", "2", "w"), "w"),
+])
+def test_engine_names_the_first_unknown_element(chain4_pair, warm, names, unknown):
+    """``Engine.subset`` checks a, then b, then b', and ``Engine.verdict``
+    a, then b, whether or not the row of a is decided."""
+    engine = build_engine(chain4_pair)
+    if warm:
+        engine.verdict("1", "0")
+    side = chain4_pair.left if unknown == names[0] else chain4_pair.right
+    message = f"element {unknown!r} not in carrier of {side.name!r}"
+    calls = [lambda: engine.subset(*names)]
+    if unknown != names[2]:
+        calls.append(lambda: engine.verdict(*names[:2]))
+    for call in calls:
+        with pytest.raises(AlgebraError) as caught:
+            call()
+        assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("fragment", ["auto", "unary", "linear", "monolinear", "general"])
@@ -287,6 +311,24 @@ def test_characteristic_set_bounds(triple_b, triple_c):
         find_characteristic_set(pair, "b", "c", engine=None)
 
 
+def test_dominated_characteristic_set_tries_no_combination(chain4_pair, triple_b, triple_c, monkeypatch):
+    """0 dominates 1 <~ 1, so it lies in the cut of every candidate: no set
+    of any size pins 1 down, and no combination is tried."""
+    calls = []
+    combinations = similarity.combinations
+
+    def counted(*args):
+        calls.append(args)
+        return combinations(*args)
+
+    monkeypatch.setattr(similarity, "combinations", counted)
+    assert decide_leq(chain4_pair, "1", "1").certificate.element == "0"
+    assert find_characteristic_set(chain4_pair, "1", "1", max_size=5) is None
+    assert calls == []
+    assert find_characteristic_set(validate_pair(triple_b, triple_c), "b", "c")
+    assert calls
+
+
 def test_characteristic_set_with_constants():
     algebra = make_algebra(
         "K", ["x", "y"], {"f": {"x": "y", "y": "y"}}, constants=["x"]
@@ -295,6 +337,51 @@ def test_characteristic_set_with_constants():
     result = find_characteristic_set(pair, "x", "x")
     assert result is not None
     assert [render_term(t) for t in result] == ["x"]
+
+
+def random_binary_algebra(seed, n=3):
+    rng = random.Random(seed)
+    carrier = [f"e{i}" for i in range(n)]
+    table = {(x, y): rng.choice(carrier) for x in carrier for y in carrier}
+    return make_algebra(f"Bin{seed}", carrier, {"o": table})
+
+
+def three_term_pair():
+    """Gen(a,b) is z1 and each f_i(z1), whose right range leaves out c_i
+    alone: b is pinned down by the three f_i(z1) together."""
+    ops = ["f1", "f2", "f3"]
+    left = make_algebra("Three", ["a", "p1", "p2", "p3", "q"], {
+        f: {x: "a" if x == f"p{f[1]}" else "q" for x in ["a", "p1", "p2", "p3", "q"]} for f in ops
+    })
+    right = make_algebra("Pin", ["b", "c1", "c2", "c3"], {
+        f: {x: "b" if x == f"c{f[1]}" else x for x in ["b", "c1", "c2", "c3"]} for f in ops
+    })
+    return validate_pair(left, right)
+
+
+def charset_pairs():
+    yield from fixture_pairs()
+    yield three_term_pair()
+    for seed in range(3):
+        yield random_pair(1, 6, seed, False)
+        yield random_pair(1, 6, seed, True)
+        left = random_binary_algebra(seed)
+        yield self_pair(left)
+        yield validate_pair(left, random_binary_algebra(seed + 100))
+
+
+def test_characteristic_set_matches_reference():
+    """Each size's least set by (total size, sorted spellings), the first
+    least one on a tie, as the hand-kept loop of the reference finds it."""
+    sizes = set()
+    for pair in charset_pairs():
+        for a in pair.left.carrier:
+            for b in pair.right.carrier:
+                for max_size in (1, 2, 3):
+                    result = find_characteristic_set(pair, a, b, max_size)
+                    assert result == reference_characteristic_set(pair, a, b, max_size), (pair.left.name, a, b)
+                    sizes.add(result and len(result))
+    assert sizes == {None, 1, 2, 3}
 
 
 def test_reflexivity_report(chain4_pair, chain5_pair):
