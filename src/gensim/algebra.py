@@ -93,7 +93,7 @@ class Algebra(Frozen):
     """A named finite algebra: carrier, signature (its constant symbols
     name carrier elements) and total operation tables."""
 
-    __slots__ = ("name", "carrier", "signature", "tables", "_ids")
+    __slots__ = ("name", "carrier", "signature", "tables", "_ids", "_indexed")
 
     def __init__(
         self,
@@ -116,6 +116,7 @@ class Algebra(Frozen):
                     "(a 'constants' keyword)"
                 )
         object.__setattr__(self, "_ids", elements)
+        object.__setattr__(self, "_indexed", {})
         for sym, arity in signature.operations:
             table = tables.get(sym)
             if table is None:
@@ -161,6 +162,14 @@ class Algebra(Frozen):
         except KeyError:
             raise AlgebraError(f"element {element!r} not in carrier of {self.name!r}") from None
 
+    def indexed(self, sym: str) -> dict:
+        """``sym``'s table over carrier indices, in ``product`` order."""
+        if sym not in self._indexed:  # built on first use
+            arity, ids = self.signature.arity(sym), self._ids.__getitem__
+            images = map(ids, map(self.tables[sym].__getitem__, product(self.carrier, repeat=arity)))
+            self._indexed[sym] = dict(zip(product(range(len(self.carrier)), repeat=arity), images))
+        return self._indexed[sym]
+
     def require_element(self, element: str) -> str:
         self.index(element)
         return element
@@ -201,6 +210,9 @@ def make_algebra(
     carrier = tuple(carrier)
     operations = operations or {}
     arities = arities or {}
+    for sym in arities:
+        if sym not in operations:
+            raise AlgebraError(f"operation {sym!r} has an arity but no table")
     norm_tables: dict[str, dict[tuple[str, ...], str]] = {}
     sig_ops: list[tuple[str, int]] = []
     for sym, table in operations.items():
@@ -254,12 +266,15 @@ def _op_table(sym: str, arity: int, block: list, first: int, elements: set) -> d
     """The table of an op block's lines, from line ``first``: read in bulk,
     or by ``_ROW_RE`` row by row, to word an error or read odd rows."""
     rows = list(filter(None, block))
-    matches = list(map(_row_pattern(arity).fullmatch, rows))
-    if None not in matches:
-        rows = list(map(re.Match.groups, matches))
-        table = dict(zip(map(itemgetter(slice(-1)), rows), map(itemgetter(-1), rows)))
-        if len(table) == len(rows) and elements.issuperset(chain.from_iterable(rows)):
-            return table
+    # The bulk pattern has a group per argument: built only for a first row
+    # of ``arity`` arguments, it is never larger than the text.
+    if rows and rows[0].count(",") == arity - 1:
+        matches = list(map(_row_pattern(arity).fullmatch, rows))
+        if None not in matches:
+            rows = list(map(re.Match.groups, matches))
+            table = dict(zip(map(itemgetter(slice(-1)), rows), map(itemgetter(-1), rows)))
+            if len(table) == len(rows) and elements.issuperset(chain.from_iterable(rows)):
+                return table
     table = {}
     for lineno, line in filter(itemgetter(1), enumerate(block, first)):
         m = _ROW_RE.match(line)

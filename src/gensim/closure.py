@@ -39,8 +39,8 @@ from .terms import Term, app_key
 
 
 class Profile(NamedTuple):
-    """What one term denotes in the left and in the right algebra, with
-    the minimal witness term that denotes it."""
+    """What one term denotes over the left and the right carrier indices,
+    with the minimal witness term that denotes it."""
 
     left: object
     right: object
@@ -77,7 +77,7 @@ def operation_rules(pair: AlgebraPair, make, linear: bool = False) -> list:
     for sym, arity in sig.operations:
         lifts = [make(algebra, sym, arity) for algebra in algebras]
         commutative = arity == 2 and all(
-            table[y, x] == z for table in [a.tables[sym] for a in algebras] for (x, y), z in table.items()
+            table[y, x] == z for table in [a.indexed(sym) for a in algebras] for (x, y), z in table.items()
         )
         rules.append((arity, lifts[0], lifts[-1], *app_key(sym, sig, linear=linear), commutative))
     return rules

@@ -35,19 +35,18 @@ def _function_lift(algebra: Algebra, sym: str, arity: int):
     per part of 256 // n rows (past 10 parts a lookup per assignment wins).
     Other lifts look up each assignment's index tuple; over n > 256 a side
     is a tuple."""
-    n, index = len(algebra.carrier), algebra.index
-    table = {tuple(map(index, tup)): index(out) for tup, out in algebra.tables[sym].items()}
+    n, table = len(algebra.carrier), algebra.indexed(sym)
     if n > 256 or arity > 2 or arity == 2 and n > 48:
         collect = bytes if n <= 256 else tuple
         return lambda functions: collect(map(table.__getitem__, zip(*functions)))
     if arity == 1:
-        image = bytes(table[x,] for x in range(n)) + bytes(256 - n)
+        image = bytes(table.values()) + bytes(256 - n)
         return lambda functions: functions[0].translate(image)
     number = partial(int.from_bytes, byteorder="little")
     # An accepted side meets up to 2n - 1 lifts: read it once.
     read = cache(number)
     if n <= 16:
-        flat = bytes(table[x, y] for x in range(n) for y in range(n)) + bytes(256 - n * n)
+        flat = bytes(table.values()) + bytes(256 - n * n)
 
         def lift(functions):
             return (read(functions[0]) * n + read(functions[1])).to_bytes(
@@ -89,26 +88,35 @@ def _function_lift(algebra: Algebra, sym: str, arity: int):
 def saturate_profiles(pair: AlgebraPair, k: int, cap: int | None = DEFAULT_CAP, stop=None) -> list[Profile]:
     """Least closed set of K-variable function pairs, minimal witnesses.
 
-    Each side of a profile holds one value index per assignment over A^K
-    (left) or B^K (right): ``bytes``, or a tuple over more than 256
+    Each side of a profile holds one carrier index per assignment over
+    A^K (left) or B^K (right): ``bytes``, or a tuple over more than 256
     elements.
 
     The theoretical profile space is doubly exponential, so feasibility is
     enforced as a runtime cap on the number of accepted profiles rather
-    than a priori.  A K for which |A|^K or |B|^K exceeds the cap is
-    refused before its assignments are listed; ``cap=None`` sets no cap.
+    than a priori.  A K for which |A|^K or |B|^K exceeds the cap, or K
+    itself does (K projections are K seeds), is refused before any
+    assignment is listed; ``cap=None`` sets no cap.
     """
     if k < 1:
         raise AlgebraError("K must be >= 1")
     sig = pair.left.signature
-    sides = []
-    for algebra in (pair.left, pair.right):
+    for algebra in (pair.left, pair.right) if cap is not None else ():
         n = len(algebra.carrier)
-        if cap is not None and n ** k > cap:
+        # 2 ** cap.bit_length() > cap, so for n >= 2 the short power is exact.
+        if n > 1 and n ** min(k, cap.bit_length()) > cap:
             raise SaturationCapError(cap, (
                 f"K = {k} needs {n}^{k} assignments over {algebra.name!r}, "
                 f"more than the cap of {cap}; lower K (--max-vars) or raise --cap"
             ))
+    if cap is not None and k > cap:
+        raise SaturationCapError(cap, (
+            f"K = {k} lists {k} projections, more than the cap of {cap}; "
+            "lower K (--max-vars) or raise --cap"
+        ))
+    sides = []
+    for algebra in (pair.left, pair.right):
+        n = len(algebra.carrier)
         collect = bytes if n <= 256 else tuple
         # zip(*assignments) lists the K projections.
         sides.append([collect(p) for p in zip(*product(range(n), repeat=k))] + [

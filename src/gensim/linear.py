@@ -18,24 +18,13 @@ from .closure import Profile, least_witness_closure, operation_rules
 from .terms import Const, Var, witness_key
 
 
-class _Rows(dict):
-    """Each element x's row {y: x * y} of a binary table, built when first read."""
-
-    def __init__(self, algebra: Algebra, sym: str):
-        super().__init__()
-        self.table, self.carrier = algebra.tables[sym], algebra.carrier
-
-    def __missing__(self, x):
-        row = self[x] = {y: self.table[x, y] for y in self.carrier}
-        return row
-
-
 def _range_lift(algebra: Algebra, sym: str, arity: int):
-    table = algebra.tables[sym]
+    table, n = algebra.indexed(sym), len(algebra.carrier)
     if arity != 2:
         return lambda sets: frozenset(map(table.__getitem__, product(*sets)))
     # A binary lift reads the right range out of each left element's row.
-    rows = _Rows(algebra, sym)
+    flat = [*table.values()]
+    rows = [flat[x * n:x * n + n] for x in range(n)]
 
     def lift(sets):
         left, right = sets
@@ -47,7 +36,8 @@ def _range_lift(algebra: Algebra, sym: str, arity: int):
 
 
 def reachable_profiles(pair: AlgebraPair, cap: int | None = None, stop=None) -> list[Profile]:
-    """Least closed family of range pairs, minimal witness per pair.
+    """Least closed family of range pairs, minimal witness per pair: each
+    range a frozenset of carrier indices.
 
     Explored in witness order (depth, size, spelling with variables last),
     so the first witness reaching a range pair is kept.  Terminates because
@@ -55,7 +45,9 @@ def reachable_profiles(pair: AlgebraPair, cap: int | None = None, stop=None) -> 
     ``cap`` range pairs are accepted.
     """
     sig = pair.left.signature
-    seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
-    seeds += [(frozenset({c}), frozenset({c}), Const(c)) for c in sig.constant_symbols]
+    left, right = pair.left, pair.right
+    seeds = [(frozenset(range(len(left.carrier))), frozenset(range(len(right.carrier))), Var(1))]
+    seeds += [(frozenset({left.index(c)}), frozenset({right.index(c)}), Const(c))
+              for c in sig.constant_symbols]
     rules = operation_rules(pair, _range_lift, linear=True)
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), cap, stop=stop)

@@ -26,30 +26,30 @@ from .terms import Const, Term, Var, app_key, render_term, witness_key
 
 
 class UnaryPolynomial(Frozen):
-    __slots__ = ("table", "witness")  # table: indexed by carrier order
+    __slots__ = ("table", "witness")  # table: the image names, in carrier order
 
 
 def paired_ground_values(pair: AlgebraPair, keys: list | None = None) -> list[Profile]:
-    """Simultaneously realizable ground values over the pair, each with a
-    minimal ground witness (and its key appended to ``keys``)."""
+    """Simultaneously realizable ground values (carrier indices) over the
+    pair, each with a minimal ground witness (its key appended to ``keys``)."""
     sig = pair.left.signature
-    seeds = [(c, c, Const(c)) for c in sig.constant_symbols]
-    rules = operation_rules(pair, lambda algebra, sym, _: algebra.tables[sym].__getitem__)
+    seeds = [(pair.left.index(c), pair.right.index(c), Const(c)) for c in sig.constant_symbols]
+    rules = operation_rules(pair, lambda algebra, sym, _: algebra.indexed(sym).__getitem__)
     return least_witness_closure(seeds, rules, lambda t: witness_key(t, sig), keys=keys)
 
 
 def ground_value_terms(algebra: Algebra) -> list[tuple[str, Term]]:
     """Values of ground terms over the distinguished constants, each with a
     minimal ground witness; this is the subalgebra the constants generate."""
-    return [(value, term) for value, _, term in paired_ground_values(self_pair(algebra))]
+    return [(algebra.carrier[value], term) for value, _, term in paired_ground_values(self_pair(algebra))]
 
 
-def _plug(algebra: Algebra, sym: str, position: int, fillers: tuple[str, ...], collect):
+def _plug(algebra: Algebra, sym: str, position: int, fillers: tuple[int, ...], collect):
     """Plug a table (``collect=tuple``) or a range (``frozenset``) into
     ``sym`` at ``position``, fillers elsewhere."""
-    table = algebra.tables[sym]
+    table = algebra.indexed(sym)
     before, after = fillers[:position], fillers[position:]
-    image = {x: table[before + (x,) + after] for x in algebra.carrier}.__getitem__
+    image = [table[before + (x,) + after] for x in range(len(algebra.carrier))].__getitem__
     return lambda args: collect(map(image, args[0]))
 
 
@@ -72,11 +72,11 @@ def _plug_rules(pair: AlgebraPair, collect) -> list:
 
 
 def paired_clone(pair: AlgebraPair, cap: int | None = None, stop=None) -> list[Profile]:
-    """Pairs of ranges realizable by one shared monolinear term, each with
-    a minimal witness.  Raises ``SaturationCapError`` when more than
-    ``cap`` range pairs are accepted."""
+    """Pairs of ranges (carrier indices) realizable by one shared monolinear
+    term, each with a minimal witness.  Raises ``SaturationCapError`` when
+    more than ``cap`` range pairs are accepted."""
     sig = pair.left.signature
-    seeds = [(frozenset(pair.left.carrier), frozenset(pair.right.carrier), Var(1))]
+    seeds = [(frozenset(range(len(pair.left.carrier))), frozenset(range(len(pair.right.carrier))), Var(1))]
     return least_witness_closure(
         seeds, _plug_rules(pair, frozenset), lambda t: witness_key(t, sig), cap, stop=stop
     )
@@ -87,11 +87,11 @@ def polynomial_clone(algebra: Algebra, cap: int | None = None) -> list[UnaryPoly
     Raises ``SaturationCapError`` when more than ``cap`` functions are
     accepted."""
     sig = algebra.signature
-    seeds = [(algebra.carrier, algebra.carrier, Var(1))]
+    ids = tuple(range(len(algebra.carrier)))
     tables = least_witness_closure(
-        seeds, _plug_rules(self_pair(algebra), tuple), lambda t: witness_key(t, sig), cap
+        [(ids, ids, Var(1))], _plug_rules(self_pair(algebra), tuple), lambda t: witness_key(t, sig), cap
     )
-    return [UnaryPolynomial(p.left, p.witness) for p in tables]
+    return [UnaryPolynomial(tuple(map(algebra.carrier.__getitem__, p.left)), p.witness) for p in tables]
 
 
 def dump_clone(clone: list[UnaryPolynomial], algebra: Algebra) -> str:

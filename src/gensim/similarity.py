@@ -58,11 +58,11 @@ class Engine:
     """Subset and maximality queries over one pair, built once.
 
     An engine holds its pair's term classes as rows (left range, right
-    range, witness): distinct range pairs in witness order, each with its
-    minimal witness.  Row i is bit i: ``_left`` and ``_right`` hold each
-    side's row masks, one per element in carrier order, so Gen(a,b) is
-    the meet of a's and b's masks and its first row in witness order is
-    the lowest set bit.  ``masks``, when given, are ``(_left, _right)``.
+    range, witness): distinct pairs of carrier index sets in witness
+    order, each with its minimal witness.  Row i is bit i: ``_left`` and
+    ``_right`` hold each side's row masks, one per element in carrier
+    order, so Gen(a,b) is the meet of a's and b's masks and its first row
+    in witness order is the lowest set bit; ``masks`` may give both.
     """
 
     def __init__(self, pair: AlgebraPair, label: str, rows, masks: tuple | None = None):
@@ -70,14 +70,14 @@ class Engine:
         self.label = label
         self._classes = rows
         if masks is None:
-            # A self pair's rows have equal sides: one dict serves both.
+            # A self pair's rows have equal sides: one list serves both.
             algebras = (pair.left,) if pair.left is pair.right else (pair.left, pair.right)
-            sides = [{e: [] for e in algebra.carrier} for algebra in algebras]
+            sides = [[[] for _ in algebra.carrier] for algebra in algebras]
             for i, row in enumerate(rows):
-                for side, names in zip(sides, row):
-                    for e in names:
+                for side, ids in zip(sides, row):
+                    for e in ids:
                         side[e].append(i)
-            masks = [[*map(_mask, side.values())] for side in sides]
+            masks = [[*map(_mask, side)] for side in sides]
             masks = masks[0], masks[-1]
         self._left, self._right = masks
         self._holds = Verdict(True, None, label)
@@ -182,8 +182,10 @@ class Engine:
         return found
 
     def classes(self) -> list[tuple[frozenset[str], frozenset[str], Term]]:
-        """Semantic term classes as (left range, right range, witness)."""
-        return list(self._classes)
+        """Semantic term classes as (left range, right range, witness),
+        the ranges as element names."""
+        left, right = self.pair.left.carrier.__getitem__, self.pair.right.carrier.__getitem__
+        return [(frozenset(map(left, l)), frozenset(map(right, r)), w) for l, r, w in self._classes]
 
 
 class LinearEngine(Engine):
@@ -207,18 +209,12 @@ class MonolinearEngine(Engine):
 
 class GeneralEngine(Engine):
     def __init__(self, pair: AlgebraPair, k: int, cap: int | None, stop=None):
-        left_names, right_names = pair.left.carrier, pair.right.carrier
         # The first witness of each range pair is canonical: renumbering
         # its variables keeps its ranges and gives a key no larger.
         witnesses: dict = {}
         for p in saturate_profiles(pair, k, cap, stop):
             witnesses.setdefault((frozenset(p.left), frozenset(p.right)), p.witness)
-        rows = [
-            (frozenset(map(left_names.__getitem__, left)),
-             frozenset(map(right_names.__getitem__, right)), w)
-            for (left, right), w in witnesses.items()
-        ]
-        super().__init__(pair, exactness_label(pair, k), rows)
+        super().__init__(pair, exactness_label(pair, k), [(*key, w) for key, w in witnesses.items()])
 
 
 def build_engine(pair: AlgebraPair, config: QueryConfig | None = None, stop=None) -> Engine:
@@ -254,14 +250,9 @@ def _one_shot(pair: AlgebraPair, a: str, b: str, config, both: bool) -> tuple[En
     """The engine of a <~ b (``both``: and b <~ a), and whether its rows
     prove it holds: rows are final, so the closure stops once rows with a
     left and b right leave out each competitor b' right (and a' left)."""
-    pair.left.require_element(a)
-    pair.right.require_element(b)
-    config = config or QueryConfig()
-    # The general engine's sides hold carrier indices.
-    left, right = (pair.left.index, pair.right.index) if config.fragment == "general" else (str, str)
-    x, y = left(a), right(b)
-    forward = set(map(right, Engine.competitors(pair.right.carrier, a, b)))
-    backward = set(map(left, Engine.competitors(pair.left.carrier, b, a) if both else ()))
+    x, y = pair.left.index(a), pair.right.index(b)
+    forward = set(map(pair.right.index, Engine.competitors(pair.right.carrier, a, b)))
+    backward = set(map(pair.left.index, Engine.competitors(pair.left.carrier, b, a) if both else ()))
 
     def separated(lhs, rhs) -> bool:
         if x in lhs and y in rhs:
@@ -487,16 +478,15 @@ def find_characteristic_set(
     """
     if max_size < 1:
         raise AlgebraError(f"max_size must be >= 1, not {max_size}")
-    pair.left.require_element(a)
-    pair.right.require_element(b)
+    x, y = pair.left.index(a), pair.right.index(b)
     engine = build_engine(pair, config)
-    bad = set(engine.competitors(pair.right.carrier, a, b))
+    bad = set(map(pair.right.index, engine.competitors(pair.right.carrier, a, b)))
     # A set pins b down when the right ranges of its members, each cut to
     # ``bad``, meet in nothing.  So each distinct cut keeps one candidate,
     # its least by (size, spelling), which never loses the tie-break below.
     least: dict = {}
-    for i, (left, right, witness) in enumerate(engine.classes()):
-        if a in left and b in right:
+    for i, (left, right, witness) in enumerate(engine._classes):
+        if x in left and y in right:
             rank = (term_size(witness), render_term(witness))
             if right & bad not in least or rank < least[right & bad][1]:
                 least[right & bad] = (i, rank, witness)

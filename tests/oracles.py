@@ -16,7 +16,8 @@ both; ``reference_parse_algebra`` the ``.alg`` reader that checks each
 table row as it reads it, the reference for ``algebra.parse_algebra``'s
 bulk check; and ``reference_characteristic_set`` the search that keeps
 each size's best set by hand, the reference for
-``similarity.find_characteristic_set``."""
+``similarity.find_characteristic_set``.  ``named`` reads the carrier
+indices of closure and engine rows as element names."""
 
 from __future__ import annotations
 
@@ -275,15 +276,41 @@ def brute_force_subset(
     return True, None
 
 
+# id(algebra) -> (algebra, {op: lift}): an entry holds its algebra, so no
+# other algebra takes its id.  A binary lift lists its rows when made.
+_RANGE_LIFTS: dict = {}
+
+
 def lifted_range(term: Term, algebra: Algebra) -> frozenset[str]:
     """Set-lifted bottom-up range through the linear engine's lift; exact
     for linear terms."""
-    if isinstance(term, Var):
-        return frozenset(algebra.carrier)
-    if isinstance(term, Const):
-        algebra.require_element(term.name)
-        return frozenset({term.name})
-    return _range_lift(algebra, term.op, len(term.args))([lifted_range(a, algebra) for a in term.args])
+    lifts = _RANGE_LIFTS.setdefault(id(algebra), (algebra, {}))[1]
+
+    def ids(term: Term) -> frozenset[int]:
+        if isinstance(term, Var):
+            return frozenset(range(len(algebra.carrier)))
+        if isinstance(term, Const):
+            return frozenset({algebra.index(term.name)})
+        if term.op not in lifts:
+            lifts[term.op] = _range_lift(algebra, term.op, len(term.args))
+        return lifts[term.op]([ids(a) for a in term.args])
+
+    return frozenset(map(algebra.carrier.__getitem__, ids(term)))
+
+
+def named(pair: AlgebraPair, rows, ids: bool = False) -> list[Profile]:
+    """``rows`` of (left, right, witness) with each side's carrier indices
+    read as the pair's element names, or with ``ids`` its names read as
+    indices.  A side is one element, or a frozenset or a sequence of
+    them, read as a tuple."""
+    left, right = (a.index if ids else a.carrier.__getitem__ for a in (pair.left, pair.right))
+
+    def side(read, value):
+        if isinstance(value, (int, str)):
+            return read(value)
+        return (frozenset if isinstance(value, frozenset) else tuple)(map(read, value))
+
+    return [Profile(side(left, l), side(right, r), w) for l, r, w in rows]
 
 
 def term_to_word(term: Term) -> list[str]:
@@ -330,7 +357,8 @@ def lemma_violations(emap: ElementMap, cap: int | None = None) -> list[str]:
     by term, this is exact on unary signatures (ground terms included) and
     covers the linear fragment elsewhere.
     """
-    rows = reachable_profiles(AlgebraPair(emap.source, emap.target), cap)
+    pair = AlgebraPair(emap.source, emap.target)
+    rows = named(pair, reachable_profiles(pair, cap))
     return [
         a
         for a in emap.source.carrier

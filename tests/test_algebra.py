@@ -1,5 +1,7 @@
+import pickle
 import random
 import re
+from importlib import resources
 from itertools import product
 
 import pytest
@@ -17,7 +19,7 @@ from gensim.algebra import (
     self_pair,
     validate_pair,
 )
-from gensim.corpus import fixture_text, powerset_algebra, truncated_multiplication_algebra
+from gensim.corpus import fixture_text, load_fixture, powerset_algebra, truncated_multiplication_algebra
 from gensim.morphism import ElementMap, parse_map
 from oracles import reference_parse_algebra, render_map
 
@@ -178,6 +180,35 @@ def test_make_algebra_reads_its_arguments_as_alg_text():
     assert str(caught.value) == "operation 'f' has an empty table and no arity"
     with pytest.raises(AlgebraError, match=r"missing table row for f\(x\)"):
         make_algebra("A", ["x"], {"f": {}}, arities={"f": 1})
+
+
+def test_make_algebra_refuses_an_arity_without_a_table():
+    with pytest.raises(AlgebraError) as caught:
+        make_algebra("A", ["x"], {}, arities={"g": 1})
+    assert str(caught.value) == "operation 'g' has an arity but no table"
+
+
+INDEXED_ALGEBRAS = [
+    load_fixture(path.name)
+    for path in sorted(resources.files("gensim").joinpath("fixtures").iterdir(), key=lambda p: p.name)
+    if path.name.endswith(".alg")
+] + [powerset_algebra(tuple("123")), truncated_multiplication_algebra(4)]
+
+
+@pytest.mark.parametrize("algebra", INDEXED_ALGEBRAS, ids=[a.name for a in INDEXED_ALGEBRAS])
+def test_indexed_tables_read_the_name_tables(algebra):
+    """Each index tuple, in ``product`` order, maps to the index of the
+    name table's image; the table is built once and is no field."""
+    twin = Algebra(algebra.name, algebra.carrier, algebra.signature, algebra.tables)
+    index = algebra.index
+    for sym, arity in algebra.signature.operations:
+        table = algebra.indexed(sym)
+        assert algebra.indexed(sym) is table
+        assert list(table) == list(product(range(len(algebra.carrier)), repeat=arity))
+        assert table == {tuple(map(index, tup)): index(out) for tup, out in algebra.tables[sym].items()}
+    assert algebra == twin and repr(algebra) == repr(twin)
+    copy = pickle.loads(pickle.dumps(algebra))
+    assert copy == algebra and repr(copy) == repr(algebra)
 
 
 def test_algebra_rejects_out_of_carrier_output():

@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -217,6 +218,31 @@ def test_cap_below_1_is_refused_before_any_closure(monkeypatch, capsys, argv, ca
         monkeypatch.setattr(module, "least_witness_closure", refuse)
     code, out, err = run(capsys, *argv, "--cap", cap)
     assert (code, out, err) == (2, "", "error: bounds must be positive\n")
+
+
+def test_a_huge_max_vars_is_refused_at_once(capsys):
+    # 5^(10^8) is never built: 5^18 already exceeds the cap.
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "check", "--left", fixture_path("chain5.alg"), "--a", "a", "--b", "b",
+        "--fragment", "general", "--max-vars", "100000000",
+    )
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", (
+        "error: K = 100000000 needs 5^100000000 assignments over 'Chain5', "
+        "more than the cap of 200000; lower K (--max-vars) or raise --cap\n"
+    ))
+
+
+@pytest.mark.parametrize("arity", [100_000, 1_000_000])
+def test_a_huge_arity_is_refused_at_its_first_row(tmp_path, capsys, arity):
+    # No pattern of ``arity`` groups is compiled for a row of one argument.
+    path = tmp_path / "huge.alg"
+    path.write_text(f"algebra A\nelements x y z\nconstants none\nop f/{arity}\n  x -> x\nend\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--left", str(path), "--a", "x", "--b", "x")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out, err) == (2, "", f"error: line 5: 'f' expects {arity} argument(s), row has 1\n")
 
 
 def test_general_max_vars_beyond_cap_exits_2(capsys):

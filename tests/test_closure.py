@@ -45,7 +45,7 @@ from gensim.terms import (
     witness_key,
 )
 import oracles
-from oracles import canonicalize, reference_closure, reference_general
+from oracles import canonicalize, named, reference_closure, reference_general
 from test_decision import UNARY_FIXTURES
 from test_similarity import with_constants
 
@@ -214,7 +214,7 @@ PAIRS = _fixture_pairs() + [
 
 @pytest.mark.parametrize("label,pair", PAIRS, ids=[label for label, _ in PAIRS])
 def test_linear_matches_naive(label, pair):
-    family = [((p.left, p.right), p.witness) for p in reachable_profiles(pair)]
+    family = [((p.left, p.right), p.witness) for p in named(pair, reachable_profiles(pair))]
     assert family == naive_linear(pair)
 
 
@@ -249,8 +249,8 @@ MONOLINEAR_PAIRS = PAIRS + [
 @pytest.mark.parametrize("label,pair", MONOLINEAR_PAIRS, ids=[label for label, _ in MONOLINEAR_PAIRS])
 def test_paired_monolinear_matches_naive(label, pair):
     grounds, clone = naive_paired_clone(pair, ranges=True)
-    assert [((l, r), w) for l, r, w in paired_ground_values(pair)] == grounds
-    assert [((p.left, p.right), p.witness) for p in paired_clone(pair)] == clone
+    assert [((l, r), w) for l, r, w in named(pair, paired_ground_values(pair))] == grounds
+    assert [((p.left, p.right), p.witness) for p in named(pair, paired_clone(pair))] == clone
     if pair.left is pair.right:
         _, tables = naive_paired_clone(pair)
         assert [(p.table, p.witness) for p in polynomial_clone(pair.left)] == [
@@ -263,11 +263,8 @@ def test_monolinear_dominators_match_table_rows(label, pair):
     # The table rows are the oracle: a term's membership in Gen(a, b)
     # depends only on its ranges, so the range rows decide alike.
     _, tables = naive_paired_clone(pair)
-    oracle = Engine(
-        pair,
-        "oracle",
-        [(frozenset(left), frozenset(right), w) for (left, right), w in tables],
-    )
+    rows = [(frozenset(left), frozenset(right), w) for (left, right), w in tables]
+    oracle = Engine(pair, "oracle", named(pair, rows, ids=True))
     engine = MonolinearEngine(pair)
     for a in pair.left.carrier:
         for b in pair.right.carrier:
@@ -278,13 +275,8 @@ def test_monolinear_dominators_match_table_rows(label, pair):
 def test_general_dominators_match_function_rows(label, pair):
     # One row per function pair, each witness canonicalized: duplicate
     # range pairs share every mask, so the distinct rows decide alike.
-    names_l, names_r = pair.left.carrier, pair.right.carrier
     rows = [
-        (
-            frozenset(names_l[i] for i in p.left),
-            frozenset(names_r[i] for i in p.right),
-            canonicalize(p.witness),
-        )
+        (frozenset(p.left), frozenset(p.right), canonicalize(p.witness))
         for p in saturate_profiles(pair, 2)
     ]
     oracle = Engine(pair, "oracle", rows)
@@ -871,6 +863,6 @@ def test_the_reverse_engine_transposes_the_row_masks(engine):
     assert cases
     for pair in cases:
         forward, reverse = build_engines(pair, TRANSPOSE_CONFIGS[engine])
-        rebuilt = Engine(pair.swapped(), reverse.label, reverse.classes())
+        rebuilt = Engine(pair.swapped(), reverse.label, named(pair.swapped(), reverse.classes(), ids=True))
         assert (reverse._left, reverse._right) == (forward._right, forward._left)
         assert (reverse._left, reverse._right) == (rebuilt._left, rebuilt._right)

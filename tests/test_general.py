@@ -89,6 +89,20 @@ def test_cap_bounds_assignments_and_profiles():
     with pytest.raises(SaturationCapError, match="K = 3 needs 2\\^3 assignments"):
         saturate_profiles(pair, 3, cap=7)
     assert len(saturate_profiles(pair, 2, cap=16)) == 16
+    # The power is not built: 2^(10^9) is refused as 2^4 > 8 is.
+    with pytest.raises(SaturationCapError, match="^K = 1000000000 needs 2\\^1000000000 assignments"):
+        saturate_profiles(pair, 10**9, cap=8)
+
+
+def test_cap_bounds_k_itself():
+    # One element on each side: one assignment, yet K projection seeds.
+    pair = self_pair(make_algebra("One", ["x"], {"f": {"x": "x"}}))
+    with pytest.raises(SaturationCapError) as caught:
+        saturate_profiles(pair, 11, cap=10)
+    assert str(caught.value) == (
+        "K = 11 lists 11 projections, more than the cap of 10; lower K (--max-vars) or raise --cap"
+    )
+    assert len(saturate_profiles(pair, 10, cap=10)) == 1
 
 
 def test_no_cap_is_no_bound(powerset3):
@@ -114,10 +128,7 @@ def test_unary_signature_reduces_to_linear(unary_fg):
     from gensim.linear import reachable_profiles
 
     linear = reachable_profiles(pair)
-    general_keys = {
-        frozenset(unary_fg.carrier[i] for i in set(p.left)) for p in profiles
-    }
-    assert general_keys == {p.left for p in linear}
+    assert {frozenset(p.left) for p in profiles} == {p.left for p in linear}
 
 
 @lru_cache(maxsize=None)

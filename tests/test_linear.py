@@ -4,7 +4,7 @@ from gensim.algebra import Signature, make_algebra, self_pair, validate_pair
 from gensim.linear import reachable_profiles
 from gensim.similarity import LinearEngine
 from gensim.terms import parse_term, range_of_term, render_term
-from oracles import enumerate_terms, lifted_range
+from oracles import enumerate_terms, lifted_range, named
 
 
 def linear_gen_member(pair, family, a, b):
@@ -27,7 +27,8 @@ def dump_profiles(pair, family):
 
 
 def test_chain5_profiles(chain5):
-    family = reachable_profiles(self_pair(chain5))
+    pair = self_pair(chain5)
+    family = named(pair, reachable_profiles(pair))
     ranges = [(set(p.left), render_term(p.witness)) for p in family]
     assert ranges == [
         ({"a", "b", "c", "d", "e"}, "z1"),
@@ -37,7 +38,7 @@ def test_chain5_profiles(chain5):
 
 
 def test_chain4_pair_profiles(chain4_pair):
-    family = reachable_profiles(chain4_pair)
+    family = named(chain4_pair, reachable_profiles(chain4_pair))
     triples = [
         (set(p.left), set(p.right), render_term(p.witness)) for p in family
     ]
@@ -67,7 +68,7 @@ def test_lifted_range_overapproximates_nonlinear():
 
 
 def test_gen_member_and_subset(chain4_pair):
-    family = reachable_profiles(chain4_pair)
+    family = named(chain4_pair, reachable_profiles(chain4_pair))
     assert linear_gen_member(chain4_pair, family, "1", "0")
     engine = LinearEngine(chain4_pair)
     holds, witness = engine.subset("1", "1", "0")
@@ -78,7 +79,8 @@ def test_gen_member_and_subset(chain4_pair):
 
 
 def test_witnesses_are_minimal(chain5):
-    family = reachable_profiles(self_pair(chain5))
+    pair = self_pair(chain5)
+    family = named(pair, reachable_profiles(pair))
     for profile in family:
         # every witness reproduces its own profile through the oracle
         assert range_of_term(profile.witness, chain5) == profile.left
@@ -88,7 +90,8 @@ def test_constants_seed_profiles():
     algebra = make_algebra(
         "K", ["x", "y"], {"f": {"x": "y", "y": "y"}}, constants=["y"]
     )
-    family = reachable_profiles(self_pair(algebra))
+    pair = self_pair(algebra)
+    family = named(pair, reachable_profiles(pair))
     assert (frozenset({"y"}), frozenset({"y"})) in {
         (p.left, p.right) for p in family
     }
@@ -100,7 +103,7 @@ def test_constants_seed_profiles():
 def test_binary_profiles_match_enumeration(powerset3):
     # reachable profiles must cover every enumerated linear-term range pair
     pair = self_pair(powerset3)
-    family = reachable_profiles(pair)
+    family = named(pair, reachable_profiles(pair))
     keys = {(p.left, p.right) for p in family}
     for term in enumerate_terms(powerset3.signature, 2, 2, "linear", max_size=5):
         rng = range_of_term(term, powerset3)
@@ -109,7 +112,7 @@ def test_binary_profiles_match_enumeration(powerset3):
 
 def test_dump_profiles_format(chain5):
     pair = self_pair(chain5)
-    text = dump_profiles(pair, reachable_profiles(pair))
+    text = dump_profiles(pair, named(pair, reachable_profiles(pair)))
     lines = text.strip().splitlines()
     assert lines[0] == "{a,b,c,d,e} | {a,b,c,d,e} | witness: z1"
     assert len(lines) == 3
@@ -142,7 +145,8 @@ def test_family_symmetric_under_swap(algebra):
 @given(random_unary_algebra())
 def test_profiles_are_exactly_word_images(algebra):
     # on unary signatures, reachable left-ranges = images of all words
-    family = reachable_profiles(self_pair(algebra))
+    pair = self_pair(algebra)
+    family = named(pair, reachable_profiles(pair))
     images = {frozenset(algebra.carrier)}
     frontier = [frozenset(algebra.carrier)]
     while frontier:

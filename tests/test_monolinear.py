@@ -14,6 +14,7 @@ from gensim.monolinear import (
 from gensim.morphism import random_monounary_algebra
 from gensim.similarity import MonolinearEngine, QueryConfig, build_engine, decide_leq
 from gensim.terms import parse_term, range_of_term, render_term
+from oracles import named
 
 
 def bool_or():
@@ -91,7 +92,7 @@ def test_m_gen_signature(powerset3):
 def test_paired_clone_matches_componentwise_on_self_pair(powerset3):
     # the range pairs of a self pair are the ranges of the clone's tables
     pair = self_pair(powerset3)
-    paired = paired_clone(pair)
+    paired = named(pair, paired_clone(pair))
     ranges = {frozenset(p.table) for p in polynomial_clone(powerset3)}
     assert {p.left for p in paired} == ranges
     assert all(p.left == p.right for p in paired)

@@ -32,7 +32,7 @@ from gensim.similarity import (
 )
 from gensim.terms import range_of_term, render_term
 from gensim.verdict import Certificate, Verdict
-from oracles import reference_characteristic_set, relabeled_copy
+from oracles import named, reference_characteristic_set, relabeled_copy
 from test_decision import fixture_pairs, meet3, random_pair
 
 
@@ -478,8 +478,10 @@ def assert_matrix_matches_one_off(pair, config, sample=None):
     matrix = similarity_matrix(pair, config)
     engine, reverse = build_engines(pair, config)
 
+    rows = {id(e): named(e.pair, e.classes(), ids=True) for e in (engine, reverse)}
+
     def fresh(e):
-        return Engine(e.pair, e.label, e.classes())
+        return Engine(e.pair, e.label, rows[id(e)])
 
     cells = sorted(matrix.leq)
     if sample is not None:
